@@ -281,10 +281,10 @@ def cmd_bench(args) -> int:
                 )
     if args.out:
         with open(args.out, "w") as sink:
-            batch_run(queries, args.time_limit_s, sink, workers=args.workers)
+            batch_run(queries, args.time_limit_s, sink)
         print(f"wrote report to {args.out}", file=sys.stderr)
     else:
-        batch_run(queries, args.time_limit_s, sys.stdout, workers=args.workers)
+        batch_run(queries, args.time_limit_s, sys.stdout)
     return EXIT_YES
 
 
@@ -329,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=50, help="node budget per classifier")
     p.add_argument("--queries", type=int, default=100, help="queries per classifier")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--method",
         dest="method_bench",

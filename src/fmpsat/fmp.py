@@ -10,11 +10,10 @@ in it.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -230,32 +229,22 @@ class _Aggregate:
         ]
 
 
-def _run_one(item: BatchQuery, time_limit_s: float | None):
+def _run_one(query: FmpQuery, time_limit_s: float | None) -> FmpOutcome | None:
     try:
-        return item, decide_membership(
-            FmpQuery(
-                classifier=item.query.classifier,
-                instance=item.query.instance,
-                target=item.query.target,
-                method=item.query.method,
-                solver_command=item.query.solver_command,
-                time_limit_s=time_limit_s,
-            )
-        )
+        return decide_membership(replace(query, time_limit_s=time_limit_s))
     except SolverTimeout:
-        return item, None
+        return None
 
 
 def batch_run(
     queries: Sequence[BatchQuery],
     time_limit_s: float | None,
     sink,
-    workers: int = 1,
 ) -> list[list[str]]:
     """Run every query, aggregate per (name, method), write CSV rows.
 
     Timed-out queries are counted and skipped; the batch continues.
-    Rows appear in first-encounter order regardless of worker count.
+    Rows appear in first-encounter order.
     """
     if not queries:
         raise ClassifierError("batch run needs at least one query")
@@ -286,13 +275,8 @@ def batch_run(
         agg.time_max = max(agg.time_max, outcome.total_s)
         agg.pre_negated += int(outcome.pre_negated)
 
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda it: _run_one(it, time_limit_s), queries))
-    else:
-        results = [_run_one(item, time_limit_s) for item in queries]
-    for item, outcome in results:
-        record(item, outcome)
+    for item in queries:
+        record(item, _run_one(item.query, time_limit_s))
 
     rows = [groups[key].row() for key in order]
     writer = csv.writer(sink, lineterminator="\n")

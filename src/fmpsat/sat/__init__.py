@@ -1,4 +1,4 @@
-from .kernel import JIT_ENABLED, warm_up
+from .kernel import warm_up
 from .solver import SatResult, solve, solve_external
 
-__all__ = ["JIT_ENABLED", "SatResult", "solve", "solve_external", "warm_up"]
+__all__ = ["SatResult", "solve", "solve_external", "warm_up"]

@@ -1,228 +1,208 @@
-"""Conflict-driven clause learning search over flat numpy arrays.
-
-The search routine is written against plain arrays so it can run
-JIT-compiled through numba or as-is in the interpreter. Set
-``FMPSAT_PURE=1`` in the environment to force the interpreted path;
-``benchmarks/compare_backends.py`` measures the gap between the two.
+"""Conflict-driven clause learning search over Python lists.
 
 Literals are stored as codes: variable v (0-based) appears positively
-as ``2*v`` and negatively as ``2*v + 1``. Clauses live in one shared
-literal array indexed CSR-style, with learned clauses appended behind
-the input ones. The first two positions of every clause are its
-watched literals; watcher lists are intrusive linked lists keyed by
-``2*clause + slot``.
+as ``2*v`` and negatively as ``2*v + 1``; ``value[code]`` is True,
+False or None (unassigned). Each clause is a sequence of codes whose
+first two positions are its watched literals: a list for an input
+clause, an ``array('i')`` for a learned one, since on hard queries the
+learned clauses hold most of the search's memory.
+``watches[code]`` lists the clauses watching that literal. It keeps
+its most recent watch last and is visited from the end, so watches are
+visited newest first; a clause that moves its watch elsewhere leaves
+the list, the others keep their order.
+
+Branching picks the free variable of highest activity, the lowest
+index among equals, from a binary heap of ``(-activity, variable)``
+pairs. ``queued[v]`` says whether the heap holds an entry for v at its
+current activity. Bumping clears it, and backtracking pushes a freed
+variable only when it is clear, so every free variable keeps a current
+entry. Popped entries that are out of date or belong to an assigned
+variable are dropped. The heap is rebuilt from the free variables when
+activities are rescaled and when it outgrows four entries per variable.
 """
 
 from __future__ import annotations
 
+import math
 import time
-
-import numpy as np
-
-from ..jit import JIT_ENABLED, PURE_REQUESTED, maybe_jit, numba
+from array import array
+from heapq import heapify, heappop, heappush
 
 SAT = 10
 UNSAT = 20
 UNKNOWN = 0
 
-_UNDEF = np.int8(-1)
+# the deadline is read after at most this many watch visits, and on every conflict
+_POLL_VISITS = 1 << 14
 
 
-if JIT_ENABLED:
-
-    @numba.njit(cache=False, nogil=True)
-    def _wall_clock() -> float:
-        with numba.objmode(now="float64"):
-            now = time.time()
-        return now
-
-else:
-
-    def _wall_clock() -> float:
-        return time.time()
+def _backtrack(trail, bound, value, phase, activity, heap, queued) -> None:
+    """Undo the trail down to ``bound``, saving phases and re-queueing variables."""
+    for code in trail[bound:]:
+        v = code >> 1
+        phase[v] = code
+        value[code] = value[code ^ 1] = None
+        if not queued[v]:
+            queued[v] = True
+            heappush(heap, (-activity[v], v))
+    del trail[bound:]
 
 
-def _search_impl(n_vars, lits_in, starts_in, units, deadline):  # noqa: C901
-    """Run CDCL to completion; returns (status, model).
+def _free_heap(value, activity, queued):
+    """A heap holding each free variable once, at its current activity;
+    marks exactly those variables as queued."""
+    queued[:] = [x is None for x in value[0::2]]
+    heap = [(-a, v) for v, a in enumerate(activity) if queued[v]]
+    heapify(heap)
+    return heap
 
-    Restarts follow a Luby sequence, branching follows additive-bump
-    variable activities with phase saving, and the deadline is polled
-    every few thousand conflicts or propagations.
+
+def _search(n_vars, clauses, units, deadline):  # noqa: C901
+    """Run CDCL to completion; returns (status, 0/1 model list or None).
+
+    ``clauses`` are lists of two or more codes, whose literals the
+    search reorders. Restarts follow a Luby sequence, branching follows
+    additive-bump variable activities with phase saving.
     """
-    n_clauses = starts_in.shape[0] - 1
-    lit_count = lits_in.shape[0]
-    lit_cap = max(64, lit_count * 2)
-    cls_cap = max(16, n_clauses * 2 + 16)
-    lits = np.empty(lit_cap, np.int32)
-    lits[:lit_count] = lits_in
-    starts = np.empty(cls_cap + 1, np.int64)
-    starts[: n_clauses + 1] = starts_in[: n_clauses + 1]
-    n_lits = lit_count
+    now = time.time
+    if now() > deadline:
+        return UNKNOWN, None
+    value: list[bool | None] = [None] * (2 * n_vars)
+    level = [0] * n_vars
+    reason: list = [None] * n_vars  # the clause that implied each variable
+    phase = list(range(1, 2 * n_vars, 2))  # the literal to decide on: negative at first
+    activity = [0.0] * n_vars
+    seen = [False] * n_vars
+    trail: list[int] = []
+    trail_lim: list[int] = []
+    queued: list[bool] = []
+    heap = _free_heap(value, activity, queued)
+    watches: list[list] = [[] for _ in range(2 * n_vars)]
 
-    assign = np.full(n_vars, _UNDEF, np.int8)
-    level = np.zeros(n_vars, np.int32)
-    reason = np.full(n_vars, -1, np.int64)
-    trail = np.zeros(n_vars, np.int32)
-    trail_lim = np.zeros(n_vars + 1, np.int64)
-    phase = np.zeros(n_vars, np.int8)
-    activity = np.zeros(n_vars, np.float64)
-    seen = np.zeros(n_vars, np.uint8)
-    learnt = np.zeros(n_vars + 1, np.int32)
-    model = np.zeros(n_vars, np.uint8)
-
-    watch_head = np.full(2 * n_vars + 2, -1, np.int64)
-    watch_next = np.full(2 * cls_cap, -1, np.int64)
-
-    trail_len = 0
     qhead = 0
-    n_levels = 0
     var_inc = 1.0
     conflicts = 0
-    next_conflict_check = 2048
     props = 0
-    next_prop_check = 1 << 22
+    next_poll = _POLL_VISITS
     luby_u = 1
     luby_v = 1
     restart_base = 100
-    restart_at = conflicts + restart_base
-
-    if deadline != np.inf and _wall_clock() > deadline:
-        return UNKNOWN, model
+    restart_at = restart_base
 
     # root-level units
-    for idx in range(units.shape[0]):
-        code = units[idx]
-        v = code >> 1
-        want = np.int8(1 - (code & 1))
-        if assign[v] == _UNDEF:
-            assign[v] = want
-            level[v] = 0
-            reason[v] = -1
-            trail[trail_len] = code
-            trail_len += 1
-        elif assign[v] != want:
-            return UNSAT, model
+    for code in units:
+        if value[code] is None:
+            value[code] = True
+            value[code ^ 1] = False
+            trail.append(code)
+        elif value[code] is False:
+            return UNSAT, None
 
     # watch the first two literals of every input clause
-    for c in range(n_clauses):
-        base = starts[c]
-        for s in range(2):
-            code = lits[base + s]
-            node = 2 * c + s
-            watch_next[node] = watch_head[code]
-            watch_head[code] = node
+    for clause in clauses:
+        watches[clause[0]].append(clause)
+        watches[clause[1]].append(clause)
 
     while True:
         # ------------------------------------------------------ propagate
-        confl = np.int64(-1)
-        while qhead < trail_len:
-            pcode = trail[qhead]
+        confl = None
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
             qhead += 1
-            falsified = pcode ^ 1
-            node = watch_head[falsified]
-            prev = np.int64(-1)
-            while node != -1:
-                props += 1
-                nxt = watch_next[node]
-                c = node >> 1
-                s = node & 1
-                base = starts[c]
-                other = lits[base + (1 - s)]
-                ov = other >> 1
-                osat = assign[ov] != _UNDEF and assign[ov] == np.int8(1 - (other & 1))
-                if osat:
-                    prev = node
-                    node = nxt
+            ws = watches[falsified]
+            if not ws:
+                continue
+            # watches that stay are packed at the end, above slot w
+            w = len(ws)
+            for i in range(w - 1, -1, -1):
+                clause = ws[i]
+                other = clause[0]
+                if other == falsified:
+                    other = clause[1]
+                if value[other] is True:
+                    w -= 1
+                    ws[w] = clause
                     continue
-                moved = False
-                end = starts[c + 1]
-                for q_i in range(base + 2, end):
-                    q = lits[q_i]
-                    qv = q >> 1
-                    if assign[qv] == _UNDEF or assign[qv] == np.int8(1 - (q & 1)):
-                        # relocate this watch onto q
-                        lits[q_i] = lits[base + s]
-                        lits[base + s] = q
-                        if prev == -1:
-                            watch_head[falsified] = nxt
-                        else:
-                            watch_next[prev] = nxt
-                        watch_next[node] = watch_head[q]
-                        watch_head[q] = node
-                        moved = True
+                for k in range(2, len(clause)):
+                    q = clause[k]
+                    if value[q] is not False:
+                        # move this watch onto q, which takes the slot of falsified
+                        clause[k] = falsified
+                        clause[clause[0] != falsified] = q
+                        watches[q].append(clause)
                         break
-                if moved:
-                    node = nxt
-                    continue
-                if assign[ov] == _UNDEF:
-                    assign[ov] = np.int8(1 - (other & 1))
-                    level[ov] = n_levels
-                    reason[ov] = c
-                    trail[trail_len] = other
-                    trail_len += 1
                 else:
-                    confl = c
-                    qhead = trail_len
-                    break
-                prev = node
-                node = nxt
-            if confl != -1:
+                    w -= 1
+                    ws[w] = clause
+                    if value[other] is None:
+                        ov = other >> 1
+                        value[other] = True
+                        value[other ^ 1] = False
+                        level[ov] = len(trail_lim)
+                        reason[ov] = clause
+                        trail.append(other)
+                    else:
+                        confl = clause
+                        qhead = len(trail)
+                        break
+            props += len(ws) - i
+            del ws[i:w]
+            if confl is not None:
                 break
-            if props >= next_prop_check:
-                next_prop_check = props + (1 << 22)
-                if _wall_clock() > deadline:
-                    return UNKNOWN, model
+            if props >= next_poll:
+                next_poll = props + _POLL_VISITS
+                if now() > deadline:
+                    return UNKNOWN, None
 
         # ------------------------------------------------------- conflict
-        if confl != -1:
+        if confl is not None:
             conflicts += 1
+            n_levels = len(trail_lim)
             if n_levels == 0:
-                return UNSAT, model
-            if conflicts >= next_conflict_check:
-                next_conflict_check = conflicts + 2048
-                if _wall_clock() > deadline:
-                    return UNKNOWN, model
+                return UNSAT, None
+            if now() > deadline:
+                return UNKNOWN, None
 
             # first-UIP learning
-            n_learnt = 1
+            learnt = [0]
             counter = 0
-            p_var = np.int64(-1)
-            c = confl
-            idx = trail_len - 1
-            pcode = np.int32(0)
+            p_var = -1
+            clause = confl
+            idx = len(trail) - 1
             while True:
-                base = starts[c]
-                end = starts[c + 1]
-                for q_i in range(base, end):
-                    q = lits[q_i]
-                    qv = np.int64(q >> 1)
+                for q in clause:
+                    qv = q >> 1
                     if qv == p_var:
                         continue
-                    if seen[qv] == 0 and level[qv] > 0:
-                        seen[qv] = 1
+                    if seen[qv]:
+                        continue
+                    lv = level[qv]
+                    if lv > 0:
+                        seen[qv] = True
                         activity[qv] += var_inc
+                        queued[qv] = False
                         if activity[qv] > 1e100:
-                            for v2 in range(n_vars):
-                                activity[v2] *= 1e-100
+                            activity[:] = [a * 1e-100 for a in activity]
                             var_inc *= 1e-100
-                        if level[qv] == n_levels:
+                            heap = _free_heap(value, activity, queued)
+                        if lv == n_levels:
                             counter += 1
                         else:
-                            learnt[n_learnt] = q
-                            n_learnt += 1
-                while seen[trail[idx] >> 1] == 0:
+                            learnt.append(q)
+                while not seen[trail[idx] >> 1]:
                     idx -= 1
                 pcode = trail[idx]
-                p_var = np.int64(pcode >> 1)
-                seen[p_var] = 0
+                p_var = pcode >> 1
+                seen[p_var] = False
                 idx -= 1
                 counter -= 1
                 if counter <= 0:
                     break
-                c = reason[p_var]
+                clause = reason[p_var]
             learnt[0] = pcode ^ 1
             var_inc *= 1.0 / 0.95
 
+            n_learnt = len(learnt)
             if n_learnt == 1:
                 bt_level = 0
             else:
@@ -230,72 +210,35 @@ def _search_impl(n_vars, lits_in, starts_in, units, deadline):  # noqa: C901
                 for i in range(2, n_learnt):
                     if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                         max_i = i
-                tmp = learnt[1]
-                learnt[1] = learnt[max_i]
-                learnt[max_i] = tmp
+                learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
                 bt_level = level[learnt[1] >> 1]
-            for i in range(1, n_learnt):
-                seen[learnt[i] >> 1] = 0
+            for q in learnt[1:]:
+                seen[q >> 1] = False
 
-            # backtrack
-            bound = trail_lim[bt_level]
-            for i in range(trail_len - 1, bound - 1, -1):
-                code = trail[i]
-                v = code >> 1
-                phase[v] = assign[v]
-                assign[v] = _UNDEF
-                reason[v] = -1
-            trail_len = bound
-            qhead = bound
-            n_levels = bt_level
+            _backtrack(trail, trail_lim[bt_level], value, phase, activity, heap, queued)
+            del trail_lim[bt_level:]
+            qhead = len(trail)
 
+            code = learnt[0]
+            v = code >> 1
             if n_learnt == 1:
-                code = learnt[0]
-                v = code >> 1
-                if assign[v] == _UNDEF:
-                    assign[v] = np.int8(1 - (code & 1))
+                if value[code] is None:
+                    value[code] = True
+                    value[code ^ 1] = False
                     level[v] = 0
-                    reason[v] = -1
-                    trail[trail_len] = code
-                    trail_len += 1
-                elif assign[v] != np.int8(1 - (code & 1)):
-                    return UNSAT, model
+                    trail.append(code)
+                elif value[code] is False:
+                    return UNSAT, None
             else:
                 # store the learned clause and watch its first two literals
-                if n_clauses + 1 > cls_cap:
-                    new_cap = cls_cap * 2 + 16
-                    new_starts = np.empty(new_cap + 1, np.int64)
-                    new_starts[: n_clauses + 1] = starts[: n_clauses + 1]
-                    starts = new_starts
-                    new_watch = np.full(2 * new_cap, -1, np.int64)
-                    new_watch[: 2 * cls_cap] = watch_next[: 2 * cls_cap]
-                    watch_next = new_watch
-                    cls_cap = new_cap
-                if n_lits + n_learnt > lit_cap:
-                    new_lcap = max(lit_cap * 2, n_lits + n_learnt + 64)
-                    new_lits = np.empty(new_lcap, np.int32)
-                    new_lits[:n_lits] = lits[:n_lits]
-                    lits = new_lits
-                    lit_cap = new_lcap
-                c_new = n_clauses
-                base = n_lits
-                for i in range(n_learnt):
-                    lits[base + i] = learnt[i]
-                n_lits += n_learnt
-                n_clauses += 1
-                starts[n_clauses] = n_lits
-                for s in range(2):
-                    code = lits[base + s]
-                    node = 2 * c_new + s
-                    watch_next[node] = watch_head[code]
-                    watch_head[code] = node
-                code = learnt[0]
-                v = code >> 1
-                assign[v] = np.int8(1 - (code & 1))
-                level[v] = n_levels
-                reason[v] = c_new
-                trail[trail_len] = code
-                trail_len += 1
+                learnt = array("i", learnt)
+                watches[code].append(learnt)
+                watches[learnt[1]].append(learnt)
+                value[code] = True
+                value[code ^ 1] = False
+                level[v] = bt_level
+                reason[v] = learnt
+                trail.append(code)
 
             if conflicts >= restart_at:
                 # Luby-scheduled restart
@@ -305,56 +248,49 @@ def _search_impl(n_vars, lits_in, starts_in, units, deadline):  # noqa: C901
                 else:
                     luby_v *= 2
                 restart_at = conflicts + restart_base * luby_v
-                if n_levels > 0:
-                    bound = trail_lim[0]
-                    for i in range(trail_len - 1, bound - 1, -1):
-                        code = trail[i]
-                        v = code >> 1
-                        phase[v] = assign[v]
-                        assign[v] = _UNDEF
-                        reason[v] = -1
-                    trail_len = bound
-                    qhead = bound
-                    n_levels = 0
+                if trail_lim:
+                    _backtrack(trail, trail_lim[0], value, phase, activity, heap, queued)
+                    trail_lim.clear()
+                    qhead = len(trail)
             continue
 
         # -------------------------------------------------------- decide
-        if trail_len == n_vars:
-            for v in range(n_vars):
-                model[v] = assign[v]
-            return SAT, model
-        free = assign == _UNDEF
-        scores = np.where(free, activity, -1.0)
-        v = np.int64(np.argmax(scores))
-        code = np.int32(2 * v + (1 - phase[v]))
-        trail_lim[n_levels] = trail_len
-        n_levels += 1
-        assign[v] = phase[v]
-        level[v] = n_levels
-        reason[v] = -1
-        trail[trail_len] = code
-        trail_len += 1
-
-
-_search = maybe_jit(_search_impl)
+        if len(trail) == n_vars:
+            return SAT, [1 if x else 0 for x in value[0::2]]
+        if len(heap) > 4 * n_vars:
+            heap = _free_heap(value, activity, queued)
+        while True:
+            key, v = heappop(heap)
+            if key == -activity[v]:
+                queued[v] = False
+                if value[2 * v] is None:
+                    break
+        code = phase[v]
+        trail_lim.append(len(trail))
+        value[code] = True
+        value[code ^ 1] = False
+        level[v] = len(trail_lim)
+        trail.append(code)
 
 
 def clean_clauses(num_vars, clauses, assumptions=()):
-    """Normalize input clauses into kernel arrays.
+    """Normalize input clauses into kernel lists.
 
-    Returns (status, units, lits, starts): duplicate literals are
-    dropped, tautologies removed, unit clauses separated out. Status
-    is UNSAT when an empty clause is present, else UNKNOWN.
+    Returns (status, units, clauses) with literals as codes: duplicate
+    literals are dropped, tautologies removed, unit clauses separated
+    out. Status is UNSAT when an empty clause is present, else UNKNOWN.
     """
     units: list[int] = []
-    body: list[int] = []
-    starts: list[int] = [0]
+    body: list[list[int]] = []
+    # the code of literal l sits at index l (negative l counts from the end),
+    # so all clauses share one int object per code
+    code_of = [-1, *range(0, 2 * num_vars, 2), *range(2 * num_vars - 1, 0, -2)]
     pending = list(clauses) + [[a] for a in assumptions]
     for clause in pending:
         codes: list[int] = []
         tautology = False
         for lit in clause:
-            code = 2 * (lit - 1) if lit > 0 else 2 * (-lit - 1) + 1
+            code = code_of[lit]
             if code in codes:
                 continue
             if code ^ 1 in codes:
@@ -364,37 +300,24 @@ def clean_clauses(num_vars, clauses, assumptions=()):
         if tautology:
             continue
         if not codes:
-            return UNSAT, None, None, None
+            return UNSAT, None, None
         if len(codes) == 1:
             units.append(codes[0])
         else:
-            body.extend(codes)
-            starts.append(len(body))
-    return (
-        UNKNOWN,
-        np.asarray(units, dtype=np.int32),
-        np.asarray(body, dtype=np.int32),
-        np.asarray(starts, dtype=np.int64),
-    )
+            body.append(codes)
+    return UNKNOWN, units, body
 
 
 def search(num_vars, clauses, assumptions=(), deadline=None):
-    """Decide the clause set; returns (status, model array or None)."""
-    status, units, body, starts = clean_clauses(num_vars, clauses, assumptions)
+    """Decide the clause set; returns (status, 0/1 model list or None)."""
+    status, units, body = clean_clauses(num_vars, clauses, assumptions)
     if status == UNSAT:
         return UNSAT, None
-    if deadline is None:
-        deadline = np.inf
-    status, model = _search(
-        np.int64(num_vars), body, starts, units, np.float64(deadline)
-    )
-    if status == SAT:
-        return SAT, model
-    return status, None
+    return _search(num_vars, body, units, math.inf if deadline is None else deadline)
 
 
 def model_satisfies(clauses, model) -> bool:
-    """Check a 0-based boolean model array against signed-literal clauses."""
+    """Check a 0-based boolean model against signed-literal clauses."""
     for clause in clauses:
         for lit in clause:
             value = bool(model[abs(lit) - 1])
@@ -406,5 +329,5 @@ def model_satisfies(clauses, model) -> bool:
 
 
 def warm_up() -> None:
-    """Force JIT compilation with a throwaway instance."""
+    """Solve a throwaway formula, for callers that run every layer once before timing."""
     search(2, [[1, 2], [-1, 2], [1, -2]])

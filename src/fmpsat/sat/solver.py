@@ -48,7 +48,7 @@ def _as_result(num_vars: int, clauses, raw_model) -> SatResult:
     if not kernel.model_satisfies(clauses, raw_model):
         raise SolverError("internal solver returned a model that violates a clause")
     model = np.zeros(num_vars + 1, dtype=bool)
-    model[1:] = raw_model.astype(bool)
+    model[1:] = raw_model
     return SatResult(True, model)
 
 

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ClassifierError, ParseError
-from .jit import maybe_jit
 
 __all__ = [
     "XpgNonTerminal",
@@ -151,52 +148,6 @@ class XpGraph:
     def topological_order(self) -> list[int]:
         return list(self._topo)
 
-    def _activation_arrays(self):
-        """Flat arrays for the activation kernel, built once per graph."""
-        cached = getattr(self, "_csr", None)
-        if cached is not None:
-            return cached
-        order = np.asarray(self._topo, dtype=np.int64)
-        in_start = np.zeros(len(self.nodes) + 1, dtype=np.int64)
-        parents: list[int] = []
-        feats: list[int] = []
-        labels: list[int] = []
-        for j in range(len(self.nodes)):
-            for parent, label in self._in_edges[j]:
-                parents.append(parent)
-                feats.append(self.nodes[parent].var)
-                labels.append(label)
-            in_start[j + 1] = len(parents)
-        cached = (
-            order,
-            in_start,
-            np.asarray(parents, dtype=np.int64),
-            np.asarray(feats, dtype=np.int64),
-            np.asarray(labels, dtype=np.int8),
-            np.asarray(self.zero_terminals(), dtype=np.int64),
-        )
-        self._csr = cached
-        return cached
-
-
-@maybe_jit
-def _activation_pass(order, in_start, in_parent, in_feat, in_label, zeros, root, sel):
-    active = np.zeros(in_start.shape[0] - 1, np.uint8)
-    active[root] = 1
-    for idx in range(order.shape[0]):
-        j = order[idx]
-        if j == root:
-            continue
-        for e in range(in_start[j], in_start[j + 1]):
-            p = in_parent[e]
-            if active[p] and (in_label[e] == 1 or sel[in_feat[e] - 1] == 0):
-                active[j] = 1
-                break
-    for k in range(zeros.shape[0]):
-        if active[zeros[k]]:
-            return False
-    return True
-
 
 def evaluate_sigma(xpg: XpGraph, selectors: Sequence[int]) -> bool:
     """Whether fixing the selected features keeps the prediction.
@@ -210,13 +161,15 @@ def evaluate_sigma(xpg: XpGraph, selectors: Sequence[int]) -> bool:
         raise ClassifierError(
             f"selector vector has {len(selectors)} entries, expected {xpg.num_features}"
         )
-    order, in_start, in_parent, in_feat, in_label, zeros = xpg._activation_arrays()
-    sel = np.asarray(selectors, dtype=np.uint8)
-    return bool(
-        _activation_pass(
-            order, in_start, in_parent, in_feat, in_label, zeros, xpg.root, sel
-        )
-    )
+    nodes, in_edges = xpg.nodes, xpg._in_edges
+    active = [False] * len(nodes)
+    active[xpg.root] = True
+    for j in xpg._topo:
+        for parent, label in in_edges[j]:
+            if active[parent] and (label == 1 or not selectors[nodes[parent].var - 1]):
+                active[j] = True
+                break
+    return not any(active[j] for j in xpg.zero_terminals())
 
 
 # --------------------------------------------------------------------------

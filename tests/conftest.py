@@ -7,23 +7,6 @@ import fmpsat as F
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_solver():
-    # compile (or load from cache) the hot kernels once, so individual
-    # tests measure solving rather than JIT startup
-    from fmpsat.sat import warm_up
-    from fmpsat.xpg import XpGraph, XpgNonTerminal, XpgTerminal, evaluate_sigma
-
-    warm_up()
-    tiny = XpGraph(
-        [XpgNonTerminal(1), XpgTerminal(1), XpgTerminal(0)],
-        [(0, 1, 1), (0, 2, 0)],
-        0,
-        1,
-    )
-    evaluate_sigma(tiny, [1])
-
-
 @pytest.fixture(scope="session")
 def ella_vtree():
     return F.parse_vtree((DATA / "ella.vtree").read_text())

@@ -73,7 +73,7 @@ class SweepStats:
 
 
 @pytest.fixture(scope="module")
-def oracle_sweep(warm_solver):
+def oracle_sweep():
     started = time.perf_counter()
     rng = np.random.default_rng(20240617)
     stats = SweepStats()
@@ -144,7 +144,7 @@ def test_criterion_4_twostep_seed_contract(oracle_sweep):
 # criterion 5: duality suite
 # --------------------------------------------------------------------------
 
-def test_criterion_5_duality(warm_solver):
+def test_criterion_5_duality():
     rng = np.random.default_rng(555)
     for index in range(50):
         m = 3 + index % 6
@@ -169,7 +169,7 @@ def test_criterion_5_duality(warm_solver):
 # criterion 6: encoding-size reduction
 # --------------------------------------------------------------------------
 
-def test_criterion_6_encoding_size(warm_solver):
+def test_criterion_6_encoding_size():
     rng = np.random.default_rng(66)
     checked = 0
     for seed in range(30_000, 30_005):
@@ -230,7 +230,7 @@ def test_criterion_7_sdd_algebra(ella_sdd):
 # criterion 8: determinism
 # --------------------------------------------------------------------------
 
-def test_criterion_8_determinism(ella_xpg, warm_solver):
+def test_criterion_8_determinism(ella_xpg):
     first_cnf, first_vm = encode_xpg_onestep(ella_xpg, 3)
     second_cnf, second_vm = encode_xpg_onestep(ella_xpg, 3)
     assert write_dimacs(first_cnf, first_vm) == write_dimacs(second_cnf, second_vm)
@@ -262,11 +262,7 @@ def test_criterion_8_determinism(ella_xpg, warm_solver):
 # criterion 9: desk-scale performance
 # --------------------------------------------------------------------------
 
-@pytest.mark.skipif(
-    not F.sat.JIT_ENABLED,
-    reason="wall-clock bound targets the default JIT backend, not FMPSAT_PURE=1",
-)
-def test_criterion_9_desk_scale(warm_solver):
+def test_criterion_9_desk_scale():
     rng = np.random.default_rng(99)
     cases = [
         ("obdd", 100, 1900),

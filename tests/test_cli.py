@@ -89,10 +89,8 @@ def test_fmp_external_backend(capsys, tmp_path):
     stub.write_text(
         textwrap.dedent(
             """
-            import os
             import sys
 
-            os.environ["FMPSAT_PURE"] = "1"
             from fmpsat.encode import CnfFormula
             from fmpsat.sat import solve
 

@@ -2,6 +2,7 @@
 
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +122,15 @@ def test_zero_time_limit_raises():
         solve(cnf, time_limit_s=0.0)
 
 
+def test_time_limit_holds_during_search():
+    cnf = _php(9, 8)  # far more than half a second of search
+    started = time.perf_counter()
+    with pytest.raises(SolverTimeout):
+        solve(cnf, time_limit_s=0.5)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 1.5, f"a 0.5 s limit ended the search after {elapsed:.2f} s"
+
+
 # ------------------------------------------------------- external adapter
 
 @pytest.fixture(scope="module")
@@ -131,10 +141,8 @@ def stub_solver(tmp_path_factory):
     path.write_text(
         textwrap.dedent(
             """
-            import os
             import sys
 
-            os.environ["FMPSAT_PURE"] = "1"  # interpreted path, no JIT startup
             from fmpsat.encode import CnfFormula
             from fmpsat.sat import solve
 
