@@ -37,6 +37,7 @@ from .fmp import (
     FmpOutcome,
     FmpQuery,
     batch_run,
+    build_encoding,
     decide_membership,
     generate_random_classifier,
     generate_random_obdd,

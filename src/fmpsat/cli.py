@@ -19,7 +19,6 @@ from . import xpg as xpg_mod
 from .errors import FmpsatError
 from .explain import (
     DtClassifier,
-    Instance,
     ObddClassifier,
     SddClassifier,
     XpgClassifier,
@@ -33,6 +32,7 @@ from .fmp import (
     BatchQuery,
     FmpQuery,
     batch_run,
+    build_encoding,
     decide_membership,
     generate_random_classifier,
     random_instance,
@@ -230,16 +230,7 @@ def cmd_enum(args) -> int:
 def cmd_encode(args) -> int:
     clf, instance = _load_classifier(args)
     _check_target(args, clf)
-    one_step = args.method == "one-step"
-    if isinstance(clf, SddClassifier):
-        diagram = clf.diagram_for(instance)
-        inst = Instance(instance.values, 0)
-        encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
-        cnf, vm = encoder(diagram, inst, args.target)
-    else:
-        graph = clf.xpg_for(instance)
-        encoder = enc.encode_xpg_onestep if one_step else enc.encode_xpg_twostep
-        cnf, vm = encoder(graph, args.target)
+    cnf, vm, _ = build_encoding(FmpQuery(clf, instance, args.target, method=args.method))
     text = enc.write_dimacs(cnf, vm)
     if args.out:
         Path(args.out).write_text(text)

@@ -273,7 +273,6 @@ def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int):
 def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int):
     """Replicas 0 and t; models are weak AXps whose every contained AXp
     includes the target."""
-    _check_target(sdd.num_features, target)
     return _encode_sdd(sdd, instance, target, (0, target))
 
 
@@ -352,7 +351,6 @@ def encode_xpg_onestep(xpg: XpGraph, target: int):
 
 def encode_xpg_twostep(xpg: XpGraph, target: int):
     """Replicas 0 and t only."""
-    _check_target(xpg.num_features, target)
     return _encode_xpg(xpg, target, (0, target))
 
 

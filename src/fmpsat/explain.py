@@ -190,7 +190,7 @@ class DtClassifier(_XpgBackedClassifier):
         return xpg_mod.build_xpg_from_dt(self.dt, instance)
 
 
-class XpgClassifier:
+class XpgClassifier(_XpgBackedClassifier):
     """A bare explanation graph, e.g. loaded from a file.
 
     The instance is baked into the graph's labels, so explanation
@@ -198,6 +198,7 @@ class XpgClassifier:
     """
 
     def __init__(self, graph: xpg_mod.XpGraph):
+        super().__init__()
         self.graph = graph
 
     @property
@@ -215,14 +216,6 @@ class XpgClassifier:
 
     def xpg_for(self, instance: Instance | None) -> xpg_mod.XpGraph:
         return self.graph
-
-    def is_weak_axp(self, instance: Instance | None, features: Iterable[int]) -> bool:
-        selectors = [0] * self.num_features
-        for i in features:
-            if not 1 <= i <= self.num_features:
-                raise ClassifierError(f"feature {i} outside 1..{self.num_features}")
-            selectors[i - 1] = 1
-        return xpg_mod.evaluate_sigma(self.graph, selectors)
 
 
 # --------------------------------------------------------------------------

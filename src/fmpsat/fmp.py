@@ -36,6 +36,7 @@ from .sat import solve, solve_external
 __all__ = [
     "FmpQuery",
     "FmpOutcome",
+    "build_encoding",
     "decide_membership",
     "BatchQuery",
     "batch_run",
@@ -77,7 +78,7 @@ class FmpOutcome:
         return "Yes" if self.membership else "No"
 
 
-def _build_encoding(query: FmpQuery):
+def build_encoding(query: FmpQuery):
     """Produce (cnf, varmap, pre_negated) for the query's route."""
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
@@ -120,7 +121,7 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     """
     clf, instance, t = query.classifier, query.instance, query.target
     started = time.perf_counter()
-    cnf, vm, pre_negated = _build_encoding(query)
+    cnf, vm, pre_negated = build_encoding(query)
     encode_s = time.perf_counter() - started
 
     solve_started = time.perf_counter()

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._nodelist import LineFormat, add_node, check_node_count, postorder, read_records
 from .errors import ClassifierError, ParseError
 
 __all__ = [
@@ -74,8 +75,12 @@ class Vtree:
                 raise ParseError(f"vtree has {len(roots)} root nodes, expected exactly 1")
             raise ParseError(f"vtree root mismatch: {roots[0]} is unreachable from {self.root}")
         # bottom-up var sets double as the cycle/ordering check
-        order = self._topological_order()
-        if len(order) != len(self.nodes):
+        children = {
+            nid: (node.left, node.right) if isinstance(node, VtreeInternal) else ()
+            for nid, node in self.nodes.items()
+        }
+        order = postorder(self.root, children)
+        if order is None or len(order) != len(self.nodes):
             raise ParseError("vtree contains a cycle")
         seen_vars: set[int] = set()
         for nid in order:
@@ -91,30 +96,6 @@ class Vtree:
             raise ParseError(
                 f"vtree leaf variables must be exactly 1..m, got {sorted(seen_vars)}"
             )
-
-    def _topological_order(self) -> list[int]:
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        on_path: set[int] = set()
-        done: set[int] = set()
-        while stack:
-            nid, expanded = stack.pop()
-            if expanded:
-                on_path.discard(nid)
-                done.add(nid)
-                order.append(nid)
-                continue
-            if nid in done:
-                continue
-            if nid in on_path:
-                return []  # cycle
-            on_path.add(nid)
-            stack.append((nid, True))
-            node = self.nodes[nid]
-            if isinstance(node, VtreeInternal):
-                stack.append((node.left, False))
-                stack.append((node.right, False))
-        return order
 
     @property
     def num_features(self) -> int:
@@ -133,65 +114,31 @@ class Vtree:
         return node.var
 
 
+_VTREE = LineFormat("vtree", "vtree", False, {"vtree": 1, "L": 2, "I": 3})
+
+
 def parse_vtree(text: str) -> Vtree:
     """Parse the vtree text format (see README for the grammar)."""
     nodes: dict[int, VtreeLeaf | VtreeInternal] = {}
-    declared = 0
     expected = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "vtree":
-                if len(parts) != 2:
-                    raise ValueError
-                expected = int(parts[1])
-            elif kind == "L":
-                if len(parts) != 3:
-                    raise ValueError
-                nid, var = int(parts[1]), int(parts[2])
-                if nid < 0:
-                    raise ParseError(f"vtree node id {nid} is negative", lineno)
-                if nid in nodes:
-                    raise ParseError(f"duplicate vtree node id {nid}", lineno)
-                if var < 1:
-                    raise ParseError(f"vtree variable must be positive, got {var}", lineno)
-                nodes[nid] = VtreeLeaf(var)
-                declared += 1
-            elif kind == "I":
-                if len(parts) != 4:
-                    raise ValueError
-                nid, left, right = int(parts[1]), int(parts[2]), int(parts[3])
-                if nid < 0:
-                    raise ParseError(f"vtree node id {nid} is negative", lineno)
-                if nid in nodes:
-                    raise ParseError(f"duplicate vtree node id {nid}", lineno)
-                nodes[nid] = VtreeInternal(left, right)
-                declared += 1
-            else:
-                raise ParseError(f"unknown vtree line kind {kind!r}", lineno)
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(f"malformed vtree line {line!r}", lineno) from None
-    if not nodes:
-        raise ParseError("vtree file declares no nodes")
-    if expected is not None and expected != declared:
-        raise ParseError(f"vtree header announces {expected} nodes, file declares {declared}")
-    children = set()
-    for nid, node in nodes.items():
-        if isinstance(node, VtreeInternal):
-            for c in (node.left, node.right):
-                if c not in nodes:
-                    raise ParseError(f"vtree node {nid} references missing node {c}")
-                children.add(c)
-    roots = sorted(set(nodes) - children)
-    if len(roots) != 1:
-        raise ParseError(f"vtree has {len(roots)} root candidates, expected exactly 1")
-    return Vtree(nodes, roots[0])
+    for lineno, kind, ints in read_records(text, _VTREE):
+        if kind == "vtree":
+            expected = ints[0]
+        elif kind == "L":
+            nid, var = ints
+            add_node(nodes, nid, VtreeLeaf(var), _VTREE, lineno)
+            if var < 1:
+                raise ParseError(f"vtree variable must be positive, got {var}", lineno)
+        else:
+            add_node(nodes, ints[0], VtreeInternal(ints[1], ints[2]), _VTREE, lineno)
+    check_node_count(nodes, expected, _VTREE)
+    # the root is the node that no node names as a child; Vtree rejects
+    # dangling children and any count of roots other than one
+    children = {
+        c for node in nodes.values() if isinstance(node, VtreeInternal)
+        for c in (node.left, node.right)
+    }
+    return Vtree(nodes, min(set(nodes) - children, default=None))
 
 
 def serialize_vtree(vtree: Vtree) -> str:
@@ -268,13 +215,17 @@ class Sdd:
         return out
 
 
+_SDD = LineFormat(
+    "SDD", "sdd", False, {"sdd": 1, "F": 1, "T": 1, "L": 3, "D": 3}, frozenset({"D"})
+)
+
+
 def parse_sdd(text: str, vtree: Vtree) -> Sdd:
     """Parse the SDD text format; the last declared node is the root."""
     nodes: list[SddNode] = []
     by_file_id: dict[int, int] = {}
     node_vars: list[frozenset[int]] = []
     expected = None
-    declared = 0
     leaf_vars = {
         nid: node.var for nid, node in vtree.nodes.items() if isinstance(node, VtreeLeaf)
     }
@@ -284,106 +235,67 @@ def parse_sdd(text: str, vtree: Vtree) -> Sdd:
             raise ParseError(f"forward or dangling reference to SDD node {file_id}", lineno)
         return by_file_id[file_id]
 
-    def declare(file_id: int, node: SddNode, mentioned: frozenset[int], lineno: int) -> None:
-        nonlocal declared
-        if file_id < 0:
-            raise ParseError(f"SDD node id {file_id} is negative", lineno)
-        if file_id in by_file_id:
-            raise ParseError(f"duplicate SDD node id {file_id}", lineno)
-        by_file_id[file_id] = len(nodes)
+    for lineno, kind, ints in read_records(text, _SDD):
+        if kind == "sdd":
+            expected = ints[0]
+            continue
+        if kind == "F":
+            node, mentioned = SddFalse(), frozenset()
+        elif kind == "T":
+            node, mentioned = SddTrue(), frozenset()
+        elif kind == "L":
+            _, vtree_id, lit = ints
+            if lit == 0:
+                raise ParseError("literal 0 is not a variable", lineno)
+            var = abs(lit)
+            if vtree_id not in vtree.nodes:
+                raise ParseError(f"unknown vtree id {vtree_id}", lineno)
+            if leaf_vars.get(vtree_id) != var:
+                raise ParseError(
+                    f"literal on variable {var} placed at vtree node {vtree_id}, "
+                    f"which is not its leaf",
+                    lineno,
+                )
+            node, mentioned = SddLiteral(var, lit > 0), frozenset((var,))
+        else:
+            _, vtree_id, count, *ids = ints
+            if count < 1:
+                raise ParseError("decision node with empty element list", lineno)
+            if len(ids) != 2 * count:
+                raise ParseError(
+                    f"decision node announces {count} elements but line has {len(ids) // 2}",
+                    lineno,
+                )
+            if vtree_id not in vtree.nodes or vtree.is_leaf(vtree_id):
+                raise ParseError(f"vtree id {vtree_id} is not an internal node", lineno)
+            vnode = vtree.nodes[vtree_id]
+            left_vars = vtree.vars_below(vnode.left)
+            right_vars = vtree.vars_below(vnode.right)
+            elements = []
+            below: set[int] = set()
+            for e in range(count):
+                prime = resolve(ids[2 * e], lineno)
+                sub = resolve(ids[2 * e + 1], lineno)
+                if not node_vars[prime] <= left_vars:
+                    raise ParseError(
+                        f"prime of element {e} mentions {sorted(node_vars[prime] - left_vars)} "
+                        f"outside the left subtree of vtree node {vtree_id}",
+                        lineno,
+                    )
+                if not node_vars[sub] <= right_vars:
+                    raise ParseError(
+                        f"sub of element {e} mentions {sorted(node_vars[sub] - right_vars)} "
+                        f"outside the right subtree of vtree node {vtree_id}",
+                        lineno,
+                    )
+                elements.append((prime, sub))
+                below |= node_vars[prime] | node_vars[sub]
+            node, mentioned = SddDecision(vtree_id, tuple(elements)), frozenset(below)
+        add_node(by_file_id, ints[0], len(nodes), _SDD, lineno)
         nodes.append(node)
         node_vars.append(mentioned)
-        declared += 1
-
-    last_file_id = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "sdd":
-                if len(parts) != 2:
-                    raise ValueError
-                expected = int(parts[1])
-            elif kind == "F":
-                if len(parts) != 2:
-                    raise ValueError
-                declare(int(parts[1]), SddFalse(), frozenset(), lineno)
-                last_file_id = int(parts[1])
-            elif kind == "T":
-                if len(parts) != 2:
-                    raise ValueError
-                declare(int(parts[1]), SddTrue(), frozenset(), lineno)
-                last_file_id = int(parts[1])
-            elif kind == "L":
-                if len(parts) != 4:
-                    raise ValueError
-                file_id, vtree_id, lit = int(parts[1]), int(parts[2]), int(parts[3])
-                if lit == 0:
-                    raise ParseError("literal 0 is not a variable", lineno)
-                var = abs(lit)
-                if vtree_id not in vtree.nodes:
-                    raise ParseError(f"unknown vtree id {vtree_id}", lineno)
-                if leaf_vars.get(vtree_id) != var:
-                    raise ParseError(
-                        f"literal on variable {var} placed at vtree node {vtree_id}, "
-                        f"which is not its leaf",
-                        lineno,
-                    )
-                declare(file_id, SddLiteral(var, lit > 0), frozenset((var,)), lineno)
-                last_file_id = file_id
-            elif kind == "D":
-                if len(parts) < 4:
-                    raise ValueError
-                file_id, vtree_id, count = int(parts[1]), int(parts[2]), int(parts[3])
-                if count < 1:
-                    raise ParseError("decision node with empty element list", lineno)
-                if len(parts) != 4 + 2 * count:
-                    raise ParseError(
-                        f"decision node announces {count} elements but line has "
-                        f"{(len(parts) - 4) // 2}",
-                        lineno,
-                    )
-                if vtree_id not in vtree.nodes or vtree.is_leaf(vtree_id):
-                    raise ParseError(f"vtree id {vtree_id} is not an internal node", lineno)
-                vnode = vtree.nodes[vtree_id]
-                left_vars = vtree.vars_below(vnode.left)
-                right_vars = vtree.vars_below(vnode.right)
-                elements = []
-                mentioned: set[int] = set()
-                for e in range(count):
-                    prime = resolve(int(parts[4 + 2 * e]), lineno)
-                    sub = resolve(int(parts[5 + 2 * e]), lineno)
-                    if not node_vars[prime] <= left_vars:
-                        raise ParseError(
-                            f"prime of element {e} mentions {sorted(node_vars[prime] - left_vars)} "
-                            f"outside the left subtree of vtree node {vtree_id}",
-                            lineno,
-                        )
-                    if not node_vars[sub] <= right_vars:
-                        raise ParseError(
-                            f"sub of element {e} mentions {sorted(node_vars[sub] - right_vars)} "
-                            f"outside the right subtree of vtree node {vtree_id}",
-                            lineno,
-                        )
-                    elements.append((prime, sub))
-                    mentioned |= node_vars[prime] | node_vars[sub]
-                declare(file_id, SddDecision(vtree_id, tuple(elements)), frozenset(mentioned), lineno)
-                last_file_id = file_id
-            else:
-                raise ParseError(f"unknown SDD line kind {kind!r}", lineno)
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(f"malformed SDD line {line!r}", lineno) from None
-
-    if not nodes:
-        raise ParseError("SDD file declares no nodes")
-    if expected is not None and expected != declared:
-        raise ParseError(f"SDD header announces {expected} nodes, file declares {declared}")
-    return Sdd(nodes, by_file_id[last_file_id], vtree)
+    check_node_count(nodes, expected, _SDD)
+    return Sdd(nodes, len(nodes) - 1, vtree)
 
 
 def serialize_sdd(sdd: Sdd) -> str:

@@ -12,6 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ._nodelist import (
+    LineFormat,
+    add_node,
+    check_node_count,
+    dense_nodes,
+    postorder,
+    read_records,
+    single_root,
+)
 from .errors import ClassifierError, ParseError
 
 __all__ = [
@@ -91,9 +100,10 @@ class XpGraph:
                 ones = sum(1 for _, label in out_edges[j] if label == 1)
                 if ones > 1:
                     raise ClassifierError(f"two 1-labeled out-edges at node {j}")
-        self._topo = self._topological_order(out_edges)
-        if len(self._topo) != n:
+        order = postorder(self.root, [[dst for dst, _ in out] for out in out_edges])
+        if order is None or len(order) != n:
             raise ClassifierError("graph has a cycle or unreachable nodes")
+        self._topo = order[::-1]  # root first
         # the all-ones path must end in the unique agreeing terminal
         j = self.root
         seen = 0
@@ -107,29 +117,6 @@ class XpGraph:
                 raise ClassifierError("all-1 path does not terminate")
         if self.nodes[j].label != 1:
             raise ClassifierError("no reachable 1-terminal: the all-1 path ends at a 0-terminal")
-
-    def _topological_order(self, out_edges: list[list[tuple[int, int]]]) -> list[int]:
-        n = len(self.nodes)
-        state = [0] * n  # 0 new, 1 on stack, 2 done
-        order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
-        while stack:
-            j, expanded = stack.pop()
-            if expanded:
-                state[j] = 2
-                order.append(j)
-                continue
-            if state[j] == 2:
-                continue
-            if state[j] == 1:
-                return []
-            state[j] = 1
-            stack.append((j, True))
-            for dst, _ in out_edges[j]:
-                if state[dst] != 2:
-                    stack.append((dst, False))
-        order.reverse()  # root first
-        return order if all(s == 2 for s in state) else []
 
     @property
     def num_nodes(self) -> int:
@@ -207,33 +194,18 @@ class Obdd:
                 for child in (node.lo, node.hi):
                     if not 0 <= child < n:
                         raise ClassifierError(f"OBDD node {j} references missing node {child}")
+        children = [(node.lo, node.hi) if isinstance(node, ObddNode) else () for node in self.nodes]
+        order = postorder(self.root, children)
+        if order is None:
+            raise ClassifierError("OBDD contains a cycle")
+        self._reachable = order  # the nodes reachable from the root, children first
         self._check_ordered()
 
     def _check_ordered(self) -> None:
-        # walk in reverse topological order collecting the variable set
-        # below each node; no node's variable may reappear beneath it
-        order: list[int] = []
-        state = [0] * len(self.nodes)
-        stack = [(self.root, False)]
-        while stack:
-            j, expanded = stack.pop()
-            if expanded:
-                state[j] = 2
-                order.append(j)
-                continue
-            if state[j] == 2:
-                continue
-            if state[j] == 1:
-                raise ClassifierError("OBDD contains a cycle")
-            state[j] = 1
-            stack.append((j, True))
-            node = self.nodes[j]
-            if isinstance(node, ObddNode):
-                for child in (node.lo, node.hi):
-                    if state[child] != 2:
-                        stack.append((child, False))
+        # collect the variable set below each node, children first; no
+        # node's variable may reappear beneath it
         below: dict[int, frozenset[int]] = {}
-        for j in order:
+        for j in self._reachable:
             node = self.nodes[j]
             if isinstance(node, ObddTerminal):
                 below[j] = frozenset()
@@ -257,67 +229,26 @@ class Obdd:
         return self.nodes[j].label
 
     def reachable_labels(self) -> set[int]:
-        labels: set[int] = set()
-        stack = [self.root]
-        visited = [False] * len(self.nodes)
-        while stack:
-            j = stack.pop()
-            if visited[j]:
-                continue
-            visited[j] = True
-            node = self.nodes[j]
-            if isinstance(node, ObddTerminal):
-                labels.add(node.label)
-            else:
-                stack.append(node.lo)
-                stack.append(node.hi)
-        return labels
+        nodes = self.nodes
+        return {nodes[j].label for j in self._reachable if isinstance(nodes[j], ObddTerminal)}
+
+
+_OBDD = LineFormat("OBDD", "obdd", True, {"obdd": 2, "N": 4, "T": 2})
 
 
 def parse_obdd(text: str) -> Obdd:
     nodes: dict[int, ObddNode | ObddTerminal] = {}
-    num_features = None
-    expected = None
-    last_id = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "obdd":
-                if len(parts) != 3:
-                    raise ValueError
-                num_features, expected = int(parts[1]), int(parts[2])
-            elif parts[0] == "N":
-                if len(parts) != 5:
-                    raise ValueError
-                nid = int(parts[1])
-                if nid in nodes:
-                    raise ParseError(f"duplicate OBDD node id {nid}", lineno)
-                nodes[nid] = ObddNode(int(parts[2]), int(parts[3]), int(parts[4]))
-                last_id = nid
-            elif parts[0] == "T":
-                if len(parts) != 3:
-                    raise ValueError
-                nid = int(parts[1])
-                if nid in nodes:
-                    raise ParseError(f"duplicate OBDD node id {nid}", lineno)
-                nodes[nid] = ObddTerminal(int(parts[2]))
-                last_id = nid
-            else:
-                raise ParseError(f"unknown OBDD line kind {parts[0]!r}", lineno)
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(f"malformed OBDD line {line!r}", lineno) from None
-    if num_features is None:
-        raise ParseError("OBDD file is missing the obdd header")
-    if expected is not None and expected != len(nodes):
-        raise ParseError(f"OBDD header announces {expected} nodes, file declares {len(nodes)}")
-    if sorted(nodes) != list(range(len(nodes))):
-        raise ParseError("OBDD node ids must be dense 0..n-1")
-    return Obdd([nodes[j] for j in range(len(nodes))], last_id, num_features)
+    for lineno, kind, ints in read_records(text, _OBDD):
+        if kind == "obdd":
+            num_features, expected = ints
+        elif kind == "N":
+            add_node(nodes, ints[0], ObddNode(*ints[1:]), _OBDD, lineno)
+        else:
+            add_node(nodes, ints[0], ObddTerminal(ints[1]), _OBDD, lineno)
+    # read_records has checked that the header is present
+    check_node_count(nodes, expected, _OBDD)
+    root = next(reversed(nodes))  # the last declared node
+    return Obdd(dense_nodes(nodes, _OBDD), root, num_features)
 
 
 def serialize_obdd(obdd: Obdd) -> str:
@@ -420,90 +351,48 @@ class DecisionTree:
         return {node.label for node in self.nodes if isinstance(node, DtLeaf)}
 
 
+_DT = LineFormat(
+    "DT", "dt", True, {"dt": 1, "DOM": 3, "N": 2, "T": 2, "E": 3}, frozenset({"DOM", "E"})
+)
+
+
 def parse_dt(text: str) -> DecisionTree:
     nodes: dict[int, DtInternal | DtLeaf] = {}
+    tests: list[tuple[int, int]] = []  # (line, feature) of each internal node
     edges: list[tuple[int, int, frozenset[int]]] = []
     domains: dict[int, tuple[int, ...]] = {}
-    num_features = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "dt":
-                if len(parts) != 2:
-                    raise ValueError
-                num_features = int(parts[1])
-            elif parts[0] == "DOM":
-                if len(parts) < 4:
-                    raise ValueError
-                feat, count = int(parts[1]), int(parts[2])
-                values = tuple(int(p) for p in parts[3:])
-                if len(values) != count:
-                    raise ParseError(
-                        f"DOM announces {count} values, line has {len(values)}", lineno
-                    )
-                domains[feat] = values
-            elif parts[0] == "N":
-                if len(parts) != 3:
-                    raise ValueError
-                nid = int(parts[1])
-                if nid in nodes:
-                    raise ParseError(f"duplicate node id {nid}", lineno)
-                nodes[nid] = DtInternal(int(parts[2]))
-            elif parts[0] == "T":
-                if len(parts) != 3:
-                    raise ValueError
-                nid = int(parts[1])
-                if nid in nodes:
-                    raise ParseError(f"duplicate node id {nid}", lineno)
-                nodes[nid] = DtLeaf(int(parts[2]))
-            elif parts[0] == "E":
-                if len(parts) < 4:
-                    raise ValueError
-                edges.append(
-                    (int(parts[1]), int(parts[2]), frozenset(int(p) for p in parts[3:]))
-                )
-            else:
-                raise ParseError(f"unknown DT line kind {parts[0]!r}", lineno)
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(f"malformed DT line {line!r}", lineno) from None
-    if num_features is None:
-        raise ParseError("DT file is missing the dt header")
-    if sorted(nodes) != list(range(len(nodes))):
-        raise ParseError("DT node ids must be dense 0..n-1")
-    targets = {dst for _, dst, _ in edges}
-    roots = sorted(set(range(len(nodes))) - targets)
-    if len(roots) != 1:
-        raise ParseError(f"DT has {len(roots)} root candidates, expected exactly 1")
-    return DecisionTree([nodes[j] for j in range(len(nodes))], edges, roots[0], domains)
+    for lineno, kind, ints in read_records(text, _DT):
+        if kind == "dt":
+            num_features = ints[0]
+        elif kind == "DOM":
+            feat, count, *values = ints
+            if len(values) != count:
+                raise ParseError(f"DOM announces {count} values, line has {len(values)}", lineno)
+            domains[feat] = tuple(values)
+        elif kind == "N":
+            add_node(nodes, ints[0], DtInternal(ints[1]), _DT, lineno)
+            tests.append((lineno, ints[1]))
+        elif kind == "T":
+            add_node(nodes, ints[0], DtLeaf(ints[1]), _DT, lineno)
+        else:
+            src, dst, *values = ints
+            edges.append((src, dst, frozenset(values)))
+    # read_records has checked that the header is present
+    if sorted(domains) != list(range(1, num_features + 1)):
+        raise ParseError(
+            f"dt header announces {num_features} features, DOM lines cover {sorted(domains)}"
+        )
+    for lineno, feat in tests:
+        if feat not in domains:
+            raise ParseError(f"DT node tests feature {feat}, which has no DOM line", lineno)
+    check_node_count(nodes, None, _DT)
+    node_list = dense_nodes(nodes, _DT)
+    return DecisionTree(node_list, edges, single_root(len(node_list), edges, _DT), domains)
 
 
 # --------------------------------------------------------------------------
 # building explanation graphs
 # --------------------------------------------------------------------------
-
-def _reachable_subgraph(
-    num_nodes: int, root: int, out_edges: list[list[tuple[int, int]]]
-) -> tuple[list[int], dict[int, int]]:
-    """Nodes reachable from the root, in discovery order, with a renumbering."""
-    keep: list[int] = []
-    visited = [False] * num_nodes
-    stack = [root]
-    while stack:
-        j = stack.pop()
-        if visited[j]:
-            continue
-        visited[j] = True
-        keep.append(j)
-        for dst, _ in reversed(out_edges[j]):
-            stack.append(dst)
-    keep.sort()
-    return keep, {old: new for new, old in enumerate(keep)}
-
 
 def build_xpg_from_obdd(obdd: Obdd, instance) -> XpGraph:
     """Relabel an OBDD for one instance, keeping the same DAG."""
@@ -515,25 +404,19 @@ def build_xpg_from_obdd(obdd: Obdd, instance) -> XpGraph:
     labels = obdd.reachable_labels()
     if len(labels) < 2:
         raise ClassifierError("classifier is constant: only one terminal class is reachable")
-    out_edges: list[list[tuple[int, int]]] = [[] for _ in obdd.nodes]
-    for j, node in enumerate(obdd.nodes):
-        if isinstance(node, ObddNode):
-            v = instance.values[node.var - 1]
-            out_edges[j].append((node.lo, 1 if v == 0 else 0))
-            out_edges[j].append((node.hi, 1 if v == 1 else 0))
-    keep, renum = _reachable_subgraph(len(obdd.nodes), obdd.root, out_edges)
+    keep = sorted(obdd._reachable)
+    renum = {old: new for new, old in enumerate(keep)}
     nodes: list[XpgNonTerminal | XpgTerminal] = []
+    edges: list[tuple[int, int, int]] = []
     for j in keep:
         node = obdd.nodes[j]
         if isinstance(node, ObddTerminal):
             nodes.append(XpgTerminal(1 if node.label == instance.label else 0))
         else:
             nodes.append(XpgNonTerminal(node.var))
-    edges = [
-        (renum[j], renum[dst], label)
-        for j in keep
-        for dst, label in out_edges[j]
-    ]
+            v = instance.values[node.var - 1]
+            edges.append((renum[j], renum[node.lo], 1 if v == 0 else 0))
+            edges.append((renum[j], renum[node.hi], 1 if v == 1 else 0))
     return XpGraph(nodes, edges, renum[obdd.root], obdd.num_features)
 
 
@@ -565,56 +448,25 @@ def build_xpg_from_dt(dt: DecisionTree, instance) -> XpGraph:
 # XpG text format
 # --------------------------------------------------------------------------
 
+_XPG = LineFormat("XpG", "xpg", True, {"xpg": 2, "N": 2, "T": 2, "E": 3})
+
+
 def parse_xpg(text: str) -> XpGraph:
     nodes: dict[int, XpgNonTerminal | XpgTerminal] = {}
     edges: list[tuple[int, int, int]] = []
-    num_features = None
-    expected = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "xpg":
-                if len(parts) != 3:
-                    raise ValueError
-                num_features, expected = int(parts[1]), int(parts[2])
-            elif parts[0] == "N":
-                if len(parts) != 3:
-                    raise ValueError
-                nid = int(parts[1])
-                if nid in nodes:
-                    raise ParseError(f"duplicate node id {nid}", lineno)
-                nodes[nid] = XpgNonTerminal(int(parts[2]))
-            elif parts[0] == "T":
-                if len(parts) != 3:
-                    raise ValueError
-                nid = int(parts[1])
-                if nid in nodes:
-                    raise ParseError(f"duplicate node id {nid}", lineno)
-                nodes[nid] = XpgTerminal(int(parts[2]))
-            elif parts[0] == "E":
-                if len(parts) != 4:
-                    raise ValueError
-                edges.append((int(parts[1]), int(parts[2]), int(parts[3])))
-            else:
-                raise ParseError(f"unknown XpG line kind {parts[0]!r}", lineno)
-        except ParseError:
-            raise
-        except ValueError:
-            raise ParseError(f"malformed XpG line {line!r}", lineno) from None
-    if num_features is None:
-        raise ParseError("XpG file is missing the xpg header")
-    if expected is not None and expected != len(nodes):
-        raise ParseError(f"XpG header announces {expected} nodes, file declares {len(nodes)}")
-    if sorted(nodes) != list(range(len(nodes))):
-        raise ParseError("XpG node ids must be dense 0..n-1")
-    targets = {dst for _, dst, _ in edges}
-    roots = sorted(set(range(len(nodes))) - targets)
-    if len(roots) != 1:
-        raise ParseError(f"multiple roots: nodes {roots} all have indegree 0")
-    return XpGraph([nodes[j] for j in range(len(nodes))], edges, roots[0], num_features)
+    for lineno, kind, ints in read_records(text, _XPG):
+        if kind == "xpg":
+            num_features, expected = ints
+        elif kind == "N":
+            add_node(nodes, ints[0], XpgNonTerminal(ints[1]), _XPG, lineno)
+        elif kind == "T":
+            add_node(nodes, ints[0], XpgTerminal(ints[1]), _XPG, lineno)
+        else:
+            edges.append(tuple(ints))
+    # read_records has checked that the header is present
+    check_node_count(nodes, expected, _XPG)
+    node_list = dense_nodes(nodes, _XPG)
+    return XpGraph(node_list, edges, single_root(len(node_list), edges, _XPG), num_features)
 
 
 def serialize_xpg(xpg: XpGraph) -> str:
