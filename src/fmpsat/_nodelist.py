@@ -41,7 +41,10 @@ def read_records(text: str, fmt: LineFormat) -> Iterator[tuple[int, str, list[in
             ints = list(map(int, parts[1:]))
         except ValueError:
             raise ParseError(f"malformed {fmt.name} line {raw.strip()!r}", lineno) from None
-        seen_header = seen_header or kind == fmt.header
+        if kind == fmt.header:
+            if seen_header:
+                raise ParseError(f"{fmt.name} file has a second {fmt.header} header", lineno)
+            seen_header = True
         yield lineno, kind, ints
     if fmt.header_required and not seen_header:
         raise ParseError(f"{fmt.name} file is missing the {fmt.header} header")

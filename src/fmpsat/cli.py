@@ -154,18 +154,12 @@ def _solver_command(backend: str) -> str | None:
     raise FmpsatError(f"unknown backend {backend!r}")
 
 
-def _check_target(args, clf) -> None:
-    if not 1 <= args.target <= clf.num_features:
-        raise FmpsatError(f"target feature {args.target} outside 1..{clf.num_features}")
-
-
 def _fmt_features(features) -> str:
     return ",".join(str(i) for i in sorted(features))
 
 
 def cmd_fmp(args) -> int:
     clf, instance = _load_classifier(args)
-    _check_target(args, clf)
     names = _load_names(args, clf.num_features)
     query = FmpQuery(
         classifier=clf,
@@ -229,7 +223,6 @@ def cmd_enum(args) -> int:
 
 def cmd_encode(args) -> int:
     clf, instance = _load_classifier(args)
-    _check_target(args, clf)
     cnf, vm, _ = build_encoding(FmpQuery(clf, instance, args.target, method=args.method))
     text = enc.write_dimacs(cnf, vm)
     if args.out:

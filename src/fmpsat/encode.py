@@ -52,14 +52,11 @@ class CnfFormula:
         self.num_vars += 1
         return self.num_vars
 
-    def add(self, clause: Sequence[int]) -> None:
-        lits = list(clause)
-        if not lits:
+    def add(self, clause: list[int]) -> None:
+        """Append the clause itself; its literals are checked when it reaches a solver."""
+        if not clause:
             raise EncodingError("refusing to add an empty clause; encode the conflict explicitly")
-        for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise EncodingError(f"literal {lit} outside 1..{self.num_vars}")
-        self.clauses.append(lits)
+        self.clauses.append(clause)
 
     @property
     def num_clauses(self) -> int:
@@ -67,7 +64,7 @@ class CnfFormula:
 
 
 class VarMap:
-    """Names for the CNF variables of one encoding."""
+    """The role of each CNF variable of one encoding."""
 
     def __init__(self, num_features: int):
         self.num_features = num_features
@@ -76,13 +73,11 @@ class VarMap:
         self._elem: dict[tuple[int, int, int], int] = {}
         self._sigma: dict[int, int] = {}
         self._aux: list[int] = []
-        self._names: dict[int, str] = {}
 
     def allocate_selectors(self, cnf: CnfFormula) -> None:
         for i in range(1, self.num_features + 1):
             var = cnf.new_var()
             self._sel.append(var)
-            self._names[var] = f"s_{i}"
 
     def sel(self, i: int) -> int:
         return self._sel[i - 1]
@@ -90,19 +85,14 @@ class VarMap:
     def add_node(self, cnf: CnfFormula, replica: int, node: int) -> int:
         var = cnf.new_var()
         self._node[(replica, node)] = var
-        self._names[var] = f"n_{replica}_{node}"
         return var
 
     def node(self, replica: int, node: int) -> int:
         return self._node[(replica, node)]
 
-    def has_node(self, replica: int, node: int) -> bool:
-        return (replica, node) in self._node
-
     def add_element(self, cnf: CnfFormula, replica: int, node: int, index: int) -> int:
         var = cnf.new_var()
         self._elem[(replica, node, index)] = var
-        self._names[var] = f"e_{replica}_{node}_{index}"
         return var
 
     def element(self, replica: int, node: int, index: int) -> int:
@@ -111,7 +101,6 @@ class VarMap:
     def add_sigma(self, cnf: CnfFormula, replica: int) -> int:
         var = cnf.new_var()
         self._sigma[replica] = var
-        self._names[var] = f"sigma_{replica}"
         return var
 
     def sigma(self, replica: int) -> int:
@@ -120,11 +109,22 @@ class VarMap:
     def add_aux(self, cnf: CnfFormula) -> int:
         var = cnf.new_var()
         self._aux.append(var)
-        self._names[var] = f"aux_{len(self._aux)}"
         return var
 
-    def name(self, var: int) -> str:
-        return self._names.get(var, f"v{var}")
+    def legend(self, num_vars: int) -> list[str]:
+        """One ``c map <var> <name>`` line per variable 1..num_vars, named by role."""
+        lines: list[str | None] = [None] * num_vars
+        for i, var in enumerate(self._sel, start=1):
+            lines[var - 1] = f"c map {var} s_{i}"
+        for (k, j), var in self._node.items():
+            lines[var - 1] = f"c map {var} n_{k}_{j}"
+        for (k, j, idx), var in self._elem.items():
+            lines[var - 1] = f"c map {var} e_{k}_{j}_{idx}"
+        for k, var in self._sigma.items():
+            lines[var - 1] = f"c map {var} sigma_{k}"
+        for i, var in enumerate(self._aux, start=1):
+            lines[var - 1] = f"c map {var} aux_{i}"
+        return [line or f"c map {var} v{var}" for var, line in enumerate(lines, start=1)]
 
     def selected_features(self, model) -> frozenset[int]:
         """Decode the selector block of a satisfying assignment."""
@@ -360,11 +360,7 @@ def encode_xpg_twostep(xpg: XpGraph, target: int):
 
 def write_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> str:
     """Standard DIMACS text; the optional legend maps variables to names."""
-    lines: list[str] = []
-    if varmap is not None:
-        for var in range(1, cnf.num_vars + 1):
-            lines.append(f"c map {var} {varmap.name(var)}")
+    lines = [] if varmap is None else varmap.legend(cnf.num_vars)
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    for clause in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    lines.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.clauses)
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ class EncodingError(FmpsatError):
 
 
 class SolverError(FmpsatError):
-    """Internal solver produced an inconsistent result."""
+    """A solver was given a malformed formula or gave an inconsistent result."""
 
 
 class SolverTimeout(FmpsatError):

@@ -56,11 +56,15 @@ def parse_instance(text: str) -> Instance:
         if not line or line.startswith("#"):
             continue
         if line.startswith("v:"):
+            if values is not None:
+                raise ParseError("instance file has a second v: line", lineno)
             try:
                 values = tuple(int(p) for p in line[2:].replace(",", " ").split())
             except ValueError:
                 raise ParseError(f"malformed value vector {line!r}", lineno) from None
         elif line.startswith("c:"):
+            if label is not None:
+                raise ParseError("instance file has a second c: line", lineno)
             try:
                 label = int(line[2:].strip())
             except ValueError:

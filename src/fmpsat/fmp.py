@@ -21,6 +21,7 @@ import numpy as np
 from . import encode as enc
 from . import sdd as sdd_mod
 from . import xpg as xpg_mod
+from ._nodelist import postorder
 from .errors import ClassifierError, FmpsatError, SolverTimeout
 from .explain import (
     DtClassifier,
@@ -368,21 +369,12 @@ def _layered_obdd(num_features, node_budget, order, rng, scale):
         if not level_ids[lvl]:
             return None
     root = level_ids[0][0]
-    # keep only what the root reaches, preserving a topological order
-    keep: set[int] = set()
-    stack = [root]
-    while stack:
-        j = stack.pop()
-        if j in keep:
-            continue
-        keep.add(j)
-        node = nodes[j]
-        if isinstance(node, xpg_mod.ObddNode):
-            stack.append(node.lo)
-            stack.append(node.hi)
-    if not (0 in keep and 1 in keep):
-        return None  # constant classifier
-    kept = sorted(keep)
+    # keep only what the root reaches, in creation order (children first)
+    kept = sorted(postorder(root, [
+        (n.lo, n.hi) if isinstance(n, xpg_mod.ObddNode) else () for n in nodes
+    ]))
+    if kept[:2] != [0, 1]:
+        return None  # a terminal (id 0 or 1) is unreachable: constant classifier
     renum = {old: new for new, old in enumerate(kept)}
     out: list[xpg_mod.ObddNode | xpg_mod.ObddTerminal] = []
     for old in kept:

@@ -27,6 +27,7 @@ import math
 import time
 from array import array
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 SAT = 10
 UNSAT = 20
@@ -285,8 +286,7 @@ def clean_clauses(num_vars, clauses, assumptions=()):
     # the code of literal l sits at index l (negative l counts from the end),
     # so all clauses share one int object per code
     code_of = [-1, *range(0, 2 * num_vars, 2), *range(2 * num_vars - 1, 0, -2)]
-    pending = list(clauses) + [[a] for a in assumptions]
-    for clause in pending:
+    for clause in chain(clauses, ([a] for a in assumptions)):
         codes: list[int] = []
         tautology = False
         for lit in clause:

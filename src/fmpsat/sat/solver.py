@@ -1,6 +1,6 @@
 """Solver front end: internal CDCL engine plus a DIMACS adapter for
-external solvers. Every satisfiable verdict is re-checked against the
-full clause set before it is returned."""
+external solvers. Both reject literals outside 1..num_vars, and re-check
+every satisfiable verdict against the full clause set before returning it."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -44,11 +45,22 @@ class SatResult:
         return value if lit > 0 else not value
 
 
-def _as_result(num_vars: int, clauses, raw_model) -> SatResult:
-    if not kernel.model_satisfies(clauses, raw_model):
-        raise SolverError("internal solver returned a model that violates a clause")
-    model = np.zeros(num_vars + 1, dtype=bool)
-    model[1:] = raw_model
+def _check_literals(cnf: CnfFormula, assumptions: Sequence[int]) -> None:
+    """Every literal of the clauses and assumptions must name a variable 1..num_vars."""
+    n = cnf.num_vars
+    for clause in chain(cnf.clauses, (assumptions,)):
+        if clause and (min(clause) < -n or max(clause) > n or 0 in clause):
+            lit = next(lit for lit in clause if lit == 0 or abs(lit) > n)
+            raise SolverError(f"literal {lit} outside 1..{n}")
+
+
+def _verified_result(cnf: CnfFormula, assumptions: Sequence[int], values, error) -> SatResult:
+    """The model of ``values`` (one truth value per variable 1..num_vars),
+    once it satisfies every clause and assumption; else raise ``error``."""
+    if not kernel.model_satisfies(chain(cnf.clauses, ([a] for a in assumptions)), values):
+        raise error
+    model = np.zeros(cnf.num_vars + 1, dtype=bool)
+    model[1:] = values
     return SatResult(True, model)
 
 
@@ -62,22 +74,21 @@ def solve(
     Assumptions are added as unit clauses; a model covers every
     variable. Raises SolverTimeout when the limit elapses.
     """
-    for lit in assumptions:
-        if lit == 0 or abs(lit) > cnf.num_vars:
-            raise SolverError(f"assumption literal {lit} outside 1..{cnf.num_vars}")
+    _check_literals(cnf, assumptions)
     deadline = None if time_limit_s is None else time.time() + time_limit_s
     status, raw = kernel.search(cnf.num_vars, cnf.clauses, assumptions, deadline)
     if status == kernel.UNSAT:
         return SatResult(False)
     if status == kernel.UNKNOWN:
         raise SolverTimeout(f"solve exceeded the {time_limit_s} s limit")
-    full = list(cnf.clauses) + [[a] for a in assumptions]
-    return _as_result(cnf.num_vars, full, raw)
+    return _verified_result(
+        cnf, assumptions, raw, SolverError("internal solver returned a model that violates a clause")
+    )
 
 
 def _parse_external_output(text: str, num_vars: int):
     verdict = None
-    values: dict[int, bool] = {}
+    values = [False] * num_vars
     for raw in text.splitlines():
         line = raw.strip()
         if line.startswith("s "):
@@ -100,7 +111,7 @@ def _parse_external_output(text: str, num_vars: int):
                     continue
                 if abs(lit) > num_vars:
                     raise SolverOutputError(f"value line mentions unknown variable {abs(lit)}")
-                values[abs(lit)] = lit > 0
+                values[abs(lit) - 1] = lit > 0
     if verdict is None:
         raise SolverOutputError("external solver printed no s-line")
     return verdict, values
@@ -117,6 +128,7 @@ def solve_external(
     last argument and must print competition-format output
     (an ``s`` status line, ``v`` value lines for models).
     """
+    _check_literals(cnf, ())
     argv = shlex.split(solver_command)
     if not argv:
         raise SolverSpawnError("empty external solver command")
@@ -139,10 +151,6 @@ def solve_external(
     verdict, values = _parse_external_output(proc.stdout, cnf.num_vars)
     if not verdict:
         return SatResult(False)
-    model = np.zeros(cnf.num_vars + 1, dtype=bool)
-    for var, val in values.items():
-        model[var] = val
-    raw = model[1:]
-    if not kernel.model_satisfies(cnf.clauses, raw):
-        raise SolverModelError("external model fails local clause verification")
-    return SatResult(True, model)
+    return _verified_result(
+        cnf, (), values, SolverModelError("external model fails local clause verification")
+    )

@@ -368,6 +368,8 @@ def parse_dt(text: str) -> DecisionTree:
             feat, count, *values = ints
             if len(values) != count:
                 raise ParseError(f"DOM announces {count} values, line has {len(values)}", lineno)
+            if feat in domains:
+                raise ParseError(f"second DOM line for feature {feat}", lineno)
             domains[feat] = tuple(values)
         elif kind == "N":
             add_node(nodes, ints[0], DtInternal(ints[1]), _DT, lineno)

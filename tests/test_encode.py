@@ -1,6 +1,7 @@
 """CNF construction: clausification, the worked running example, and
 exhaustive faithfulness checks against the diagram predicates."""
 
+import re
 from itertools import product
 from pathlib import Path
 
@@ -66,6 +67,44 @@ def test_dimacs_single_clause():
 def test_dimacs_golden_file(ella_xpg):
     cnf, vm = encode_xpg_onestep(ella_xpg, 3)
     assert write_dimacs(cnf, vm) == (DATA / "ella_xpg_onestep_t3.cnf").read_text()
+
+
+def test_dimacs_golden_negated_sdd(ella_sdd_clf):
+    # class 1 goes through the negated diagram; the legend names n_ and e_ variables
+    query = F.FmpQuery(ella_sdd_clf, Instance((1, 0, 1, 1), 1), 3, method="two-step")
+    cnf, vm, pre_negated = F.build_encoding(query)
+    assert pre_negated
+    assert write_dimacs(cnf, vm) == (DATA / "ella_sdd_negated_twostep_t3.cnf").read_text()
+
+
+def test_encoders_emit_only_named_variables_in_range():
+    # CnfFormula.add does not look at literals, and solvers reject a literal
+    # outside 1..num_vars: every encoder must emit only variables it allocated
+    # through its VarMap, each with a role name in the DIMACS legend
+    rng = np.random.default_rng(17)
+    for trial in range(10):
+        m = int(rng.integers(3, 8))
+        obdd = generate_random_obdd(m, 18, seed=800 + trial)
+        clf = F.ObddClassifier(obdd)
+        inst = random_instance(clf, rng)
+        graph = clf.xpg_for(inst)
+        diagram = F.SddClassifier(obdd_to_shannon_sdd(obdd)).diagram_for(inst)
+        inst0 = Instance(inst.values, 0)
+        for t in range(1, m + 1):
+            for cnf, vm in (
+                encode_xpg_onestep(graph, t),
+                encode_xpg_twostep(graph, t),
+                encode_sdd_onestep(diagram, inst0, t),
+                encode_sdd_twostep(diagram, inst0, t),
+            ):
+                n = cnf.num_vars
+                assert all(0 < abs(lit) <= n for clause in cnf.clauses for lit in clause)
+                legend = [line.split() for line in write_dimacs(cnf, vm).splitlines()
+                          if line.startswith("c map ")]
+                assert [int(fields[2]) for fields in legend] == list(range(1, n + 1))
+                names = [fields[3] for fields in legend]
+                assert len(set(names)) == n
+                assert not any(re.fullmatch(r"v\d+", name) for name in names)
 
 
 def test_dimacs_deterministic(ella_xpg, ella_sdd):

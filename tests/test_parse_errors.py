@@ -101,6 +101,15 @@ CASES = [
     ("instance", "v: 0,1\nc: 0 1\n", "malformed class", 2),
     ("instance", "# no values\nc: 0\n", "missing the v: line", None),
     ("instance", "v: 0,1\n", "missing the c: line", None),
+    # a repeated record is an error, not silently replaced by the last one
+    ("vtree", "vtree 1\nL 0 1\nvtree 1\n", "second vtree header", 3),
+    ("sdd", "sdd 1\nsdd 1\nT 0\n", "second sdd header", 2),
+    ("obdd", "obdd 1 3\nT 0 0\nT 1 1\nobdd 1 3\nN 2 1 0 1\n", "second obdd header", 4),
+    ("dt", DT_HEAD + "dt 1\nN 0 1\nT 1 0\nT 2 1\nE 0 1 0\nE 0 2 1\n", "second dt header", 3),
+    ("dt", DT_HEAD + "DOM 1 3 0 1 2\nT 0 0\n", "second DOM line for feature 1", 3),
+    ("xpg", "xpg 1 3\nxpg 1 3\nN 0 1\nT 1 1\nT 2 0\nE 0 1 1\nE 0 2 0\n", "second xpg header", 2),
+    ("instance", "v: 0,1\nv: 1,1,1\nc: 0\n", "second v: line", 2),
+    ("instance", "v: 0,1\nc: 0\nc: 1\n", "second c: line", 3),
 ]
 
 

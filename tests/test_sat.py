@@ -1,5 +1,6 @@
 """Internal solver correctness and the external-solver adapter."""
 
+import re
 import sys
 import textwrap
 import time
@@ -9,6 +10,7 @@ import pytest
 
 from fmpsat.encode import CnfFormula
 from fmpsat.errors import (
+    SolverError,
     SolverModelError,
     SolverOutputError,
     SolverSpawnError,
@@ -203,3 +205,27 @@ def test_external_spawn_failure():
     cnf = CnfFormula(num_vars=1, clauses=[[1]])
     with pytest.raises(SolverSpawnError):
         solve_external(cnf, "/nonexistent/solver-binary")
+
+
+# ------------------------------------------------------ malformed formulas
+
+MALFORMED = {
+    "past-num-vars": (1, [[2], [1]], (), 2),  # once read as -1: unsatisfiable
+    "zero": (2, [[0, 1]], (), 0),  # once read as the last variable
+    "past-code-table": (1, [[2]], (), 2),  # once an IndexError
+    "negative": (3, [[1, 2], [-4, 3]], (), -4),
+    "assumption": (2, [[1, 2]], (1, 3), 3),
+}
+
+
+@pytest.mark.parametrize(
+    "num_vars,clauses,assumptions,bad", MALFORMED.values(), ids=MALFORMED.keys()
+)
+def test_malformed_formula_is_a_solver_error(num_vars, clauses, assumptions, bad, stub_solver):
+    cnf = CnfFormula(num_vars=num_vars, clauses=clauses)
+    message = re.escape(f"literal {bad} outside 1..{num_vars}")
+    with pytest.raises(SolverError, match=message):
+        solve(cnf, assumptions=assumptions)
+    if not assumptions:
+        with pytest.raises(SolverError, match=message):
+            solve_external(cnf, stub_solver)
