@@ -77,6 +77,23 @@ def dense_nodes(nodes: Mapping[int, object], fmt: LineFormat) -> list:
     return [nodes[j] for j in range(n)]
 
 
+def check_features(tests: Sequence[tuple[int, int]], num_features: int, fmt: LineFormat) -> None:
+    """Each (line, feature) a node tests names a feature 1..num_features."""
+    for lineno, feat in tests:
+        if not 1 <= feat <= num_features:
+            raise ParseError(
+                f"{fmt.name} node tests feature {feat} outside 1..{num_features}", lineno
+            )
+
+
+def check_references(refs: Sequence[tuple], num_nodes: int, fmt: LineFormat) -> None:
+    """Each (line, node id, ...) record refers only to declared nodes 0..num_nodes-1."""
+    for lineno, *ids in refs:
+        for nid in ids:
+            if not 0 <= nid < num_nodes:
+                raise ParseError(f"{fmt.name} line references missing node {nid}", lineno)
+
+
 def single_root(num_nodes: int, edges: Sequence[tuple], fmt: LineFormat) -> int:
     """The one node that no edge ``(from, to, ...)`` enters."""
     targets = {edge[1] for edge in edges}

@@ -224,15 +224,15 @@ def cmd_enum(args) -> int:
 def cmd_encode(args) -> int:
     clf, instance = _load_classifier(args)
     cnf, vm, _ = build_encoding(FmpQuery(clf, instance, args.target, method=args.method))
-    text = enc.write_dimacs(cnf, vm)
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as sink:
+            sink.writelines(enc.iter_dimacs(cnf, vm))
         print(
             f"wrote {cnf.num_vars} vars, {cnf.num_clauses} clauses to {args.out}",
             file=sys.stderr,
         )
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(enc.iter_dimacs(cnf, vm))
     return EXIT_YES
 
 

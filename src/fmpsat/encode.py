@@ -17,8 +17,10 @@ variables in emission order.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EncodingError
 from .explain import Instance
@@ -34,6 +36,7 @@ __all__ = [
     "encode_sdd_twostep",
     "encode_xpg_onestep",
     "encode_xpg_twostep",
+    "iter_dimacs",
     "write_dimacs",
 ]
 
@@ -111,20 +114,28 @@ class VarMap:
         self._aux.append(var)
         return var
 
-    def legend(self, num_vars: int) -> list[str]:
-        """One ``c map <var> <name>`` line per variable 1..num_vars, named by role."""
-        lines: list[str | None] = [None] * num_vars
-        for i, var in enumerate(self._sel, start=1):
-            lines[var - 1] = f"c map {var} s_{i}"
-        for (k, j), var in self._node.items():
-            lines[var - 1] = f"c map {var} n_{k}_{j}"
-        for (k, j, idx), var in self._elem.items():
-            lines[var - 1] = f"c map {var} e_{k}_{j}_{idx}"
-        for k, var in self._sigma.items():
-            lines[var - 1] = f"c map {var} sigma_{k}"
-        for i, var in enumerate(self._aux, start=1):
-            lines[var - 1] = f"c map {var} aux_{i}"
-        return [line or f"c map {var} v{var}" for var, line in enumerate(lines, start=1)]
+    def legend(self, num_vars: int) -> Iterator[str]:
+        """One ``c map <var> <name>`` line per variable 1..num_vars, in order.
+
+        Each role map holds its variables in allocation order, so a merge
+        of the maps yields the lines one at a time. A variable made by
+        ``cnf.new_var()`` outside this map is named ``v<var>``.
+        """
+        named = heapq.merge(
+            ((var, f"c map {var} s_{i}\n") for i, var in enumerate(self._sel, start=1)),
+            ((var, f"c map {var} n_{k}_{j}\n") for (k, j), var in self._node.items()),
+            ((var, f"c map {var} e_{k}_{j}_{i}\n") for (k, j, i), var in self._elem.items()),
+            ((var, f"c map {var} sigma_{k}\n") for k, var in self._sigma.items()),
+            ((var, f"c map {var} aux_{i}\n") for i, var in enumerate(self._aux, start=1)),
+        )
+        unnamed = 1  # the first variable not yet listed
+        for var, line in named:
+            while unnamed < var:
+                yield f"c map {unnamed} v{unnamed}\n"
+                unnamed += 1
+            yield line
+            unnamed = var + 1
+        yield from (f"c map {var} v{var}\n" for var in range(unnamed, num_vars + 1))
 
     def selected_features(self, model) -> frozenset[int]:
         """Decode the selector block of a satisfying assignment."""
@@ -358,9 +369,30 @@ def encode_xpg_twostep(xpg: XpGraph, target: int):
 # DIMACS output
 # --------------------------------------------------------------------------
 
+DIMACS_BLOCK_LINES = 4096  # lines joined into each block iter_dimacs yields
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """Newline-terminated lines, joined DIMACS_BLOCK_LINES at a time."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, DIMACS_BLOCK_LINES)):
+        yield block
+
+
+def iter_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> Iterator[str]:
+    """Standard DIMACS text as a sequence of blocks of whole lines.
+
+    With a varmap the text opens with one ``c map <var> <name>`` line
+    per variable; then comes the ``p cnf`` line and one line per clause.
+    Only one block of text is held at a time, so ``sink.writelines``
+    writes a formula of any size in bounded extra memory.
+    """
+    if varmap is not None:
+        yield from _blocks(varmap.legend(cnf.num_vars))
+    yield f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n"
+    yield from _blocks(" ".join(map(str, clause)) + " 0\n" for clause in cnf.clauses)
+
+
 def write_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> str:
-    """Standard DIMACS text; the optional legend maps variables to names."""
-    lines = [] if varmap is None else varmap.legend(cnf.num_vars)
-    lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    lines.extend(" ".join(map(str, clause)) + " 0" for clause in cnf.clauses)
-    return "\n".join(lines) + "\n"
+    """The whole text of `iter_dimacs` as one string."""
+    return "".join(iter_dimacs(cnf, varmap))

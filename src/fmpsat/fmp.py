@@ -88,6 +88,7 @@ def build_encoding(query: FmpQuery):
     if isinstance(clf, SddClassifier):
         if instance is None:
             raise ClassifierError("SDD queries need an instance")
+        enc._check_target(clf.num_features, t)  # before the diagram may be negated
         predicted = clf.predict(instance.values)
         if predicted != instance.label:
             raise ClassifierError(

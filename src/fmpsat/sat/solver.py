@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..encode import CnfFormula, write_dimacs
+from ..encode import CnfFormula, iter_dimacs
 from ..errors import (
     SolverError,
     SolverModelError,
@@ -48,10 +48,13 @@ class SatResult:
 def _check_literals(cnf: CnfFormula, assumptions: Sequence[int]) -> None:
     """Every literal of the clauses and assumptions must name a variable 1..num_vars."""
     n = cnf.num_vars
-    for clause in chain(cnf.clauses, (assumptions,)):
-        if clause and (min(clause) < -n or max(clause) > n or 0 in clause):
-            lit = next(lit for lit in clause if lit == 0 or abs(lit) > n)
-            raise SolverError(f"literal {lit} outside 1..{n}")
+    used = set(chain.from_iterable(cnf.clauses))
+    used.update(assumptions)
+    if used and (min(used) < -n or max(used) > n or 0 in used):
+        # name the first bad literal in clause order, then the assumptions
+        lits = chain(chain.from_iterable(cnf.clauses), assumptions)
+        lit = next(lit for lit in lits if lit == 0 or abs(lit) > n)
+        raise SolverError(f"literal {lit} outside 1..{n}")
 
 
 def _verified_result(cnf: CnfFormula, assumptions: Sequence[int], values, error) -> SatResult:
@@ -134,7 +137,8 @@ def solve_external(
         raise SolverSpawnError("empty external solver command")
     with tempfile.TemporaryDirectory(prefix="fmpsat-") as tmp:
         path = Path(tmp) / "problem.cnf"
-        path.write_text(write_dimacs(cnf))
+        with open(path, "w") as sink:
+            sink.writelines(iter_dimacs(cnf))
         try:
             proc = subprocess.run(
                 argv + [str(path)],

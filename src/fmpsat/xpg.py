@@ -15,7 +15,9 @@ from typing import Sequence
 from ._nodelist import (
     LineFormat,
     add_node,
+    check_features,
     check_node_count,
+    check_references,
     dense_nodes,
     postorder,
     read_records,
@@ -238,17 +240,25 @@ _OBDD = LineFormat("OBDD", "obdd", True, {"obdd": 2, "N": 4, "T": 2})
 
 def parse_obdd(text: str) -> Obdd:
     nodes: dict[int, ObddNode | ObddTerminal] = {}
+    tests: list[tuple[int, int]] = []  # (line, feature) of each decision node
+    refs: list[tuple[int, int, int]] = []  # (line, lo, hi) of each decision node
     for lineno, kind, ints in read_records(text, _OBDD):
         if kind == "obdd":
             num_features, expected = ints
         elif kind == "N":
-            add_node(nodes, ints[0], ObddNode(*ints[1:]), _OBDD, lineno)
+            nid, var, lo, hi = ints
+            add_node(nodes, nid, ObddNode(var, lo, hi), _OBDD, lineno)
+            tests.append((lineno, var))
+            refs.append((lineno, lo, hi))
         else:
             add_node(nodes, ints[0], ObddTerminal(ints[1]), _OBDD, lineno)
     # read_records has checked that the header is present
     check_node_count(nodes, expected, _OBDD)
+    check_features(tests, num_features, _OBDD)
+    node_list = dense_nodes(nodes, _OBDD)
+    check_references(refs, len(node_list), _OBDD)
     root = next(reversed(nodes))  # the last declared node
-    return Obdd(dense_nodes(nodes, _OBDD), root, num_features)
+    return Obdd(node_list, root, num_features)
 
 
 def serialize_obdd(obdd: Obdd) -> str:
@@ -360,6 +370,7 @@ def parse_dt(text: str) -> DecisionTree:
     nodes: dict[int, DtInternal | DtLeaf] = {}
     tests: list[tuple[int, int]] = []  # (line, feature) of each internal node
     edges: list[tuple[int, int, frozenset[int]]] = []
+    refs: list[tuple[int, int, int]] = []  # (line, from, to) of each edge
     domains: dict[int, tuple[int, ...]] = {}
     for lineno, kind, ints in read_records(text, _DT):
         if kind == "dt":
@@ -379,6 +390,7 @@ def parse_dt(text: str) -> DecisionTree:
         else:
             src, dst, *values = ints
             edges.append((src, dst, frozenset(values)))
+            refs.append((lineno, src, dst))
     # read_records has checked that the header is present
     if sorted(domains) != list(range(1, num_features + 1)):
         raise ParseError(
@@ -389,6 +401,7 @@ def parse_dt(text: str) -> DecisionTree:
             raise ParseError(f"DT node tests feature {feat}, which has no DOM line", lineno)
     check_node_count(nodes, None, _DT)
     node_list = dense_nodes(nodes, _DT)
+    check_references(refs, len(node_list), _DT)
     return DecisionTree(node_list, edges, single_root(len(node_list), edges, _DT), domains)
 
 
@@ -455,19 +468,27 @@ _XPG = LineFormat("XpG", "xpg", True, {"xpg": 2, "N": 2, "T": 2, "E": 3})
 
 def parse_xpg(text: str) -> XpGraph:
     nodes: dict[int, XpgNonTerminal | XpgTerminal] = {}
+    tests: list[tuple[int, int]] = []  # (line, feature) of each non-terminal
     edges: list[tuple[int, int, int]] = []
+    refs: list[tuple[int, int, int]] = []  # (line, from, to) of each edge
     for lineno, kind, ints in read_records(text, _XPG):
         if kind == "xpg":
             num_features, expected = ints
         elif kind == "N":
             add_node(nodes, ints[0], XpgNonTerminal(ints[1]), _XPG, lineno)
+            tests.append((lineno, ints[1]))
+        elif ints[-1] not in (0, 1):  # a terminal's or an edge's label
+            raise ParseError(f"XpG label {ints[-1]} is not 0 or 1", lineno)
         elif kind == "T":
             add_node(nodes, ints[0], XpgTerminal(ints[1]), _XPG, lineno)
         else:
             edges.append(tuple(ints))
+            refs.append((lineno, ints[0], ints[1]))
     # read_records has checked that the header is present
     check_node_count(nodes, expected, _XPG)
+    check_features(tests, num_features, _XPG)
     node_list = dense_nodes(nodes, _XPG)
+    check_references(refs, len(node_list), _XPG)
     return XpGraph(node_list, edges, single_root(len(node_list), edges, _XPG), num_features)
 
 

@@ -215,6 +215,26 @@ def test_encode_golden(capsys, tmp_path):
     assert out_path.read_text() == (DATA / "ella_xpg_onestep_t3.cnf").read_text()
 
 
+def test_encode_streams_the_goldens_to_file_and_stdout(capsys, tmp_path):
+    negated = tmp_path / "class1.inst"
+    negated.write_text("v: 1,0,1,1\nc: 1\n")
+    cases = [
+        (["--obdd", str(DATA / "ella.obdd"), "--instance", str(DATA / "ella.inst"),
+          "--method", "one-step"], "ella_xpg_onestep_t3.cnf"),
+        (["--sdd", str(DATA / "ella.sdd"), "--vtree", str(DATA / "ella.vtree"),
+          "--instance", str(negated), "--method", "two-step"], "ella_sdd_negated_twostep_t3.cnf"),
+    ]
+    for args, golden in cases:
+        expected = (DATA / golden).read_bytes()
+        out_path = tmp_path / golden
+        code, out, _ = run(capsys, ["encode", *args, "--target", "3", "--out", str(out_path)])
+        assert code == 0 and out == ""
+        assert out_path.read_bytes() == expected
+        code, out, _ = run(capsys, ["encode", *args, "--target", "3"])
+        assert code == 0
+        assert out.encode() == expected
+
+
 def test_encode_twostep_smaller(capsys, tmp_path):
     one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
     run(capsys, ["encode", *ELLA_SDD, "--target", "3", "--method", "one-step", "--out", str(one)])

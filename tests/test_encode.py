@@ -2,6 +2,7 @@
 exhaustive faithfulness checks against the diagram predicates."""
 
 import re
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import fmpsat as F
+from fmpsat import sdd as sdd_mod
 from fmpsat.encode import (
+    DIMACS_BLOCK_LINES,
     CnfFormula,
     clausify_eq_and,
     clausify_eq_or,
@@ -17,6 +20,7 @@ from fmpsat.encode import (
     encode_sdd_twostep,
     encode_xpg_onestep,
     encode_xpg_twostep,
+    iter_dimacs,
     write_dimacs,
 )
 from fmpsat.errors import EncodingError
@@ -75,6 +79,80 @@ def test_dimacs_golden_negated_sdd(ella_sdd_clf):
     cnf, vm, pre_negated = F.build_encoding(query)
     assert pre_negated
     assert write_dimacs(cnf, vm) == (DATA / "ella_sdd_negated_twostep_t3.cnf").read_text()
+
+
+@pytest.fixture(scope="module")
+def multiblock_encoding():
+    """One-step encoding of a random m=30 OBDD: several blocks of legend and clause lines."""
+    obdd = generate_random_obdd(30, 900, seed=5)
+    clf = F.ObddClassifier(obdd)
+    cnf, vm = encode_xpg_onestep(clf.xpg_for(random_instance(clf, np.random.default_rng(5))), 1)
+    assert cnf.num_vars > 2 * DIMACS_BLOCK_LINES
+    assert cnf.num_clauses > 2 * DIMACS_BLOCK_LINES
+    return cnf, vm
+
+
+def test_streamed_dimacs_matches_line_by_line_text(multiblock_encoding, tmp_path):
+    cnf, vm = multiblock_encoding
+    # the text built line by line, with no blocks to get wrong
+    lines = [f"c map {var} {name}" for var, name in (
+        [(v, f"s_{i}") for i, v in enumerate(vm._sel, start=1)]
+        + [(v, f"n_{k}_{j}") for (k, j), v in vm._node.items()]
+        + [(v, f"sigma_{k}") for k, v in vm._sigma.items()]
+        + [(v, f"aux_{i}") for i, v in enumerate(vm._aux, start=1)]
+    )]
+    assert len(lines) == cnf.num_vars
+    lines.sort(key=lambda line: int(line.split()[2]))
+    lines.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}")
+    lines += [" ".join(map(str, clause)) + " 0" for clause in cnf.clauses]
+    expected = "\n".join(lines) + "\n"
+
+    blocks = list(iter_dimacs(cnf, vm))
+    assert all(block.endswith("\n") for block in blocks)
+    assert max(block.count("\n") for block in blocks) == DIMACS_BLOCK_LINES
+    path = tmp_path / "streamed.cnf"
+    with open(path, "w") as sink:
+        sink.writelines(iter_dimacs(cnf, vm))
+    assert path.read_text() == expected
+    assert write_dimacs(cnf, vm) == expected
+
+
+def test_streaming_dimacs_holds_a_fraction_of_the_text(multiblock_encoding, tmp_path):
+    cnf, vm = multiblock_encoding
+    size = len(write_dimacs(cnf, vm))
+    with open(tmp_path / "streamed.cnf", "w") as sink:
+        tracemalloc.start()
+        try:
+            sink.writelines(iter_dimacs(cnf, vm))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < size / 2, (peak, size)
+
+
+def test_dimacs_legend_names_variables_outside_the_varmap():
+    cnf = CnfFormula()
+    vm = F.VarMap(1)
+    vm.allocate_selectors(cnf)
+    cnf.new_var()
+    vm.add_aux(cnf)
+    cnf.new_var()
+    cnf.add([1, 2, -3, 4])
+    assert write_dimacs(cnf, vm) == (
+        "c map 1 s_1\nc map 2 v2\nc map 3 aux_1\nc map 4 v4\np cnf 4 1\n1 2 -3 4 0\n"
+    )
+
+
+def test_sdd_target_is_checked_before_negation(ella_sdd, monkeypatch):
+    clf = F.SddClassifier(ella_sdd)
+
+    def no_negation(sdd):
+        raise AssertionError("negated the diagram for an out-of-range target")
+
+    monkeypatch.setattr(sdd_mod, "negate", no_negation)
+    query = F.FmpQuery(clf, Instance((1, 0, 1, 1), 1), 9, method="two-step")
+    with pytest.raises(EncodingError, match="target feature 9 outside 1..4"):
+        F.build_encoding(query)
 
 
 def test_encoders_emit_only_named_variables_in_range():

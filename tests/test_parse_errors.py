@@ -110,6 +110,17 @@ CASES = [
     ("xpg", "xpg 1 3\nxpg 1 3\nN 0 1\nT 1 1\nT 2 0\nE 0 1 1\nE 0 2 0\n", "second xpg header", 2),
     ("instance", "v: 0,1\nv: 1,1,1\nc: 0\n", "second v: line", 2),
     ("instance", "v: 0,1\nc: 0\nc: 1\n", "second c: line", 3),
+    # a fault within one node or edge line names that line
+    ("obdd", "obdd 1 3\nT 0 0\nT 1 1\nN 2 5 0 1\n", "feature 5 outside 1..1", 4),
+    ("obdd", "obdd 2 3\nT 0 0\nN 1 0 0 2\nT 2 1\n", "feature 0 outside 1..2", 3),
+    ("obdd", "obdd 1 3\nT 0 0\nT 1 1\nN 2 1 0 7\n", "missing node 7", 4),
+    ("obdd", "obdd 1 3\nN 2 1 -1 1\nT 0 0\nT 1 1\n", "missing node -1", 2),
+    ("dt", DT_HEAD + "N 0 1\nT 1 0\nT 2 1\nE 0 1 0\nE 0 7 1\n", "missing node 7", 7),
+    ("dt", DT_HEAD + "N 0 1\nT 1 0\nT 2 1\nE 9 1 0\nE 0 2 1\n", "missing node 9", 6),
+    ("xpg", "xpg 1 3\nN 0 5\nT 1 1\nT 2 0\nE 0 1 1\nE 0 2 0\n", "feature 5 outside 1..1", 2),
+    ("xpg", "xpg 1 3\nN 0 1\nT 1 1\nT 2 0\nE 0 1 1\nE 0 7 0\n", "missing node 7", 6),
+    ("xpg", "xpg 1 3\nN 0 1\nT 1 1\nT 2 0\nE 0 1 1\nE 0 2 2\n", "label 2 is not 0 or 1", 6),
+    ("xpg", "xpg 1 3\nN 0 1\nT 1 1\nT 2 3\nE 0 1 1\nE 0 2 0\n", "label 3 is not 0 or 1", 4),
 ]
 
 
