@@ -1,5 +1,13 @@
 """Feature membership queries on decision-diagram classifiers, decided by SAT."""
 
+from .batch import (
+    BatchQuery,
+    batch_run,
+    generate_random_classifier,
+    generate_random_obdd,
+    obdd_to_shannon_sdd,
+    random_instance,
+)
 from .encode import (
     CnfFormula,
     VarMap,
@@ -32,18 +40,7 @@ from .explain import (
     is_weak_cxp,
     parse_instance,
 )
-from .fmp import (
-    BatchQuery,
-    FmpOutcome,
-    FmpQuery,
-    batch_run,
-    build_encoding,
-    decide_membership,
-    generate_random_classifier,
-    generate_random_obdd,
-    obdd_to_shannon_sdd,
-    random_instance,
-)
+from .fmp import FmpOutcome, FmpQuery, build_encoding, decide_membership
 from .sat import SatResult, solve, solve_external
 from .sdd import (
     Sdd,

@@ -11,11 +11,10 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import encode as enc
 from . import sdd as sdd_mod
 from . import xpg as xpg_mod
+from .batch import BatchQuery, batch_run, generate_random_classifier, random_instance
 from .errors import FmpsatError
 from .explain import (
     DtClassifier,
@@ -28,22 +27,14 @@ from .explain import (
     find_cxp,
     parse_instance,
 )
-from .fmp import (
-    BatchQuery,
-    FmpQuery,
-    batch_run,
-    build_encoding,
-    decide_membership,
-    generate_random_classifier,
-    random_instance,
-)
+from .fmp import FmpQuery, build_encoding, decide_membership
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
 
-def _add_classifier_args(parser: argparse.ArgumentParser, instance_required: bool) -> None:
+def _add_classifier_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sdd", metavar="FILE", help="SDD classifier (needs --vtree)")
     parser.add_argument("--vtree", metavar="FILE", help="vtree for --sdd")
     parser.add_argument("--obdd", metavar="FILE", help="OBDD classifier")
@@ -58,7 +49,6 @@ def _add_classifier_args(parser: argparse.ArgumentParser, instance_required: boo
     parser.add_argument(
         "--names", metavar="FILE", help="optional feature names, one per line (display only)"
     )
-    parser.set_defaults(_instance_required=instance_required)
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
@@ -87,12 +77,7 @@ def _load_classifier(args):
         if not args.vtree:
             raise FmpsatError("--sdd needs --vtree")
         vtree = sdd_mod.parse_vtree(Path(args.vtree).read_text())
-        diagram = sdd_mod.parse_sdd(Path(args.sdd).read_text(), vtree)
-        clf = SddClassifier(diagram)
-        if not (
-            sdd_mod.is_consistent(diagram) and sdd_mod.is_consistent(clf.negated_sdd())
-        ):
-            raise FmpsatError("classifier is constant; explanation queries are undefined")
+        clf = SddClassifier(sdd_mod.parse_sdd(Path(args.sdd).read_text(), vtree))
     elif kind == "obdd":
         obdd = xpg_mod.parse_obdd(Path(args.obdd).read_text())
         if len(obdd.reachable_labels()) < 2:
@@ -123,8 +108,12 @@ def _load_classifier(args):
             raise FmpsatError(
                 f"instance has {instance.num_features} features, graph has {clf.num_features}"
             )
-    elif kind != "xpg" and args._instance_required:
+    elif kind != "xpg":
         raise FmpsatError(f"--{kind} needs --instance")
+    # the instance matches the SDD, so the SDD is constant exactly when the
+    # diagram giving the instance class 0 has no model; a class-0 run negates nothing
+    if kind == "sdd" and not sdd_mod.is_consistent(clf.diagram_for(instance)):
+        raise FmpsatError("classifier is constant; explanation queries are undefined")
     return clf, instance
 
 
@@ -237,6 +226,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     kind = {"obdd": "obdd", "sdd": "shannon-sdd"}[args.kind]
     methods = ["one-step", "two-step"] if args.method_bench == "both" else [args.method_bench]
@@ -280,25 +271,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fmp", help="decide whether the target occurs in some explanation")
-    _add_classifier_args(p, instance_required=True)
+    _add_classifier_args(p)
     _add_solver_args(p)
     p.add_argument("--target", type=int, required=True, help="feature index, 1-based")
     p.set_defaults(func=cmd_fmp)
 
     p = sub.add_parser("axp", help="one abductive explanation by deletion")
-    _add_classifier_args(p, instance_required=True)
+    _add_classifier_args(p)
     p.set_defaults(func=cmd_axp)
 
     p = sub.add_parser("cxp", help="one contrastive explanation by deletion")
-    _add_classifier_args(p, instance_required=True)
+    _add_classifier_args(p)
     p.set_defaults(func=cmd_cxp)
 
     p = sub.add_parser("enum", help="brute-force enumeration of all explanations (small m)")
-    _add_classifier_args(p, instance_required=True)
+    _add_classifier_args(p)
     p.set_defaults(func=cmd_enum)
 
     p = sub.add_parser("encode", help="write the CNF encoding without solving")
-    _add_classifier_args(p, instance_required=True)
+    _add_classifier_args(p)
     p.add_argument("--target", type=int, required=True)
     p.add_argument(
         "--method", choices=["one-step", "two-step"], default="two-step"

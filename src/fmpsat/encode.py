@@ -205,13 +205,11 @@ def _emit_sdd_replica(
             continue  # indicator allocated but constant; folded into parents
         if isinstance(node, SddLiteral):
             n = vm.node(replica, j)
-            satisfied = bool(values[node.var - 1]) == node.positive
-            if satisfied or node.var == replica:
+            box = _sdd_box_value(sdd, vm, values, replica, j)
+            if box == _TRUE:
                 cnf.add([n])
             else:
-                s = vm.sel(node.var)
-                cnf.add([-n, -s])
-                cnf.add([n, s])
+                clausify_eq_or(cnf, n, [box])
             continue
         # decision node: one indicator per element, then the disjunction
         surviving: list[int] = []

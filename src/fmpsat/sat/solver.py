@@ -13,8 +13,6 @@ from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..encode import CnfFormula, iter_dimacs
 from ..errors import (
     SolverError,
@@ -33,16 +31,12 @@ class SatResult:
     """Outcome of a complete SAT call."""
 
     satisfiable: bool
-    model: np.ndarray | None = None  # bool per variable, entry 0 unused
+    model: list[bool] | None = None  # bool per variable, entry 0 unused
 
     def value(self, var: int) -> bool:
         if not self.satisfiable:
             raise SolverError("no model: the formula is unsatisfiable")
-        return bool(self.model[var])
-
-    def literal_true(self, lit: int) -> bool:
-        value = self.value(abs(lit))
-        return value if lit > 0 else not value
+        return self.model[var]
 
 
 def _check_literals(cnf: CnfFormula, assumptions: Sequence[int]) -> None:
@@ -62,9 +56,7 @@ def _verified_result(cnf: CnfFormula, assumptions: Sequence[int], values, error)
     once it satisfies every clause and assumption; else raise ``error``."""
     if not kernel.model_satisfies(chain(cnf.clauses, ([a] for a in assumptions)), values):
         raise error
-    model = np.zeros(cnf.num_vars + 1, dtype=bool)
-    model[1:] = values
-    return SatResult(True, model)
+    return SatResult(True, [False, *map(bool, values)])
 
 
 def solve(

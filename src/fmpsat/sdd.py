@@ -107,12 +107,6 @@ class Vtree:
     def is_leaf(self, nid: int) -> bool:
         return isinstance(self.nodes[nid], VtreeLeaf)
 
-    def leaf_var(self, nid: int) -> int:
-        node = self.nodes[nid]
-        if not isinstance(node, VtreeLeaf):
-            raise ClassifierError(f"vtree node {nid} is not a leaf")
-        return node.var
-
 
 _VTREE = LineFormat("vtree", "vtree", False, {"vtree": 1, "L": 2, "I": 3})
 
@@ -198,21 +192,6 @@ class Sdd:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def node_vars(self) -> list[frozenset[int]]:
-        """Variables mentioned below each node, computed bottom-up."""
-        out: list[frozenset[int]] = []
-        for node in self.nodes:
-            if isinstance(node, SddLiteral):
-                out.append(frozenset((node.var,)))
-            elif isinstance(node, SddDecision):
-                acc: set[int] = set()
-                for prime, sub in node.elements:
-                    acc |= out[prime] | out[sub]
-                out.append(frozenset(acc))
-            else:
-                out.append(frozenset())
-        return out
 
 
 _SDD = LineFormat(

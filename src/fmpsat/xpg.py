@@ -134,9 +134,6 @@ class XpGraph:
     def in_edges(self, j: int) -> list[tuple[int, int]]:
         return self._in_edges[j]
 
-    def topological_order(self) -> list[int]:
-        return list(self._topo)
-
 
 def evaluate_sigma(xpg: XpGraph, selectors: Sequence[int]) -> bool:
     """Whether fixing the selected features keeps the prediction.

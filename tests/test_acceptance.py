@@ -19,16 +19,15 @@ from fmpsat.encode import (
     encode_xpg_twostep,
     write_dimacs,
 )
-from fmpsat.fmp import (
+from fmpsat.batch import (
     BatchQuery,
-    FmpQuery,
     batch_run,
-    decide_membership,
     generate_random_classifier,
     generate_random_obdd,
     obdd_to_shannon_sdd,
     random_instance,
 )
+from fmpsat.fmp import FmpQuery, decide_membership
 
 from oracles import minimal_hitting_sets
 

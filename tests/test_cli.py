@@ -1,10 +1,16 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import fmpsat as F
+from fmpsat import sdd as sdd_mod
 from fmpsat.cli import main
-from fmpsat.fmp import generate_random_obdd
+from fmpsat.batch import generate_random_obdd
 
 DATA = Path(__file__).parent / "data"
 
@@ -162,6 +168,60 @@ def test_constant_classifier_rejected(capsys, tmp_path):
     )
     assert code == 2
     assert "constant" in err
+
+
+@pytest.mark.parametrize("body, label", [("F 0", 0), ("T 0", 1)])
+def test_constant_sdd_rejected(capsys, tmp_path, body, label):
+    path = tmp_path / "const.sdd"
+    path.write_text(f"sdd 1\n{body}\n")
+    inst = tmp_path / "const.inst"
+    inst.write_text(f"v: 0,0,0,0\nc: {label}\n")
+    code, _, err = run(
+        capsys,
+        ["fmp", "--sdd", str(path), "--vtree", str(DATA / "ella.vtree"),
+         "--instance", str(inst), "--target", "1"],
+    )
+    assert code == 2
+    assert "constant" in err
+
+
+def test_sdd_runs_negate_only_for_class_1(capsys, tmp_path, monkeypatch):
+    calls = []
+    negate = sdd_mod.negate
+
+    def counting(sdd):
+        calls.append(sdd)
+        return negate(sdd)
+
+    monkeypatch.setattr(sdd_mod, "negate", counting)
+    # ella.inst has class 0: neither loading nor the query negates the diagram
+    for argv in (["fmp", *ELLA_SDD, "--target", "3"], ["encode", *ELLA_SDD, "--target", "3"]):
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+    assert calls == []
+    # a class-1 instance negates once, shared by the constant check and the encoding
+    inst = tmp_path / "accepted.inst"
+    inst.write_text("v: 1,1,0,0\nc: 1\n")
+    code, _, _ = run(
+        capsys,
+        ["fmp", "--sdd", str(DATA / "ella.sdd"), "--vtree", str(DATA / "ella.vtree"),
+         "--instance", str(inst), "--target", "1"],
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fmpsat, fmpsat.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_names_file(capsys, tmp_path):

@@ -25,7 +25,7 @@ from fmpsat.encode import (
 )
 from fmpsat.errors import EncodingError
 from fmpsat.explain import Instance
-from fmpsat.fmp import generate_random_obdd, obdd_to_shannon_sdd, random_instance
+from fmpsat.batch import generate_random_obdd, obdd_to_shannon_sdd, random_instance
 from fmpsat.sat import solve
 
 DATA = Path(__file__).parent / "data"

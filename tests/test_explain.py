@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fmpsat as F
 from fmpsat.errors import ClassifierError
-from fmpsat.fmp import (
+from fmpsat.batch import (
     generate_random_classifier,
     generate_random_obdd,
     obdd_to_shannon_sdd,

@@ -8,16 +8,15 @@ import pytest
 
 import fmpsat as F
 from fmpsat.errors import ClassifierError
-from fmpsat.fmp import (
+from fmpsat.batch import (
     BatchQuery,
-    FmpQuery,
     batch_run,
-    decide_membership,
     generate_random_classifier,
     generate_random_obdd,
     obdd_to_shannon_sdd,
     random_instance,
 )
+from fmpsat.fmp import FmpQuery, decide_membership
 
 
 def test_running_example_all_four_routes(ella_sdd_clf, ella_obdd_clf, ella_instance):

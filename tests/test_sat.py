@@ -69,7 +69,7 @@ def test_model_is_total_and_sound():
     cnf = _random_3cnf(rng, 30, 100)
     result = solve(cnf)
     if result.satisfiable:
-        assert result.model.shape[0] == cnf.num_vars + 1
+        assert len(result.model) == cnf.num_vars + 1
         assert model_satisfies(cnf.clauses, result.model[1:])
 
 

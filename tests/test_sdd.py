@@ -6,7 +6,7 @@ import pytest
 
 import fmpsat as F
 from fmpsat.errors import ParseError
-from fmpsat.fmp import generate_random_obdd, obdd_to_shannon_sdd
+from fmpsat.batch import generate_random_obdd, obdd_to_shannon_sdd
 from fmpsat.sdd import SddDecision
 
 from oracles import kappa

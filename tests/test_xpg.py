@@ -7,7 +7,7 @@ import pytest
 
 import fmpsat as F
 from fmpsat.errors import ClassifierError, ParseError
-from fmpsat.fmp import generate_random_obdd
+from fmpsat.batch import generate_random_obdd
 from fmpsat.xpg import XpgNonTerminal, XpgTerminal
 
 from oracles import kappa
