@@ -8,11 +8,20 @@ to minimal explanations containing the target; the two-step form keeps
 only replicas 0 and t, and its models are weak explanations from which
 a witness is extracted afterwards by deletion.
 
+Replica k ≥ 1 differs from replica 0 only where feature k is freed:
+below a 0-labelled edge out of a feature-k node of an explanation
+graph, or above a literal on k that the instance falsifies in an SDD.
+Every other node, and every SDD element whose prime and sub are both
+shared, keeps replica 0's indicator, and replica k emits no clauses
+for it.
+
 Variable numbering is fixed for byte-stable output: the selector block
 comes first (variables 1..m), then one block per replica in ascending
-order (node indicators in node order, per-element indicators for SDDs,
-the evaluation indicator for explanation graphs), then auxiliary
-variables in emission order.
+order, then auxiliary variables in emission order. Replica 0's block
+holds every node; replica k's holds only the nodes it re-defines. In
+each block come node indicators in node order, then per-element
+indicators for SDDs, or the evaluation indicator for explanation
+graphs.
 """
 
 from __future__ import annotations
@@ -91,7 +100,8 @@ class VarMap:
         return var
 
     def node(self, replica: int, node: int) -> int:
-        return self._node[(replica, node)]
+        """The node's indicator in the replica, replica 0's unless the replica re-defines it."""
+        return self._node.get((replica, node)) or self._node[(0, node)]
 
     def add_element(self, cnf: CnfFormula, replica: int, node: int, index: int) -> int:
         var = cnf.new_var()
@@ -99,7 +109,8 @@ class VarMap:
         return var
 
     def element(self, replica: int, node: int, index: int) -> int:
-        return self._elem[(replica, node, index)]
+        """The element's indicator in the replica, replica 0's unless the replica re-defines it."""
+        return self._elem.get((replica, node, index)) or self._elem[(0, node, index)]
 
     def add_sigma(self, cnf: CnfFormula, replica: int) -> int:
         var = cnf.new_var()
@@ -197,12 +208,34 @@ def _sdd_box_value(sdd: Sdd, vm: VarMap, values, replica: int, node_id: int):
     return vm.node(replica, node_id)
 
 
+def _sdd_redefined(sdd: Sdd, values: Sequence[int], replica: int) -> list[bool]:
+    """Which nodes the replica defines differently from replica 0.
+
+    A literal on the replica's feature that the instance falsifies
+    passes in the replica only; a decision node changes with any of its
+    primes or subs. Node ids list children before their parents.
+    """
+    if replica == 0:
+        return [True] * len(sdd.nodes)
+    falsified = SddLiteral(replica, not values[replica - 1])
+    changed: list[bool] = []
+    for node in sdd.nodes:
+        if isinstance(node, SddDecision):
+            changed.append(any(changed[p] or changed[s] for p, s in node.elements))
+        else:
+            changed.append(node == falsified)
+    return changed
+
+
 def _emit_sdd_replica(
-    cnf: CnfFormula, vm: VarMap, sdd: Sdd, values: Sequence[int], replica: int
+    cnf: CnfFormula, vm: VarMap, sdd: Sdd, values: Sequence[int], replica: int,
+    own: list[bool],
 ) -> None:
+    """Clauses for the nodes the replica re-defines (``own``); an element
+    whose prime and sub are both shared is shared too."""
     for j, node in enumerate(sdd.nodes):
-        if isinstance(node, (SddFalse, SddTrue)):
-            continue  # indicator allocated but constant; folded into parents
+        if not own[j] or isinstance(node, (SddFalse, SddTrue)):
+            continue  # shared, or allocated but constant and folded into parents
         if isinstance(node, SddLiteral):
             n = vm.node(replica, j)
             box = _sdd_box_value(sdd, vm, values, replica, j)
@@ -219,6 +252,10 @@ def _emit_sdd_replica(
                 _sdd_box_value(sdd, vm, values, replica, prime),
                 _sdd_box_value(sdd, vm, values, replica, sub),
             ]
+            if not (own[prime] or own[sub]):
+                if _FALSE not in ops:
+                    surviving.append(e)  # replica 0's element, defined there
+                continue
             if _FALSE in ops:
                 cnf.add([-e])  # dead element, dropped from the disjunction
                 continue
@@ -254,15 +291,19 @@ def _encode_sdd(sdd: Sdd, instance: Instance, target: int, replicas: Sequence[in
     cnf = CnfFormula()
     vm = VarMap(m)
     vm.allocate_selectors(cnf)
+    own = {k: _sdd_redefined(sdd, instance.values, k) for k in replicas}
     for k in replicas:
+        changed = own[k]
         for j in range(len(sdd.nodes)):
-            vm.add_node(cnf, k, j)
+            if changed[j]:
+                vm.add_node(cnf, k, j)
         for j, node in enumerate(sdd.nodes):
-            if isinstance(node, SddDecision):
-                for idx in range(len(node.elements)):
-                    vm.add_element(cnf, k, j, idx)
+            if changed[j] and isinstance(node, SddDecision):
+                for idx, (prime, sub) in enumerate(node.elements):
+                    if changed[prime] or changed[sub]:
+                        vm.add_element(cnf, k, j, idx)
     for k in replicas:
-        _emit_sdd_replica(cnf, vm, sdd, instance.values, k)
+        _emit_sdd_replica(cnf, vm, sdd, instance.values, k, own[k])
         if k == 0:
             cnf.add([-vm.node(0, sdd.root)])  # fixing the selection keeps class 0
             cnf.add([vm.sel(target)])
@@ -289,10 +330,34 @@ def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int):
 # explanation graph encoding
 # --------------------------------------------------------------------------
 
-def _emit_xpg_replica(cnf: CnfFormula, vm: VarMap, xpg: XpGraph, replica: int) -> None:
-    for j, node in enumerate(xpg.nodes):
-        if isinstance(node, XpgTerminal) and node.label == 1:
-            continue  # evaluation never looks at agreeing terminals
+def _xpg_redefined(xpg: XpGraph, replica: int) -> list[int]:
+    """The nodes the replica defines differently from replica 0, in node order.
+
+    A 0-labelled edge out of a node on the replica's feature passes in
+    the replica only: the nodes below such an edge change, and so do
+    the nodes below a changed node. Agreeing terminals are never encoded.
+    """
+    nodes, in_edges = xpg.nodes, xpg._in_edges
+    if replica == 0:
+        changed = [True] * len(nodes)
+    else:
+        changed = [False] * len(nodes)
+        for j in xpg._topo:
+            for p, label in in_edges[j]:
+                if changed[p] or (label == 0 and nodes[p].var == replica):
+                    changed[j] = True
+                    break
+    return [
+        j for j, node in enumerate(nodes)
+        if changed[j] and not (isinstance(node, XpgTerminal) and node.label == 1)
+    ]
+
+
+def _emit_xpg_replica(
+    cnf: CnfFormula, vm: VarMap, xpg: XpGraph, replica: int, own: list[int]
+) -> None:
+    """Clauses for the nodes the replica re-defines (``own``) and its evaluation."""
+    for j in own:
         n = vm.node(replica, j)
         if j == xpg.root:
             cnf.add([n])
@@ -334,14 +399,13 @@ def _encode_xpg(xpg: XpGraph, target: int, replicas: Sequence[int]):
     cnf = CnfFormula()
     vm = VarMap(m)
     vm.allocate_selectors(cnf)
+    own = {k: _xpg_redefined(xpg, k) for k in replicas}
     for k in replicas:
-        for j, node in enumerate(xpg.nodes):
-            if isinstance(node, XpgTerminal) and node.label == 1:
-                continue
+        for j in own[k]:
             vm.add_node(cnf, k, j)
         vm.add_sigma(cnf, k)
     for k in replicas:
-        _emit_xpg_replica(cnf, vm, xpg, k)
+        _emit_xpg_replica(cnf, vm, xpg, k, own[k])
         if k == 0:
             cnf.add([vm.sigma(0)])  # the selection is a weak explanation
             cnf.add([vm.sel(target)])

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from . import encode as enc
-from .errors import ClassifierError, FmpsatError
+from .errors import ClassifierError, FmpsatError, SolverTimeout
 from .explain import (
     DtClassifier,
     Instance,
@@ -99,18 +99,27 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     On a positive answer the returned witness is a verified AXp
     containing the target; the two-step seed is checked against its
     contract (weak, and no longer weak once the target is dropped)
-    before extraction.
+    before extraction. The time limit counts from entry: encoding
+    spends part of it, and the solver gets what is left.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     started = time.perf_counter()
     cnf, vm, pre_negated = build_encoding(query)
     encode_s = time.perf_counter() - started
 
+    remaining = None
+    if query.time_limit_s is not None:
+        remaining = query.time_limit_s - encode_s
+        if remaining <= 0:
+            raise SolverTimeout(f"encoding exceeded the {query.time_limit_s} s limit")
     solve_started = time.perf_counter()
-    if query.solver_command:
-        result = solve_external(cnf, query.solver_command, query.time_limit_s)
-    else:
-        result = solve(cnf, time_limit_s=query.time_limit_s)
+    try:
+        if query.solver_command:
+            result = solve_external(cnf, query.solver_command, remaining)
+        else:
+            result = solve(cnf, time_limit_s=remaining)
+    except SolverTimeout as exc:
+        raise SolverTimeout(f"query exceeded the {query.time_limit_s} s limit") from exc
     solve_s = time.perf_counter() - solve_started
 
     seed = None

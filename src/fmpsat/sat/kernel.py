@@ -27,7 +27,7 @@ import math
 import time
 from array import array
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, islice
 
 SAT = 10
 UNSAT = 20
@@ -35,6 +35,8 @@ UNKNOWN = 0
 
 # the deadline is read after at most this many watch visits, and on every conflict
 _POLL_VISITS = 1 << 14
+# clean_clauses reads the deadline before each batch of this many clauses
+_POLL_CLAUSES = 1 << 12
 
 
 def _backtrack(trail, bound, value, phase, activity, heap, queued) -> None:
@@ -274,46 +276,58 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
         trail.append(code)
 
 
-def clean_clauses(num_vars, clauses, assumptions=()):
+def clean_clauses(num_vars, clauses, assumptions=(), deadline=math.inf):
     """Normalize input clauses into kernel lists.
 
     Returns (status, units, clauses) with literals as codes: duplicate
     literals are dropped, tautologies removed, unit clauses separated
-    out. Status is UNSAT when an empty clause is present, else UNKNOWN.
+    out. Status is UNSAT when an empty clause is present, else UNKNOWN;
+    units and clauses are None when the input is UNSAT or the deadline
+    (a ``time.time()`` value) passes first.
     """
+    now = time.time
     units: list[int] = []
     body: list[list[int]] = []
     # the code of literal l sits at index l (negative l counts from the end),
     # so all clauses share one int object per code
     code_of = [-1, *range(0, 2 * num_vars, 2), *range(2 * num_vars - 1, 0, -2)]
-    for clause in chain(clauses, ([a] for a in assumptions)):
-        codes: list[int] = []
-        tautology = False
-        for lit in clause:
-            code = code_of[lit]
-            if code in codes:
+    stream = chain(clauses, ([a] for a in assumptions))
+    while batch := list(islice(stream, _POLL_CLAUSES)):
+        if now() > deadline:
+            return UNKNOWN, None, None
+        for clause in batch:
+            codes: list[int] = []
+            tautology = False
+            for lit in clause:
+                code = code_of[lit]
+                if code in codes:
+                    continue
+                if code ^ 1 in codes:
+                    tautology = True
+                    break
+                codes.append(code)
+            if tautology:
                 continue
-            if code ^ 1 in codes:
-                tautology = True
-                break
-            codes.append(code)
-        if tautology:
-            continue
-        if not codes:
-            return UNSAT, None, None
-        if len(codes) == 1:
-            units.append(codes[0])
-        else:
-            body.append(codes)
+            if not codes:
+                return UNSAT, None, None
+            if len(codes) == 1:
+                units.append(codes[0])
+            else:
+                body.append(codes)
     return UNKNOWN, units, body
 
 
 def search(num_vars, clauses, assumptions=(), deadline=None):
-    """Decide the clause set; returns (status, 0/1 model list or None)."""
-    status, units, body = clean_clauses(num_vars, clauses, assumptions)
-    if status == UNSAT:
-        return UNSAT, None
-    return _search(num_vars, body, units, math.inf if deadline is None else deadline)
+    """Decide the clause set; returns (status, 0/1 model list or None).
+
+    The status is UNKNOWN when the deadline (a ``time.time()`` value)
+    passes, during clause packing or during the search.
+    """
+    deadline = math.inf if deadline is None else deadline
+    status, units, body = clean_clauses(num_vars, clauses, assumptions, deadline)
+    if body is None:
+        return status, None
+    return _search(num_vars, body, units, deadline)
 
 
 def model_satisfies(clauses, model) -> bool:

@@ -28,6 +28,8 @@ from fmpsat.explain import Instance
 from fmpsat.batch import generate_random_obdd, obdd_to_shannon_sdd, random_instance
 from fmpsat.sat import solve
 
+from sdd_builder import balanced_vtree, compile_sdd, random_function
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -328,9 +330,13 @@ def test_xpg_twostep_variable_count(ella_xpg):
     cnf, vm = encode_xpg_twostep(ella_xpg, 3)
     m = ella_xpg.num_features
     replica_nodes = len(ella_xpg.nodes) - 1  # the 1-terminal carries no var
+    # replica 3 re-defines only the nodes below the M node's 0-labelled
+    # edge: the W node and the 0-terminal
+    redefined = 2
     aux = len(vm._aux)
-    # selectors + two replica blocks + two evaluation indicators + aux
-    assert cnf.num_vars == m + 2 * replica_nodes + 2 + aux
+    # selectors + replica-0 nodes + the replica-3 nodes that differ
+    # + two evaluation indicators + aux
+    assert cnf.num_vars == m + replica_nodes + redefined + 2 + aux
     # the W node has two guarded in-edges in replica 0 but only one in
     # replica 3, where the M edge passes unconditionally
     assert aux == 3
@@ -409,3 +415,101 @@ def test_onestep_and_twostep_verdicts_agree():
             one, _ = encode_xpg_onestep(graph, t)
             two, _ = encode_xpg_twostep(graph, t)
             assert solve(one).satisfiable == solve(two).satisfiable
+
+
+# ------------------------------------------------ selector projections
+
+def _weak_by_mask(predict, domains, instance):
+    """weak[s]: fixing the features of mask s (bit i-1 for feature i) to the
+    instance's values keeps its class, by enumerating every point."""
+    m = len(domains)
+    values = instance.values
+    # broken[f]: some point that differs from the instance only on the free
+    # set f, or on a part of it, has another class
+    broken = [False] * (1 << m)
+    for point in product(*domains):
+        if predict(point) != instance.label:
+            broken[sum(1 << i for i in range(m) if point[i] != values[i])] = True
+    for i in range(m):
+        for f in range(1 << m):
+            if f >> i & 1 and broken[f ^ 1 << i]:
+                broken[f] = True
+    full = (1 << m) - 1
+    return [not broken[full ^ s] for s in range(1 << m)]
+
+
+def _random_dt(rng, m):
+    """A random tree over features 1..m; feature 1 has domain {0, 1, 2}."""
+    domains = {i: (0, 1, 2) if i == 1 else (0, 1) for i in range(1, m + 1)}
+    nodes, edges = [], []
+
+    def grow(free, depth):
+        j = len(nodes)
+        if not free or depth == 0 or rng.random() < 0.2:
+            nodes.append(F.xpg.DtLeaf(int(rng.integers(2))))
+            return j
+        var = int(rng.choice(free))
+        nodes.append(F.xpg.DtInternal(var))
+        rest = [f for f in free if f != var]
+        for value in domains[var]:
+            edges.append((j, grow(rest, depth - 1), frozenset({value})))
+        return j
+
+    while True:
+        nodes.clear()
+        edges.clear()
+        grow(list(range(1, m + 1)), 4)
+        dt = F.xpg.DecisionTree(list(nodes), list(edges), 0, domains)
+        if dt.leaf_labels() == {0, 1}:
+            return dt
+
+
+def _projection_corpus(ella_obdd, ella_sdd):
+    """(classifier, feature domains, instance) triples, both classes on every route."""
+    ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
+    boolean = [(0, 1)] * 4
+    cases = [
+        (clf, boolean, inst)
+        for clf in (F.ObddClassifier(ella_obdd), F.SddClassifier(ella_sdd), F.DtClassifier(ella_dt))
+        for inst in (Instance((0, 1, 0, 1), 0), Instance((1, 0, 1, 1), 1))
+    ]
+    rng = np.random.default_rng(61)
+    for trial, m in enumerate((5, 6, 7)):
+        obdd = generate_random_obdd(m, 3 * m, seed=900 + trial)
+        dt = _random_dt(rng, m)
+        truth = random_function(rng, m)
+        boolean = [(0, 1)] * m
+        for clf, domains in (
+            (F.ObddClassifier(obdd), boolean),
+            (F.SddClassifier(obdd_to_shannon_sdd(obdd)), boolean),
+            (F.DtClassifier(dt), [dt.domains[i] for i in range(1, m + 1)]),
+            (F.SddClassifier(compile_sdd(balanced_vtree(m), truth)), boolean),
+        ):
+            for _ in range(2):
+                cases.append((clf, domains, random_instance(clf, rng)))
+    return cases
+
+
+def test_selector_projection_matches_the_definitions(ella_obdd, ella_sdd):
+    # every encoding, under assumptions fixing all selectors, is satisfiable
+    # exactly when the selection meets its method's condition: one-step, an
+    # AXp containing t; two-step, a weak AXp containing t whose removal of t
+    # is not weak
+    for clf, domains, inst in _projection_corpus(ella_obdd, ella_sdd):
+        m = len(domains)
+        weak = _weak_by_mask(clf.predict, domains, inst)
+        axp = [weak[s] and not any(s >> i & 1 and weak[s ^ 1 << i] for i in range(m))
+               for s in range(1 << m)]
+        for t in range(1, m + 1):
+            bit = 1 << (t - 1)
+            for method in ("one-step", "two-step"):
+                cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, method))
+                for s in range(1 << m):
+                    if method == "one-step":
+                        want = bool(s & bit) and axp[s]
+                    else:
+                        want = bool(s & bit) and weak[s] and not weak[s ^ bit]
+                    fixed = [vm.sel(i) if s >> (i - 1) & 1 else -vm.sel(i)
+                             for i in range(1, m + 1)]
+                    got = solve(cnf, assumptions=fixed).satisfiable
+                    assert got == want, (type(clf).__name__, inst, t, method, s)

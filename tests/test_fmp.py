@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import fmpsat as F
-from fmpsat.errors import ClassifierError
+from fmpsat import fmp as fmp_mod
+from fmpsat.errors import ClassifierError, SolverTimeout
 from fmpsat.batch import (
     BatchQuery,
     batch_run,
@@ -73,6 +74,16 @@ def test_literal_root_sdd():
     assert outcome.membership and outcome.pre_negated
 
 
+def test_time_limit_counts_the_encoding(ella_obdd_clf, ella_instance, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved after the limit had passed during encoding")
+
+    monkeypatch.setattr(fmp_mod, "solve", no_solve)
+    query = FmpQuery(ella_obdd_clf, ella_instance, 3, "one-step", time_limit_s=1e-9)
+    with pytest.raises(SolverTimeout, match="encoding"):
+        decide_membership(query)
+
+
 def test_mismatched_instance_rejected(ella_sdd_clf):
     with pytest.raises(ClassifierError, match="predicts"):
         decide_membership(FmpQuery(ella_sdd_clf, F.Instance((0, 1, 0, 1), 1), 1))
@@ -90,30 +101,30 @@ def test_unknown_method_rejected(ella_sdd_clf, ella_instance):
 # returns another model shows up as another witness.
 GOLDEN = {
     ("obdd", 10, 40, 5): [
-        ("0100000010", 7, "one-step", False, None, None, 606, 1843, False),
-        ("0100000010", 7, "two-step", False, None, None, 121, 344, False),
-        ("1110011100", 6, "one-step", True, {1, 5, 6, 7, 9, 10}, None, 656, 1953, False),
-        ("1110011100", 6, "two-step", True, {1, 5, 6, 7, 9, 10}, {1, 5, 6, 7, 9, 10}, 128, 358, False),
-        ("0111011010", 4, "one-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, None, 646, 1933, False),
-        ("0111011010", 4, "two-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, {1, 3, 4, 5, 6, 7, 8, 9}, 128, 359, False),
-        ("1101011010", 3, "one-step", True, {3, 6, 9, 10}, None, 616, 1852, False),
-        ("1101011010", 3, "two-step", True, {3, 6, 9, 10}, {3, 6, 9, 10}, 123, 344, False),
-        ("0100010100", 6, "one-step", True, {1, 5, 6, 7, 8, 10}, None, 606, 1832, False),
-        ("0100010100", 6, "two-step", True, {1, 5, 6, 7, 8, 10}, {1, 5, 6, 7, 8, 10}, 119, 337, False),
+        ("0100000010", 7, "one-step", False, None, None, 358, 1131, False),
+        ("0100000010", 7, "two-step", False, None, None, 117, 336, False),
+        ("1110011100", 6, "one-step", True, {1, 5, 6, 7, 9, 10}, None, 380, 1182, False),
+        ("1110011100", 6, "two-step", True, {1, 5, 6, 7, 9, 10}, {1, 5, 6, 7, 9, 10}, 77, 208, False),
+        ("0111011010", 4, "one-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, None, 369, 1160, False),
+        ("0111011010", 4, "two-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, {1, 3, 4, 5, 6, 7, 8, 9}, 114, 324, False),
+        ("1101011010", 3, "one-step", True, {3, 6, 9, 10}, None, 360, 1124, False),
+        ("1101011010", 3, "two-step", True, {3, 6, 9, 10}, {3, 6, 9, 10}, 105, 296, False),
+        ("0100010100", 6, "one-step", True, {1, 5, 6, 7, 8, 10}, None, 361, 1129, False),
+        ("0100010100", 6, "two-step", True, {1, 5, 6, 7, 8, 10}, {1, 5, 6, 7, 8, 10}, 72, 195, False),
     ],
     ("shannon-sdd", 10, 40, 6): [
-        ("1011011001", 1, "one-step", False, None, None, 1374, 3176, False),
-        ("1011011001", 1, "two-step", False, None, None, 258, 581, False),
-        ("1001001001", 9, "one-step", True, {2, 4, 6, 7, 8, 9, 10}, None, 1374, 3176, False),
-        ("1001001001", 9, "two-step", True, {2, 4, 6, 7, 8, 9, 10}, {2, 4, 6, 7, 8, 9, 10}, 258, 581, False),
-        ("0000110101", 10, "one-step", True, {1, 2, 5, 6, 8, 9, 10}, None, 1374, 3166, False),
-        ("0000110101", 10, "two-step", True, {1, 2, 5, 6, 8, 9, 10}, {1, 2, 5, 6, 8, 9, 10}, 258, 579, False),
-        ("1110111111", 2, "one-step", True, {2, 7, 8, 9, 10}, None, 1374, 3175, True),
-        ("1110111111", 2, "two-step", True, {2, 7, 8, 9, 10}, {2, 7, 8, 9, 10}, 258, 581, True),
-        ("0001110111", 2, "one-step", False, None, None, 1374, 3165, True),
-        ("0001110111", 2, "two-step", False, None, None, 258, 580, True),
-        ("1100111100", 8, "one-step", True, {1, 2, 6, 7, 8, 10}, None, 1374, 3175, True),
-        ("1100111100", 8, "two-step", True, {1, 2, 6, 7, 8, 10}, {1, 2, 6, 7, 8, 10}, 258, 580, True),
+        ("1011011001", 1, "one-step", False, None, None, 600, 1514, False),
+        ("1011011001", 1, "two-step", False, None, None, 168, 384, False),
+        ("1001001001", 9, "one-step", True, {2, 4, 6, 7, 8, 9, 10}, None, 600, 1516, False),
+        ("1001001001", 9, "two-step", True, {2, 4, 6, 7, 8, 9, 10}, {2, 4, 6, 7, 8, 9, 10}, 216, 508, False),
+        ("0000110101", 10, "one-step", True, {1, 2, 5, 6, 8, 9, 10}, None, 600, 1515, False),
+        ("0000110101", 10, "two-step", True, {1, 2, 5, 6, 8, 9, 10}, {1, 2, 5, 6, 8, 9, 10}, 160, 361, False),
+        ("1110111111", 2, "one-step", True, {2, 7, 8, 9, 10}, None, 600, 1518, True),
+        ("1110111111", 2, "two-step", True, {2, 7, 8, 9, 10}, {2, 7, 8, 9, 10}, 220, 520, True),
+        ("0001110111", 2, "one-step", False, None, None, 600, 1518, True),
+        ("0001110111", 2, "two-step", False, None, None, 220, 520, True),
+        ("1100111100", 8, "one-step", True, {1, 2, 6, 7, 8, 10}, None, 600, 1519, True),
+        ("1100111100", 8, "two-step", True, {1, 2, 6, 7, 8, 10}, {1, 2, 6, 7, 8, 10}, 227, 534, True),
     ],
 }
 

@@ -16,7 +16,7 @@ from fmpsat.errors import (
     SolverSpawnError,
     SolverTimeout,
 )
-from fmpsat.sat import solve, solve_external
+from fmpsat.sat import kernel, solve, solve_external
 from fmpsat.sat.kernel import model_satisfies
 
 from oracles import dpll_sat, exhaustive_sat
@@ -131,6 +131,18 @@ def test_time_limit_holds_during_search():
         solve(cnf, time_limit_s=0.5)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.5, f"a 0.5 s limit ended the search after {elapsed:.2f} s"
+
+
+def test_passed_deadline_ends_search_during_clause_packing():
+    n = 60_000
+    clauses = [[v, -(v % n + 1), (7 * v) % n + 1] for v in range(1, n + 1)] * 4
+    started = time.perf_counter()
+    kernel.clean_clauses(n, clauses)
+    full_pass = time.perf_counter() - started
+    started = time.perf_counter()
+    assert kernel.search(n, clauses, deadline=time.time() - 1.0) == (kernel.UNKNOWN, None)
+    elapsed = time.perf_counter() - started
+    assert elapsed < full_pass / 10, (elapsed, full_pass)
 
 
 # ------------------------------------------------------- external adapter
