@@ -8,33 +8,42 @@ to minimal explanations containing the target; the two-step form keeps
 only replicas 0 and t, and its models are weak explanations from which
 a witness is extracted afterwards by deletion.
 
-Replica k ≥ 1 differs from replica 0 only where feature k is freed:
-below a 0-labelled edge out of a feature-k node of an explanation
-graph, or above a literal on k that the instance falsifies in an SDD.
-Every other node, and every SDD element whose prime and sub are both
-shared, keeps replica 0's indicator, and replica k emits no clauses
-for it.
+Each query is first lowered to one circuit of OR gates over AND terms
+whose operands are other gates and guards -s_i ("feature i is not
+selected"): an explanation graph's nodes and the OR of its 0-terminals,
+or an SDD's nodes with its root as the output. Replica k reads the
+guard -s_k as TRUE; replica 0 keeps the output FALSE, and replica k
+ties it to s_k. Constants fold away, and a gate that reduces to one
+literal is that literal, with no variable. A term's literals enter its
+gate's clauses directly unless a variable of its own takes fewer
+clauses. Replica k ≥ 1 re-evaluates only the gates with an operand it
+changed, and inside them keeps replica 0's value for each term whose
+operands are unchanged.
 
 Variable numbering is fixed for byte-stable output: the selector block
 comes first (variables 1..m), then one block per replica in ascending
-order, then auxiliary variables in emission order. Replica 0's block
-holds every node; replica k's holds only the nodes it re-defines. In
-each block come node indicators in node order, then per-element
-indicators for SDDs, or the evaluation indicator for explanation
-graphs.
+order. A block follows the circuit's evaluation order, operands before
+the gates that read them, and gives each gate's term variables
+(``e_k_j_i``, longest term first) before the gate's own (``n_k_j``).
+
+Each encoder takes an optional ``deadline``, a ``time.time()`` value,
+and raises ``SolverTimeout`` if it has passed before a replica.
 """
 
 from __future__ import annotations
 
 import heapq
+import time
+from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product as product_of
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EncodingError
+from .errors import EncodingError, SolverTimeout
 from .explain import Instance
-from .sdd import Sdd, SddDecision, SddFalse, SddLiteral, SddTrue, evaluate
-from .xpg import XpGraph, XpgTerminal
+from .sdd import Sdd, SddDecision, SddLiteral, SddTrue, evaluate
+from .xpg import XpGraph
 
 __all__ = [
     "CnfFormula",
@@ -76,15 +85,17 @@ class CnfFormula:
 
 
 class VarMap:
-    """The role of each CNF variable of one encoding."""
+    """The role of each CNF variable of one encoding, and each replica's output."""
 
     def __init__(self, num_features: int):
         self.num_features = num_features
         self._sel: list[int] = []
-        self._node: dict[tuple[int, int], int] = {}
-        self._elem: dict[tuple[int, int, int], int] = {}
-        self._sigma: dict[int, int] = {}
-        self._aux: list[int] = []
+        # var, replica, gate and term index (-1 for the gate itself) of
+        # each gate or term variable, in allocation order; one flat array
+        # holds a one-step encoding's 100k+ roles in a few MB
+        self._roles = array("i")
+        # replica -> its output's value: a literal, or "T"/"F" when constant
+        self.outputs: dict[int, int | str] = {}
 
     def allocate_selectors(self, cnf: CnfFormula) -> None:
         for i in range(1, self.num_features + 1):
@@ -94,50 +105,25 @@ class VarMap:
     def sel(self, i: int) -> int:
         return self._sel[i - 1]
 
-    def add_node(self, cnf: CnfFormula, replica: int, node: int) -> int:
+    def allocate(self, cnf: CnfFormula, replica: int, gate: int, term: int = -1) -> int:
+        """A fresh variable for the gate (``n_k_j``), or for one of its
+        terms (``e_k_j_i``), in the replica."""
         var = cnf.new_var()
-        self._node[(replica, node)] = var
-        return var
-
-    def node(self, replica: int, node: int) -> int:
-        """The node's indicator in the replica, replica 0's unless the replica re-defines it."""
-        return self._node.get((replica, node)) or self._node[(0, node)]
-
-    def add_element(self, cnf: CnfFormula, replica: int, node: int, index: int) -> int:
-        var = cnf.new_var()
-        self._elem[(replica, node, index)] = var
-        return var
-
-    def element(self, replica: int, node: int, index: int) -> int:
-        """The element's indicator in the replica, replica 0's unless the replica re-defines it."""
-        return self._elem.get((replica, node, index)) or self._elem[(0, node, index)]
-
-    def add_sigma(self, cnf: CnfFormula, replica: int) -> int:
-        var = cnf.new_var()
-        self._sigma[replica] = var
-        return var
-
-    def sigma(self, replica: int) -> int:
-        return self._sigma[replica]
-
-    def add_aux(self, cnf: CnfFormula) -> int:
-        var = cnf.new_var()
-        self._aux.append(var)
+        self._roles.extend((var, replica, gate, term))
         return var
 
     def legend(self, num_vars: int) -> Iterator[str]:
         """One ``c map <var> <name>`` line per variable 1..num_vars, in order.
 
-        Each role map holds its variables in allocation order, so a merge
-        of the maps yields the lines one at a time. A variable made by
+        Selectors and roles are each held in allocation order, so a merge
+        yields the lines one at a time. A variable made by
         ``cnf.new_var()`` outside this map is named ``v<var>``.
         """
+        roles = iter(self._roles)  # read four entries at a time
         named = heapq.merge(
             ((var, f"c map {var} s_{i}\n") for i, var in enumerate(self._sel, start=1)),
-            ((var, f"c map {var} n_{k}_{j}\n") for (k, j), var in self._node.items()),
-            ((var, f"c map {var} e_{k}_{j}_{i}\n") for (k, j, i), var in self._elem.items()),
-            ((var, f"c map {var} sigma_{k}\n") for k, var in self._sigma.items()),
-            ((var, f"c map {var} aux_{i}\n") for i, var in enumerate(self._aux, start=1)),
+            ((var, f"c map {var} n_{k}_{j}\n" if i < 0 else f"c map {var} e_{k}_{j}_{i}\n")
+             for var, k, j, i in zip(roles, roles, roles, roles)),
         )
         unnamed = 1  # the first variable not yet listed
         for var, line in named:
@@ -164,117 +150,45 @@ def clausify_eq_or(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
     lits = list(literals)
     if not lits:
         raise EncodingError("equivalence with an empty disjunction")
-    cnf.add([-var] + lits)
+    add = cnf.clauses.append
+    add([-var] + lits)
     for lit in lits:
-        cnf.add([var, -lit])
+        add([var, -lit])
 
 
 def clausify_eq_and(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
     """var <-> (l1 and ... and ln), both directions."""
-    lits = list(literals)
-    if not lits:
+    if not literals:
         raise EncodingError("equivalence with an empty conjunction")
-    for lit in lits:
-        cnf.add([-var, lit])
-    cnf.add([var] + [-lit for lit in lits])
+    add = cnf.clauses.append
+    for lit in literals:
+        add([-var, lit])
+    add([var] + [-lit for lit in literals])
 
 
 # --------------------------------------------------------------------------
-# SDD encoding
+# lowering: one circuit per query
 # --------------------------------------------------------------------------
+#
+# A circuit is a list of gates. A gate is the OR of its terms, and a term
+# is the AND of its operands: operand o >= 0 is gate o, and o = -i is the
+# guard "feature i is not selected", -s_i. An empty term is TRUE and a
+# gate without terms is FALSE. The order lists gates with their operands
+# first and ends with the output.
 
 def _check_target(num_features: int, target: int) -> None:
     if not 1 <= target <= num_features:
         raise EncodingError(f"target feature {target} outside 1..{num_features}")
 
 
-def _sdd_box_value(sdd: Sdd, vm: VarMap, values, replica: int, node_id: int):
-    """What a prime or sub box contributes to its element's conjunction.
+def _lower_sdd(sdd: Sdd, instance: Instance):
+    """Gate j: node j stays consistent with the selected features fixed.
 
-    Constant boxes simplify away; a literal box resolves against the
-    instance (a literal on the replica's own feature always passes);
-    a decision box contributes its indicator variable.
+    A decision node is the OR of its (prime AND sub) elements, a literal
+    the instance satisfies is TRUE and one it falsifies is -s_var. The
+    output is the root.
     """
-    node = sdd.nodes[node_id]
-    if isinstance(node, SddFalse):
-        return _FALSE
-    if isinstance(node, SddTrue):
-        return _TRUE
-    if isinstance(node, SddLiteral):
-        satisfied = bool(values[node.var - 1]) == node.positive
-        if satisfied or node.var == replica:
-            return _TRUE
-        return -vm.sel(node.var)
-    return vm.node(replica, node_id)
-
-
-def _sdd_redefined(sdd: Sdd, values: Sequence[int], replica: int) -> list[bool]:
-    """Which nodes the replica defines differently from replica 0.
-
-    A literal on the replica's feature that the instance falsifies
-    passes in the replica only; a decision node changes with any of its
-    primes or subs. Node ids list children before their parents.
-    """
-    if replica == 0:
-        return [True] * len(sdd.nodes)
-    falsified = SddLiteral(replica, not values[replica - 1])
-    changed: list[bool] = []
-    for node in sdd.nodes:
-        if isinstance(node, SddDecision):
-            changed.append(any(changed[p] or changed[s] for p, s in node.elements))
-        else:
-            changed.append(node == falsified)
-    return changed
-
-
-def _emit_sdd_replica(
-    cnf: CnfFormula, vm: VarMap, sdd: Sdd, values: Sequence[int], replica: int,
-    own: list[bool],
-) -> None:
-    """Clauses for the nodes the replica re-defines (``own``); an element
-    whose prime and sub are both shared is shared too."""
-    for j, node in enumerate(sdd.nodes):
-        if not own[j] or isinstance(node, (SddFalse, SddTrue)):
-            continue  # shared, or allocated but constant and folded into parents
-        if isinstance(node, SddLiteral):
-            n = vm.node(replica, j)
-            box = _sdd_box_value(sdd, vm, values, replica, j)
-            if box == _TRUE:
-                cnf.add([n])
-            else:
-                clausify_eq_or(cnf, n, [box])
-            continue
-        # decision node: one indicator per element, then the disjunction
-        surviving: list[int] = []
-        for idx, (prime, sub) in enumerate(node.elements):
-            e = vm.element(replica, j, idx)
-            ops = [
-                _sdd_box_value(sdd, vm, values, replica, prime),
-                _sdd_box_value(sdd, vm, values, replica, sub),
-            ]
-            if not (own[prime] or own[sub]):
-                if _FALSE not in ops:
-                    surviving.append(e)  # replica 0's element, defined there
-                continue
-            if _FALSE in ops:
-                cnf.add([-e])  # dead element, dropped from the disjunction
-                continue
-            lits = [op for op in ops if op != _TRUE]
-            if not lits:
-                cnf.add([e])
-            else:
-                clausify_eq_and(cnf, e, lits)
-            surviving.append(e)
-        n = vm.node(replica, j)
-        if surviving:
-            clausify_eq_or(cnf, n, surviving)
-        else:
-            cnf.add([-n])
-
-
-def _encode_sdd(sdd: Sdd, instance: Instance, target: int, replicas: Sequence[int]):
     m = sdd.num_features
-    _check_target(m, target)
     if len(instance.values) != m:
         raise EncodingError(
             f"instance has {len(instance.values)} values, classifier has {m} features"
@@ -287,144 +201,210 @@ def _encode_sdd(sdd: Sdd, instance: Instance, target: int, replicas: Sequence[in
         )
     if evaluate(sdd, instance.values):
         raise EncodingError("instance declares class 0 but the diagram evaluates to 1")
+    gates: list[Sequence[tuple[int, ...]]] = []
+    for node in sdd.nodes:
+        if isinstance(node, SddDecision):
+            gates.append(node.elements)
+        elif isinstance(node, SddLiteral):
+            satisfied = bool(instance.values[node.var - 1]) == node.positive
+            gates.append([()] if satisfied else [(-node.var,)])
+        else:
+            gates.append([()] if isinstance(node, SddTrue) else [])
+    return gates, list(range(sdd.root + 1))
 
+
+def _lower_xpg(xpg: XpGraph):
+    """Gate j: node j is reached from the root with the selected features fixed.
+
+    Gate j is the OR over its in-edges (p, label) of gate p, ANDed with
+    -s_var(p) when the label is 0; the root is TRUE. The output, one
+    gate past the nodes, is the OR of the 0-terminals.
+    """
+    zeros = xpg.zero_terminals()
+    if not zeros:
+        raise EncodingError("graph has no 0-labeled terminal: the classifier is constant")
+    nodes = xpg.nodes
+    gates = [
+        [()] if j == xpg.root
+        else [(p,) if label else (p, -nodes[p].var) for p, label in xpg.in_edges(j)]
+        for j in range(len(nodes))
+    ]
+    gates.append([(z,) for z in zeros])
+    return gates, xpg._topo + [len(nodes)]
+
+
+# --------------------------------------------------------------------------
+# encoding: replicas of the circuit
+# --------------------------------------------------------------------------
+
+def _cone(gates, order: list[int], num_features: int):
+    """The gates of ``order`` that its last gate, the output, depends on,
+    and for each operand the positions in that list of the gates reading it."""
+    # indexed like a replica's values, so a guard -i marks an entry past the gates
+    needed = bytearray(len(gates) + num_features)
+    needed[order[-1]] = 1
+    for j in reversed(order):
+        if needed[j]:
+            for term in gates[j]:
+                for o in term:
+                    needed[o] = 1
+    cone = [j for j in order if needed[j]]
+    readers: list[list[int]] = [[] for _ in needed]
+    for p, j in enumerate(cone):
+        for term in gates[j]:
+            for o in term:
+                readers[o].append(p)
+    return cone, readers
+
+
+def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, term_values=None):
+    """The value of the gate whose terms have these operand values.
+
+    A term with a FALSE operand is dropped and TRUE operands vanish; a
+    term left empty makes the gate TRUE, and a gate with no term left is
+    FALSE. A gate that reduces to one literal is that literal. Any other
+    gate gets a variable n and the clauses of n <-> OR of its terms:
+    one clause (term -> n) per term, and for n -> OR the product of the
+    terms, one clause per choice of one literal from each. A term gets
+    a variable of its own (its length plus one clauses) only where that
+    costs less than the factor its length adds to the product.
+    ``term_values``, if given, receives each kept term's literals.
+    """
+    live = []
+    for i, ops in enumerate(terms):
+        if _FALSE in ops:
+            continue
+        if _TRUE in ops:
+            ops = [op for op in ops if op != _TRUE]
+        if not ops:
+            return _TRUE
+        live.append((i, ops))
+    if not live:
+        return _FALSE
+    if len(live) == 1 and len(live[0][1]) == 1:
+        i, (lit,) = live[0]
+        if term_values is not None:
+            term_values[i] = [lit]
+        return lit
+    lits = [ops for _, ops in live]
+    sizes = [len(ops) for ops in lits]
+    product = prod(sizes)
+    while product > 1:
+        size = max(sizes)
+        if product - product // size <= size + 1:
+            break
+        p = sizes.index(size)
+        product //= size
+        sizes[p] = 1
+        e = vm.allocate(cnf, replica, gate, live[p][0])
+        clausify_eq_and(cnf, e, lits[p])
+        lits[p] = [e]
+    n = vm.allocate(cnf, replica, gate)
+    add = cnf.clauses.append
+    for choice in product_of(*lits):
+        add([-n, *choice])
+    for (i, _), ops in zip(live, lits):
+        add([n] + [-lit for lit in ops])
+        if term_values is not None:
+            term_values[i] = ops
+    return n
+
+
+def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term0) -> None:
+    """Evaluate the replica's gates into ``val``.
+
+    Replica 0 evaluates every gate of the cone and keeps each term's
+    literals in ``term0``: its own variable, or the literals it ANDs.
+    Replica k starts from replica 0's values with the guard -s_k made
+    TRUE, and re-evaluates only the gates with an operand it changed; in
+    them, a term whose operands are all unchanged keeps replica 0's
+    value. A gate that is constant in replica 0 is the same constant in
+    every replica, since freeing a feature only turns guards TRUE.
+    """
+    changed = bytearray(len(val))
+    todo = bytearray(len(cone))  # the positions in the cone to evaluate
+    if replica:
+        val[-replica] = _TRUE
+        changed[-replica] = 1
+        for p in readers[-replica]:
+            todo[p] = 1
+    else:
+        todo[:] = b"\1" * len(cone)
+    is_changed = changed.__getitem__
+    p = todo.find(1)
+    while p >= 0:
+        j = cone[p]
+        old = val[j]  # None before replica 0 sets it
+        if old != _TRUE and old != _FALSE:
+            terms = gates[j]
+            if replica:
+                kept = term0[j]
+                ops = [[val[o] for o in term] if any(map(is_changed, term)) else kept[i]
+                       for i, term in enumerate(terms)]
+                value = _fold(cnf, vm, replica, j, ops)
+            else:
+                term0[j] = [[_FALSE]] * len(terms)
+                value = _fold(cnf, vm, 0, j, [[val[o] for o in term] for term in terms], term0[j])
+            if value != old:
+                val[j] = value
+                changed[j] = 1
+                for q in readers[j]:
+                    todo[q] = 1
+        p = todo.find(1, p + 1)
+
+
+def _encode(gates, order, m: int, target: int, replicas: Iterable[int], deadline):
+    """Replica 0 keeps the output FALSE; replica k ties it to s_k."""
+    _check_target(m, target)
+    cone, readers = _cone(gates, order, m)
     cnf = CnfFormula()
     vm = VarMap(m)
     vm.allocate_selectors(cnf)
-    own = {k: _sdd_redefined(sdd, instance.values, k) for k in replicas}
+    # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
+    base = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]
+    term0: dict[int, list] = {}
     for k in replicas:
-        changed = own[k]
-        for j in range(len(sdd.nodes)):
-            if changed[j]:
-                vm.add_node(cnf, k, j)
-        for j, node in enumerate(sdd.nodes):
-            if changed[j] and isinstance(node, SddDecision):
-                for idx, (prime, sub) in enumerate(node.elements):
-                    if changed[prime] or changed[sub]:
-                        vm.add_element(cnf, k, j, idx)
-    for k in replicas:
-        _emit_sdd_replica(cnf, vm, sdd, instance.values, k, own[k])
+        if deadline is not None and time.time() > deadline:
+            raise SolverTimeout(f"encoding exceeded its time limit before replica {k}")
+        val = base.copy() if k else base
+        _emit_replica(cnf, vm, gates, cone, readers, k, val, term0)
+        output = vm.outputs[k] = val[cone[-1]]
         if k == 0:
-            cnf.add([-vm.node(0, sdd.root)])  # fixing the selection keeps class 0
+            # fixing the selection keeps the class; the input checks rule
+            # out a TRUE output (the instance's own class)
+            if output != _FALSE:
+                cnf.add([-output])
             cnf.add([vm.sel(target)])
+        elif output in (_TRUE, _FALSE):
+            s = vm.sel(k)
+            cnf.add([s if output == _TRUE else -s])
         else:
             # a selected feature must be necessary: freeing it flips the class
-            s, n = vm.sel(k), vm.node(k, sdd.root)
-            cnf.add([-s, n])
-            cnf.add([s, -n])
+            clausify_eq_or(cnf, vm.sel(k), [output])
     return cnf, vm
 
 
-def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int):
+def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=None):
     """Replicas 0..m; every model decodes to an AXp containing the target."""
-    return _encode_sdd(sdd, instance, target, range(sdd.num_features + 1))
+    m = sdd.num_features
+    return _encode(*_lower_sdd(sdd, instance), m, target, range(m + 1), deadline)
 
 
-def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int):
+def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=None):
     """Replicas 0 and t; models are weak AXps whose every contained AXp
     includes the target."""
-    return _encode_sdd(sdd, instance, target, (0, target))
+    return _encode(*_lower_sdd(sdd, instance), sdd.num_features, target, (0, target), deadline)
 
 
-# --------------------------------------------------------------------------
-# explanation graph encoding
-# --------------------------------------------------------------------------
-
-def _xpg_redefined(xpg: XpGraph, replica: int) -> list[int]:
-    """The nodes the replica defines differently from replica 0, in node order.
-
-    A 0-labelled edge out of a node on the replica's feature passes in
-    the replica only: the nodes below such an edge change, and so do
-    the nodes below a changed node. Agreeing terminals are never encoded.
-    """
-    nodes, in_edges = xpg.nodes, xpg._in_edges
-    if replica == 0:
-        changed = [True] * len(nodes)
-    else:
-        changed = [False] * len(nodes)
-        for j in xpg._topo:
-            for p, label in in_edges[j]:
-                if changed[p] or (label == 0 and nodes[p].var == replica):
-                    changed[j] = True
-                    break
-    return [
-        j for j, node in enumerate(nodes)
-        if changed[j] and not (isinstance(node, XpgTerminal) and node.label == 1)
-    ]
-
-
-def _emit_xpg_replica(
-    cnf: CnfFormula, vm: VarMap, xpg: XpGraph, replica: int, own: list[int]
-) -> None:
-    """Clauses for the nodes the replica re-defines (``own``) and its evaluation."""
-    for j in own:
-        n = vm.node(replica, j)
-        if j == xpg.root:
-            cnf.add([n])
-            continue
-        operands: list[tuple[int, int | None]] = []
-        for parent, label in xpg.in_edges(j):
-            p = vm.node(replica, parent)
-            feat = xpg.nodes[parent].var
-            if label == 1 or feat == replica:
-                operands.append((p, None))  # edge passes unconditionally
-            else:
-                operands.append((p, -vm.sel(feat)))
-        if len(operands) == 1:
-            p, guard = operands[0]
-            if guard is None:
-                clausify_eq_or(cnf, n, [p])
-            else:
-                clausify_eq_and(cnf, n, [p, guard])
-        else:
-            lits: list[int] = []
-            for p, guard in operands:
-                if guard is None:
-                    lits.append(p)
-                else:
-                    a = vm.add_aux(cnf)
-                    clausify_eq_and(cnf, a, [p, guard])
-                    lits.append(a)
-            clausify_eq_or(cnf, n, lits)
-    zeros = xpg.zero_terminals()
-    clausify_eq_and(cnf, vm.sigma(replica), [-vm.node(replica, z) for z in zeros])
-
-
-def _encode_xpg(xpg: XpGraph, target: int, replicas: Sequence[int]):
-    m = xpg.num_features
-    _check_target(m, target)
-    if not xpg.zero_terminals():
-        raise EncodingError("graph has no 0-labeled terminal: the classifier is constant")
-
-    cnf = CnfFormula()
-    vm = VarMap(m)
-    vm.allocate_selectors(cnf)
-    own = {k: _xpg_redefined(xpg, k) for k in replicas}
-    for k in replicas:
-        for j in own[k]:
-            vm.add_node(cnf, k, j)
-        vm.add_sigma(cnf, k)
-    for k in replicas:
-        _emit_xpg_replica(cnf, vm, xpg, k, own[k])
-        if k == 0:
-            cnf.add([vm.sigma(0)])  # the selection is a weak explanation
-            cnf.add([vm.sel(target)])
-        else:
-            # selected <-> freeing the feature breaks the explanation
-            s, sig = vm.sel(k), vm.sigma(k)
-            cnf.add([-s, -sig])
-            cnf.add([s, sig])
-    return cnf, vm
-
-
-def encode_xpg_onestep(xpg: XpGraph, target: int):
+def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=None):
     """Replicas 0..m over the graph's activation semantics."""
-    return _encode_xpg(xpg, target, range(xpg.num_features + 1))
+    m = xpg.num_features
+    return _encode(*_lower_xpg(xpg), m, target, range(m + 1), deadline)
 
 
-def encode_xpg_twostep(xpg: XpGraph, target: int):
+def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=None):
     """Replicas 0 and t only."""
-    return _encode_xpg(xpg, target, (0, target))
+    return _encode(*_lower_xpg(xpg), xpg.num_features, target, (0, target), deadline)
 
 
 # --------------------------------------------------------------------------

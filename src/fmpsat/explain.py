@@ -253,32 +253,30 @@ def is_weak_cxp(clf, instance: Instance | None, features: Iterable[int]) -> bool
     return not clf.is_weak_axp(instance, _all_features(clf) - fs)
 
 
-def find_axp(clf, instance: Instance | None, seed: Iterable[int]) -> frozenset[int]:
-    """Shrink a weak AXp to a subset-minimal one by deletion.
+def _shrink(clf, seed: Iterable[int], holds, kind: str) -> frozenset[int]:
+    """Drop features from the seed while ``holds`` stays true.
 
     Features are examined in ascending index order and dropped
     greedily, so the result is deterministic.
     """
     current = sorted(_check_features(clf, seed))
-    if not clf.is_weak_axp(instance, frozenset(current)):
-        raise ClassifierError("seed is not a weak abductive explanation")
+    if not holds(frozenset(current)):
+        raise ClassifierError(f"seed is not a weak {kind} explanation")
     for i in list(current):
         candidate = [j for j in current if j != i]
-        if clf.is_weak_axp(instance, frozenset(candidate)):
+        if holds(frozenset(candidate)):
             current = candidate
     return frozenset(current)
+
+
+def find_axp(clf, instance: Instance | None, seed: Iterable[int]) -> frozenset[int]:
+    """Shrink a weak AXp to a subset-minimal one by deletion."""
+    return _shrink(clf, seed, lambda fs: clf.is_weak_axp(instance, fs), "abductive")
 
 
 def find_cxp(clf, instance: Instance | None, seed: Iterable[int]) -> frozenset[int]:
-    """Shrink a weak CXp by the same ascending deletion scan."""
-    current = sorted(_check_features(clf, seed))
-    if not is_weak_cxp(clf, instance, frozenset(current)):
-        raise ClassifierError("seed is not a weak contrastive explanation")
-    for i in list(current):
-        candidate = [j for j in current if j != i]
-        if is_weak_cxp(clf, instance, frozenset(candidate)):
-            current = candidate
-    return frozenset(current)
+    """Shrink a weak CXp to a subset-minimal one by the same deletion scan."""
+    return _shrink(clf, seed, lambda fs: is_weak_cxp(clf, instance, fs), "contrastive")
 
 
 # --------------------------------------------------------------------------

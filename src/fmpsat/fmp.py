@@ -59,8 +59,12 @@ class FmpOutcome:
         return "Yes" if self.membership else "No"
 
 
-def build_encoding(query: FmpQuery):
-    """Produce (cnf, varmap, pre_negated) for the query's route."""
+def build_encoding(query: FmpQuery, deadline: float | None = None):
+    """Produce (cnf, varmap, pre_negated) for the query's route.
+
+    The encoder raises ``SolverTimeout`` if the deadline (a
+    ``time.time()`` value) passes before one of its replicas.
+    """
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
         raise ClassifierError(f"unknown method {query.method!r}")
@@ -78,7 +82,7 @@ def build_encoding(query: FmpQuery):
         diagram = clf.diagram_for(instance)
         inst = Instance(instance.values, 0)
         encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
-        cnf, vm = encoder(diagram, inst, t)
+        cnf, vm = encoder(diagram, inst, t, deadline=deadline)
         return cnf, vm, pre_negated
     if isinstance(clf, (ObddClassifier, DtClassifier)):
         if instance is None:
@@ -89,7 +93,7 @@ def build_encoding(query: FmpQuery):
     else:
         raise ClassifierError(f"unsupported classifier type {type(clf).__name__}")
     encoder = enc.encode_xpg_onestep if one_step else enc.encode_xpg_twostep
-    cnf, vm = encoder(graph, t)
+    cnf, vm = encoder(graph, t, deadline=deadline)
     return cnf, vm, False
 
 
@@ -104,12 +108,13 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     """
     clf, instance, t = query.classifier, query.instance, query.target
     started = time.perf_counter()
-    cnf, vm, pre_negated = build_encoding(query)
+    deadline = None if query.time_limit_s is None else time.time() + query.time_limit_s
+    cnf, vm, pre_negated = build_encoding(query, deadline)
     encode_s = time.perf_counter() - started
 
     remaining = None
-    if query.time_limit_s is not None:
-        remaining = query.time_limit_s - encode_s
+    if deadline is not None:
+        remaining = deadline - time.time()
         if remaining <= 0:
             raise SolverTimeout(f"encoding exceeded the {query.time_limit_s} s limit")
     solve_started = time.perf_counter()

@@ -69,8 +69,8 @@ def solve(
     Assumptions are added as unit clauses; a model covers every
     variable. Raises SolverTimeout when the limit elapses.
     """
-    _check_literals(cnf, assumptions)
     deadline = None if time_limit_s is None else time.time() + time_limit_s
+    _check_literals(cnf, assumptions)
     status, raw = kernel.search(cnf.num_vars, cnf.clauses, assumptions, deadline)
     if status == kernel.UNSAT:
         return SatResult(False)

@@ -5,11 +5,13 @@ import re
 import tracemalloc
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fmpsat as F
+from fmpsat import encode as enc
 from fmpsat import sdd as sdd_mod
 from fmpsat.encode import (
     DIMACS_BLOCK_LINES,
@@ -23,7 +25,7 @@ from fmpsat.encode import (
     iter_dimacs,
     write_dimacs,
 )
-from fmpsat.errors import EncodingError
+from fmpsat.errors import EncodingError, SolverTimeout
 from fmpsat.explain import Instance
 from fmpsat.batch import generate_random_obdd, obdd_to_shannon_sdd, random_instance
 from fmpsat.sat import solve
@@ -76,7 +78,7 @@ def test_dimacs_golden_file(ella_xpg):
 
 
 def test_dimacs_golden_negated_sdd(ella_sdd_clf):
-    # class 1 goes through the negated diagram; the legend names n_ and e_ variables
+    # class 1 goes through the negated diagram; the legend names n_ variables
     query = F.FmpQuery(ella_sdd_clf, Instance((1, 0, 1, 1), 1), 3, method="two-step")
     cnf, vm, pre_negated = F.build_encoding(query)
     assert pre_negated
@@ -99,9 +101,8 @@ def test_streamed_dimacs_matches_line_by_line_text(multiblock_encoding, tmp_path
     # the text built line by line, with no blocks to get wrong
     lines = [f"c map {var} {name}" for var, name in (
         [(v, f"s_{i}") for i, v in enumerate(vm._sel, start=1)]
-        + [(v, f"n_{k}_{j}") for (k, j), v in vm._node.items()]
-        + [(v, f"sigma_{k}") for k, v in vm._sigma.items()]
-        + [(v, f"aux_{i}") for i, v in enumerate(vm._aux, start=1)]
+        + [(v, f"n_{k}_{j}" if i < 0 else f"e_{k}_{j}_{i}")
+           for v, k, j, i in zip(*[iter(vm._roles)] * 4)]
     )]
     assert len(lines) == cnf.num_vars
     lines.sort(key=lambda line: int(line.split()[2]))
@@ -137,11 +138,11 @@ def test_dimacs_legend_names_variables_outside_the_varmap():
     vm = F.VarMap(1)
     vm.allocate_selectors(cnf)
     cnf.new_var()
-    vm.add_aux(cnf)
+    vm.allocate(cnf, 0, 7)
     cnf.new_var()
     cnf.add([1, 2, -3, 4])
     assert write_dimacs(cnf, vm) == (
-        "c map 1 s_1\nc map 2 v2\nc map 3 aux_1\nc map 4 v4\np cnf 4 1\n1 2 -3 4 0\n"
+        "c map 1 s_1\nc map 2 v2\nc map 3 n_0_7\nc map 4 v4\np cnf 4 1\n1 2 -3 4 0\n"
     )
 
 
@@ -155,6 +156,34 @@ def test_sdd_target_is_checked_before_negation(ella_sdd, monkeypatch):
     query = F.FmpQuery(clf, Instance((1, 0, 1, 1), 1), 9, method="two-step")
     with pytest.raises(EncodingError, match="target feature 9 outside 1..4"):
         F.build_encoding(query)
+
+
+def test_deadline_is_read_before_each_replica(ella_xpg, ella_sdd, ella_instance, monkeypatch):
+    emitted = []
+    now = [0.0]
+    emit = enc._emit_replica
+
+    def spy(cnf, vm, gates, cone, readers, replica, *rest):
+        emitted.append(replica)
+        now[0] = 2.0  # the clock passes the deadline while the replica is emitted
+        return emit(cnf, vm, gates, cone, readers, replica, *rest)
+
+    monkeypatch.setattr(enc, "_emit_replica", spy)
+    monkeypatch.setattr(enc, "time", SimpleNamespace(time=lambda: now[0]))
+    for encode in (
+        lambda: encode_xpg_onestep(ella_xpg, 3, deadline=1.0),
+        lambda: encode_sdd_twostep(ella_sdd, ella_instance, 3, deadline=1.0),
+    ):
+        emitted.clear()
+        now[0] = 0.0
+        with pytest.raises(SolverTimeout, match="time limit before replica [13]$"):
+            encode()
+        assert emitted == [0]
+        # a deadline that has passed already stops the encoder before replica 0
+        emitted.clear()
+        with pytest.raises(SolverTimeout, match="time limit before replica 0$"):
+            encode()
+        assert emitted == []
 
 
 def test_encoders_emit_only_named_variables_in_range():
@@ -199,25 +228,41 @@ def test_dimacs_deterministic(ella_xpg, ella_sdd):
 
 # ------------------------------------------- running example, SDD encoding
 
+def _tied(clauses, s, value):
+    """Whether the clauses state s <-> value, a literal or a folded constant."""
+    if value in ("T", "F"):
+        return ((s if value == "T" else -s),) in clauses
+    return tuple(sorted((-s, value))) in clauses and tuple(sorted((s, -value))) in clauses
+
+
+def _legend(cnf, vm):
+    """name -> variable, from the DIMACS legend."""
+    return {fields[3]: int(fields[2]) for fields in map(str.split, write_dimacs(cnf, vm).splitlines())
+            if fields[:2] == ["c", "map"]}
+
+
 def test_sdd_onestep_worked_example_groups(ella_sdd, ella_instance):
     cnf, vm = encode_sdd_onestep(ella_sdd, ella_instance, 3)
     clauses = {tuple(sorted(c)) for c in map(tuple, cnf.clauses)}
-    root = ella_sdd.root  # arena node 12, the top decision node
-    # replica 0 asserts the prediction stays rejected and pins the target
-    assert (-vm.node(0, root),) in clauses
+    names = _legend(cnf, vm)
+    # the root, arena node 12, is the output; replica 0 asserts the
+    # prediction stays rejected and pins the target
+    assert vm.outputs[0] == names["n_0_12"]
+    assert (-vm.outputs[0],) in clauses
     assert (vm.sel(3),) in clauses
-    # replica 1 frees feature P, so the (P, Y) element of the P-and-Y
-    # decision node becomes unconditionally consistent
-    assert (vm.element(1, 9, 0),) in clauses
-    # in replica 0 the same element reduces to "P not selected"
-    e = vm.element(0, 9, 0)
-    assert (-e, -vm.sel(1)) in clauses or (-vm.sel(1), -e) in clauses
-    assert tuple(sorted((e, vm.sel(1)))) in clauses
-    # every selected feature is tied to its replica root
+    # node 9 has the elements (P, Y) and (not P, FALSE); the instance
+    # falsifies P and satisfies Y, so in replica 0 the node reduces to
+    # "P not selected" and gets no variable: -s_1 stands for it in the
+    # root's disjunction, beside node 10 (its one live element, P and
+    # not Y, both falsified: -s_1 AND -s_2) and node 11's -s_3
+    assert not [name for name in names if name == "n_0_9" or name.startswith("e_0_9_")]
+    root0 = (-names["n_0_12"], -vm.sel(1), names["n_0_10"], -vm.sel(3))
+    assert tuple(sorted(root0)) in clauses
+    # replica 1 frees P, which makes node 9, and with it the root, TRUE
+    assert vm.outputs[1] == "T"
+    # every selected feature is tied to its replica's output
     for i in range(1, 5):
-        s, n = vm.sel(i), vm.node(i, root)
-        assert tuple(sorted((-s, n))) in clauses
-        assert tuple(sorted((s, -n))) in clauses
+        assert _tied(clauses, vm.sel(i), vm.outputs[i])
 
 
 def test_sdd_onestep_solves_to_pm(ella_sdd, ella_instance):
@@ -276,28 +321,28 @@ def test_sdd_encoding_rejects_wrong_evaluation(ella_sdd):
 def test_xpg_onestep_worked_example_groups(ella_xpg):
     cnf, vm = encode_xpg_onestep(ella_xpg, 3)
     clauses = {tuple(sorted(c)) for c in map(tuple, cnf.clauses)}
-    # group 0 asserts the evaluation stays 1 and pins the target
-    assert (vm.sigma(0),) in clauses
+    names = _legend(cnf, vm)
+    # the output is "some 0-terminal is reached"; replica 0 asserts it is
+    # not and pins the target
+    assert (-vm.outputs[0],) in clauses
     assert (vm.sel(3),) in clauses
-    # every replica activates its root
-    for k in range(5):
-        assert (vm.node(k, ella_xpg.root),) in clauses
-    # group 3 ties the selector to its replica's evaluation
-    s, sig = vm.sel(3), vm.sigma(3)
-    assert tuple(sorted((-s, -sig))) in clauses
-    assert tuple(sorted((s, sig))) in clauses
-    # in replica 3 the 0-labeled edge out of the M node passes
-    # unconditionally: the W node's disjunction mentions the M node's
-    # activation directly
-    m_node = next(
-        j for j, n in enumerate(ella_xpg.nodes)
-        if isinstance(n, F.xpg.XpgNonTerminal) and n.var == 3
-    )
+    # the root is reached in every replica: TRUE, with no variable
+    assert not [name for name in names if name.endswith(f"_{ella_xpg.root}")]
+    # each selector is tied to its replica's output
+    for k in range(1, 5):
+        assert _tied(clauses, vm.sel(k), vm.outputs[k])
     w_node = next(
         j for j, n in enumerate(ella_xpg.nodes)
         if isinstance(n, F.xpg.XpgNonTerminal) and n.var == 4
     )
-    assert tuple(sorted((vm.node(3, w_node), -vm.node(3, m_node)))) in clauses
+    # in replica 0 the W node is reached over the M node's 0-labelled
+    # edge only while M is not selected: -s_3 stands in its disjunction
+    assert tuple(sorted((names[f"n_0_{w_node}"], vm.sel(3)))) in clauses
+    # in replica 3 that edge passes without a guard, so the W node reads
+    # the M node's value itself, TRUE as M lies on the instance's path:
+    # replica 3 defines no variable and its output is TRUE
+    assert not [name for name in names if name.startswith(("n_3_", "e_3_"))]
+    assert vm.outputs[3] == "T"
 
 
 def test_xpg_onestep_solves_to_pm(ella_xpg):
@@ -327,19 +372,36 @@ def test_xpg_twostep_unsat_for_y(ella_xpg):
 
 
 def test_xpg_twostep_variable_count(ella_xpg):
-    cnf, vm = encode_xpg_twostep(ella_xpg, 3)
     m = ella_xpg.num_features
-    replica_nodes = len(ella_xpg.nodes) - 1  # the 1-terminal carries no var
-    # replica 3 re-defines only the nodes below the M node's 0-labelled
-    # edge: the W node and the 0-terminal
-    redefined = 2
-    aux = len(vm._aux)
-    # selectors + replica-0 nodes + the replica-3 nodes that differ
-    # + two evaluation indicators + aux
-    assert cnf.num_vars == m + replica_nodes + redefined + 2 + aux
-    # the W node has two guarded in-edges in replica 0 but only one in
-    # replica 3, where the M edge passes unconditionally
-    assert aux == 3
+    # replica 0: the W node ORs -s_3 (its guarded edge from M, which is
+    # TRUE) with the term Y AND -s_2, and the 0-terminal ORs Y's value -s_1
+    # with W; M, Y and the output (the 0-terminal itself) need no
+    # variable, and neither does the term, whose literals enter the W
+    # node's clauses directly: two gates
+    replica0 = 2
+    w_node = next(
+        j for j, n in enumerate(ella_xpg.nodes)
+        if isinstance(n, F.xpg.XpgNonTerminal) and n.var == 4
+    )
+    # replica t re-defines only gates with an operand it changed, and keeps
+    # replica 0's value for every term whose operands are unchanged:
+    # - t=3 frees M, so W, the 0-terminal and the output fold to TRUE;
+    # - t=2 frees Y: W ORs the kept -s_3 with Y's -s_1, and the 0-terminal
+    #   is re-defined on it;
+    # - t=1 frees P: Y is TRUE, so W is -s_3 OR -s_2, and the 0-terminal
+    #   and the output are TRUE
+    for t, redefined in ((3, 0), (2, 2), (1, 1)):
+        cnf, vm = encode_xpg_twostep(ella_xpg, t)
+        assert cnf.num_vars == m + replica0 + redefined, t
+        names = _legend(cnf, vm)
+        # W -> (-s_3 OR (-s_1 AND -s_2)), written as its product
+        clauses = {tuple(sorted(c)) for c in cnf.clauses}
+        w = names[f"n_0_{w_node}"]
+        for y in (vm.sel(1), vm.sel(2)):
+            assert tuple(sorted((-w, -vm.sel(3), -y))) in clauses
+        assert not [name for name in names if name.startswith("e_0_")]
+        assert len([name for name in names if name.startswith(f"n_{t}_")]) == redefined
+        assert not [name for name in names if name.startswith(f"e_{t}_")]
 
 
 # --------------------------------------------------- faithfulness, small m
@@ -464,15 +526,80 @@ def _random_dt(rng, m):
             return dt
 
 
+def _random_xpg(rng, m, n):
+    """A random explanation graph with n inner nodes over features 1..m.
+
+    Its paths may test a feature more than once, as no OBDD's or tree's
+    graph does; it stands for itself, with no classifier behind it.
+    """
+    while True:
+        # inner nodes 0..n-1, then the 1-terminal and two 0-terminals;
+        # edges point to later nodes, the first one out of a node labelled 1
+        nodes = [F.xpg.XpgNonTerminal(int(rng.integers(1, m + 1))) for _ in range(n)]
+        nodes += [F.xpg.XpgTerminal(1), F.xpg.XpgTerminal(0), F.xpg.XpgTerminal(0)]
+        edges, has_parent = [], {0}
+        for j in range(n):
+            later = range(j + 1, n + 3)
+            children = rng.choice(later, size=min(len(later), int(rng.integers(1, 4))), replace=False)
+            for i, child in enumerate(children):
+                edges.append((j, int(child), int(i == 0)))
+                has_parent.add(int(child))
+        for j in range(1, n + 3):
+            if j not in has_parent:
+                edges.append((int(rng.integers(min(j, n))), j, 0))
+        try:
+            return F.xpg.XpGraph(nodes, edges, 0, m)
+        except F.ClassifierError:
+            continue  # the all-1 path ends at a 0-terminal
+
+
+# Feature 2 is tested twice on a path: by node 1, whose 0-labelled edge
+# enters node 2, and by node 2, whose 0-labelled edge reaches the
+# 0-terminal. Replica 2 re-defines node 2 through its edge from node 1
+# and keeps replica 0's value (-s_3) for its edge from node 3; losing
+# that term would reject the two-step selection {1, 2} for target 2,
+# which is weak and is not weak without feature 2.
+_TWICE_TESTED_XPG = """xpg 3 6
+N 0 1
+N 1 2
+N 2 2
+N 3 3
+T 4 1
+T 5 0
+E 0 3 1
+E 0 1 0
+E 3 4 1
+E 3 2 0
+E 1 4 1
+E 1 2 0
+E 2 4 1
+E 2 5 0
+"""
+
+
+def _graph_case(graph):
+    """A bare graph judged by its own activation semantics."""
+    m = graph.num_features
+    weak = [F.evaluate_sigma(graph, [s >> i & 1 for i in range(m)]) for s in range(1 << m)]
+    return F.XpgClassifier(graph), None, weak
+
+
 def _projection_corpus(ella_obdd, ella_sdd):
-    """(classifier, feature domains, instance) triples, both classes on every route."""
+    """(classifier, instance, weak) triples, where weak[s] tells whether fixing
+    the features of mask s (bit i-1 for feature i) keeps the class: both
+    classes on every classifier route, the bare Ella graph (whose truth is
+    Ella's OBDD) and graphs that are not read-once."""
     ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
+    ella_xpg = F.parse_xpg((DATA / "ella.xpg").read_text())
     boolean = [(0, 1)] * 4
     cases = [
-        (clf, boolean, inst)
+        (clf, inst, _weak_by_mask(clf.predict, boolean, inst))
         for clf in (F.ObddClassifier(ella_obdd), F.SddClassifier(ella_sdd), F.DtClassifier(ella_dt))
         for inst in (Instance((0, 1, 0, 1), 0), Instance((1, 0, 1, 1), 1))
     ]
+    inst = Instance((0, 1, 0, 1), 0)
+    cases.append((F.XpgClassifier(ella_xpg), inst, _weak_by_mask(ella_obdd.predict, boolean, inst)))
+    cases.append(_graph_case(F.parse_xpg(_TWICE_TESTED_XPG)))
     rng = np.random.default_rng(61)
     for trial, m in enumerate((5, 6, 7)):
         obdd = generate_random_obdd(m, 3 * m, seed=900 + trial)
@@ -486,7 +613,10 @@ def _projection_corpus(ella_obdd, ella_sdd):
             (F.SddClassifier(compile_sdd(balanced_vtree(m), truth)), boolean),
         ):
             for _ in range(2):
-                cases.append((clf, domains, random_instance(clf, rng)))
+                inst = random_instance(clf, rng)
+                cases.append((clf, inst, _weak_by_mask(clf.predict, domains, inst)))
+        for _ in range(2):
+            cases.append(_graph_case(_random_xpg(rng, m, 2 * m)))
     return cases
 
 
@@ -495,9 +625,8 @@ def test_selector_projection_matches_the_definitions(ella_obdd, ella_sdd):
     # exactly when the selection meets its method's condition: one-step, an
     # AXp containing t; two-step, a weak AXp containing t whose removal of t
     # is not weak
-    for clf, domains, inst in _projection_corpus(ella_obdd, ella_sdd):
-        m = len(domains)
-        weak = _weak_by_mask(clf.predict, domains, inst)
+    for clf, inst, weak in _projection_corpus(ella_obdd, ella_sdd):
+        m = clf.num_features
         axp = [weak[s] and not any(s >> i & 1 and weak[s ^ 1 << i] for i in range(m))
                for s in range(1 << m)]
         for t in range(1, m + 1):

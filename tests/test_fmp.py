@@ -101,30 +101,30 @@ def test_unknown_method_rejected(ella_sdd_clf, ella_instance):
 # returns another model shows up as another witness.
 GOLDEN = {
     ("obdd", 10, 40, 5): [
-        ("0100000010", 7, "one-step", False, None, None, 358, 1131, False),
-        ("0100000010", 7, "two-step", False, None, None, 117, 336, False),
-        ("1110011100", 6, "one-step", True, {1, 5, 6, 7, 9, 10}, None, 380, 1182, False),
-        ("1110011100", 6, "two-step", True, {1, 5, 6, 7, 9, 10}, {1, 5, 6, 7, 9, 10}, 77, 208, False),
-        ("0111011010", 4, "one-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, None, 369, 1160, False),
-        ("0111011010", 4, "two-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, {1, 3, 4, 5, 6, 7, 8, 9}, 114, 324, False),
-        ("1101011010", 3, "one-step", True, {3, 6, 9, 10}, None, 360, 1124, False),
-        ("1101011010", 3, "two-step", True, {3, 6, 9, 10}, {3, 6, 9, 10}, 105, 296, False),
-        ("0100010100", 6, "one-step", True, {1, 5, 6, 7, 8, 10}, None, 361, 1129, False),
-        ("0100010100", 6, "two-step", True, {1, 5, 6, 7, 8, 10}, {1, 5, 6, 7, 8, 10}, 72, 195, False),
+        ("0100000010", 7, "one-step", False, None, None, 79, 312, False),
+        ("0100000010", 7, "two-step", False, None, None, 36, 111, False),
+        ("1110011100", 6, "one-step", True, {1, 5, 6, 7, 9, 10}, None, 96, 445, False),
+        ("1110011100", 6, "two-step", True, {1, 5, 6, 7, 9, 10}, {1, 5, 6, 7, 9, 10}, 27, 85, False),
+        ("0111011010", 4, "one-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, None, 87, 358, False),
+        ("0111011010", 4, "two-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, {1, 3, 4, 5, 6, 7, 8, 9}, 35, 109, False),
+        ("1101011010", 3, "one-step", True, {3, 6, 9, 10}, None, 101, 405, False),
+        ("1101011010", 3, "two-step", True, {3, 6, 9, 10}, {3, 6, 9, 10}, 39, 127, False),
+        ("0100010100", 6, "one-step", True, {1, 5, 6, 7, 8, 10}, None, 130, 519, False),
+        ("0100010100", 6, "two-step", True, {1, 5, 6, 7, 8, 10}, {1, 5, 6, 7, 8, 10}, 35, 104, False),
     ],
     ("shannon-sdd", 10, 40, 6): [
-        ("1011011001", 1, "one-step", False, None, None, 600, 1514, False),
-        ("1011011001", 1, "two-step", False, None, None, 168, 384, False),
-        ("1001001001", 9, "one-step", True, {2, 4, 6, 7, 8, 9, 10}, None, 600, 1516, False),
-        ("1001001001", 9, "two-step", True, {2, 4, 6, 7, 8, 9, 10}, {2, 4, 6, 7, 8, 9, 10}, 216, 508, False),
-        ("0000110101", 10, "one-step", True, {1, 2, 5, 6, 8, 9, 10}, None, 600, 1515, False),
-        ("0000110101", 10, "two-step", True, {1, 2, 5, 6, 8, 9, 10}, {1, 2, 5, 6, 8, 9, 10}, 160, 361, False),
-        ("1110111111", 2, "one-step", True, {2, 7, 8, 9, 10}, None, 600, 1518, True),
-        ("1110111111", 2, "two-step", True, {2, 7, 8, 9, 10}, {2, 7, 8, 9, 10}, 220, 520, True),
-        ("0001110111", 2, "one-step", False, None, None, 600, 1518, True),
-        ("0001110111", 2, "two-step", False, None, None, 220, 520, True),
-        ("1100111100", 8, "one-step", True, {1, 2, 6, 7, 8, 10}, None, 600, 1519, True),
-        ("1100111100", 8, "two-step", True, {1, 2, 6, 7, 8, 10}, {1, 2, 6, 7, 8, 10}, 227, 534, True),
+        ("1011011001", 1, "one-step", False, None, None, 83, 275, False),
+        ("1011011001", 1, "two-step", False, None, None, 49, 147, False),
+        ("1001001001", 9, "one-step", True, {2, 4, 6, 7, 8, 9, 10}, None, 51, 152, False),
+        ("1001001001", 9, "two-step", True, {2, 4, 6, 7, 8, 9, 10}, {2, 4, 6, 7, 8, 9, 10}, 28, 64, False),
+        ("0000110101", 10, "one-step", True, {1, 2, 5, 6, 8, 9, 10}, None, 53, 159, False),
+        ("0000110101", 10, "two-step", True, {1, 2, 5, 6, 8, 9, 10}, {1, 2, 5, 6, 8, 9, 10}, 32, 78, False),
+        ("1110111111", 2, "one-step", True, {2, 7, 8, 9, 10}, None, 130, 455, True),
+        ("1110111111", 2, "two-step", True, {2, 7, 8, 9, 10}, {2, 7, 8, 9, 10}, 47, 140, True),
+        ("0001110111", 2, "one-step", False, None, None, 70, 221, True),
+        ("0001110111", 2, "two-step", False, None, None, 44, 124, True),
+        ("1100111100", 8, "one-step", True, {1, 2, 6, 7, 8, 10}, None, 75, 234, True),
+        ("1100111100", 8, "two-step", True, {1, 2, 6, 7, 8, 10}, {1, 2, 6, 7, 8, 10}, 31, 76, True),
     ],
 }
 

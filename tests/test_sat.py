@@ -17,6 +17,7 @@ from fmpsat.errors import (
     SolverTimeout,
 )
 from fmpsat.sat import kernel, solve, solve_external
+from fmpsat.sat import solver as solver_mod
 from fmpsat.sat.kernel import model_satisfies
 
 from oracles import dpll_sat, exhaustive_sat
@@ -131,6 +132,20 @@ def test_time_limit_holds_during_search():
         solve(cnf, time_limit_s=0.5)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.5, f"a 0.5 s limit ended the search after {elapsed:.2f} s"
+
+
+def test_time_limit_counts_the_literal_check(monkeypatch):
+    # the limit starts when solve is called, so the time the literal-range
+    # check takes leaves less for the search
+    check = solver_mod._check_literals
+
+    def slow_check(cnf, assumptions):
+        time.sleep(0.2)
+        check(cnf, assumptions)
+
+    monkeypatch.setattr(solver_mod, "_check_literals", slow_check)
+    with pytest.raises(SolverTimeout):
+        solve(CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]]), time_limit_s=0.1)
 
 
 def test_passed_deadline_ends_search_during_clause_packing():
