@@ -5,17 +5,33 @@ abductive explanation when fixing the features in X to their instance
 values pins the prediction; an AXp is a subset-minimal such set.
 Contrastive explanations are the complements: freeing Y admits a point
 with a different prediction.
+
+Each adapter compiles, once per instance, a monotone circuit over the
+guards "feature i is free" whose output is FALSE exactly on the weak
+AXps: an SDD's decision nodes become ORs of (prime AND sub), a literal
+the instance satisfies TRUE and one it falsifies the guard of its
+feature; an explanation graph's nodes become their activation and the
+output the OR of its 0-terminals. Constants fold away and only the
+output's cone is kept. A weak-AXp test is one full bottom-up pass. The
+deletion scans of `find_axp` and `find_cxp` keep one value array live
+instead: freeing (AXp) or pinning (CXp) a feature moves every gate it
+changes the same way, so a step re-evaluates only the readers of
+changed operands, stops once the output flips, and undoes what it
+changed. The circuits are built here from the diagrams and graphs
+themselves, not from the CNF encoder's lowering, so one lowering fault
+cannot pass both an encoding and the check of its answer.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import sdd as sdd_mod
 from . import xpg as xpg_mod
-from .errors import ClassifierError, ParseError
+from .errors import ClassifierError, ParseError, SolverTimeout
 
 __all__ = [
     "Instance",
@@ -83,21 +99,175 @@ def serialize_instance(instance: Instance) -> str:
 
 
 # --------------------------------------------------------------------------
+# compiled weak-AXp circuits
+# --------------------------------------------------------------------------
+#
+# A value array holds TRUE at index 0, the guard "feature i is free" at
+# index i for i in 1..m, FALSE at m+1, and then the gates, each after
+# its operands. A gate is the OR of its terms and a term the AND of two
+# operands; a term of one operand names it twice.
+
+_TRUE = 0
+
+
+class _Circuit:
+    """The weak-AXp test of one classifier and instance, as plain lists."""
+
+    def __init__(self, num_features: int):
+        self.num_features = num_features
+        self.false = num_features + 1
+        self.gates: list[tuple[int, tuple[tuple[int, int], ...]]] = []  # (gate, terms)
+
+    def fold(self, terms) -> int:
+        """The operand that is the OR of these AND terms.
+
+        A term with a FALSE operand is dropped and TRUE operands vanish;
+        an empty term makes the OR TRUE, no term left makes it FALSE, and
+        a single operand is itself. Anything else becomes a new gate.
+        """
+        live = []
+        for term in terms:
+            if self.false in term:
+                continue
+            ops = [o for o in term if o != _TRUE]
+            if not ops:
+                return _TRUE
+            live.append((ops[0], ops[-1]))
+        if not live:
+            return self.false
+        if len(live) == 1 and live[0][0] == live[0][1]:
+            return live[0][0]
+        gate = self.false + 1 + len(self.gates)
+        self.gates.append((gate, tuple(live)))
+        return gate
+
+    def close(self, output: int) -> None:
+        """Keep only the gates the output depends on, and list each
+        operand's readers among them."""
+        self.output = output
+        size = self.false + 1 + len(self.gates)
+        needed = bytearray(size)
+        needed[output] = 1
+        for gate, terms in reversed(self.gates):
+            if needed[gate]:
+                for a, b in terms:
+                    needed[a] = needed[b] = 1
+        self.gates = [(gate, terms) for gate, terms in self.gates if needed[gate]]
+        # per operand o: (gate, other, terms) for each term of a gate that
+        # ANDs o with other
+        self.readers: list[list[tuple[int, int, tuple]]] = [[] for _ in range(size)]
+        for gate, terms in self.gates:
+            for a, b in terms:
+                self.readers[a].append((gate, b, terms))
+                if b != a:
+                    self.readers[b].append((gate, a, terms))
+        self.base = [False] * size
+        self.base[_TRUE] = True
+
+    def evaluate(self, free: list[bool]) -> list[bool]:
+        """One full bottom-up pass with guard i set to ``free[i - 1]``."""
+        val = self.base.copy()
+        val[1:self.false] = free
+        for gate, terms in self.gates:
+            for a, b in terms:
+                if val[a] and val[b]:
+                    val[gate] = True
+                    break
+        return val
+
+    def is_weak(self, features: Iterable[int]) -> bool:
+        m = self.num_features
+        free = [True] * m
+        for i in features:
+            if not 1 <= i <= m:
+                raise ClassifierError(f"feature {i} outside 1..{m}")
+            free[i - 1] = False
+        return not self.evaluate(free)[self.output]
+
+    def flips(self, val: list[bool], i: int, value: bool) -> bool:
+        """Set guard i of the live array ``val`` to ``value``: does the
+        output take ``value`` too? If it does, ``val`` is restored.
+
+        Freeing a guard can only raise gates and pinning it only lower
+        them, so only the readers of a changed operand are re-evaluated,
+        a gate that already has ``value`` needs no look, and each gate
+        changes at most once. A raised operand raises a gate when the
+        other operand of its term is TRUE; a lowered one lowers it when
+        no term is left TRUE. The pass stops once the output changes.
+        """
+        out = self.output
+        val[i] = value
+        changed = [i]
+        for o in changed:  # grows as gates change
+            for gate, other, terms in self.readers[o]:
+                if val[gate] == value:
+                    continue
+                if val[other] if value else not any(val[a] and val[b] for a, b in terms):
+                    val[gate] = value
+                    changed.append(gate)
+            if val[out] == value:
+                break
+        else:
+            return False
+        for o in changed:
+            val[o] = not value
+        return True
+
+
+def _compile_sdd(sdd: sdd_mod.Sdd, values: Sequence[int]) -> _Circuit:
+    """Node j stays consistent with the selected features pinned: a
+    decision node ORs its (prime AND sub) elements, a literal the
+    instance satisfies is TRUE and one it falsifies holds only while its
+    feature is free. The output is the root."""
+    circuit = _Circuit(sdd.num_features)
+    ref: list[int] = []
+    for node in sdd.nodes:
+        if isinstance(node, sdd_mod.SddDecision):
+            ref.append(circuit.fold([(ref[p], ref[s]) for p, s in node.elements]))
+        elif isinstance(node, sdd_mod.SddLiteral):
+            ref.append(_TRUE if bool(values[node.var - 1]) == node.positive else node.var)
+        else:
+            ref.append(_TRUE if isinstance(node, sdd_mod.SddTrue) else circuit.false)
+    circuit.close(ref[sdd.root])
+    return circuit
+
+
+def _compile_xpg(graph: xpg_mod.XpGraph) -> _Circuit:
+    """Node j is reached from the root with the selected features pinned:
+    the OR over its in-edges (p, label) of p, ANDed with p's guard when
+    the label is 0. The output is the OR of the 0-terminals."""
+    circuit = _Circuit(graph.num_features)
+    nodes = graph.nodes
+    ref = [circuit.false] * len(nodes)
+    for j in graph._topo:
+        ref[j] = _TRUE if j == graph.root else circuit.fold(
+            [(ref[p], _TRUE if label else nodes[p].var) for p, label in graph.in_edges(j)]
+        )
+    circuit.close(circuit.fold([(ref[z], _TRUE) for z in graph.zero_terminals()]))
+    return circuit
+
+
+def _key(instance: Instance | None):
+    return None if instance is None else (instance.values, instance.label)
+
+
+# --------------------------------------------------------------------------
 # classifier adapters
 # --------------------------------------------------------------------------
 
 class SddClassifier:
     """SDD-backed binary classifier (classes 0 and 1).
 
-    Weak-explanation tests run as one consistency pass over the
-    diagram with the chosen features pinned; instances predicted 1 go
-    through a lazily built, cached negation so the pinned diagram must
-    be inconsistent in both cases.
+    Weak-explanation tests run on a circuit compiled once per instance
+    from the diagram under which it has class 0: the diagram itself, or
+    for instances predicted 1 a lazily built, cached negation. Either
+    way the pinned diagram must be inconsistent.
     """
 
     def __init__(self, sdd: sdd_mod.Sdd):
         self.sdd = sdd
         self._negated: sdd_mod.Sdd | None = None
+        self._circuits: dict = {}
 
     @property
     def num_features(self) -> int:
@@ -121,10 +291,15 @@ class SddClassifier:
             raise ClassifierError(f"SDD classifiers are binary, got class {instance.label}")
         return self.negated_sdd() if instance.label == 1 else self.sdd
 
+    def circuit_for(self, instance: Instance) -> _Circuit:
+        circuit = self._circuits.get(_key(instance))
+        if circuit is None:
+            diagram = self.diagram_for(instance)
+            circuit = self._circuits[_key(instance)] = _compile_sdd(diagram, instance.values)
+        return circuit
+
     def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
-        diagram = self.diagram_for(instance)
-        fixed = {i: instance.values[i - 1] for i in features}
-        return not sdd_mod.consistency_under(diagram, fixed)
+        return self.circuit_for(instance).is_weak(features)
 
 
 class _XpgBackedClassifier:
@@ -132,6 +307,7 @@ class _XpgBackedClassifier:
 
     def __init__(self):
         self._xpg_cache: dict[tuple[tuple[int, ...], int], xpg_mod.XpGraph] = {}
+        self._circuits: dict = {}
 
     def _build_xpg(self, instance: Instance) -> xpg_mod.XpGraph:
         raise NotImplementedError
@@ -144,14 +320,14 @@ class _XpgBackedClassifier:
             self._xpg_cache[key] = graph
         return graph
 
-    def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
-        graph = self.xpg_for(instance)
-        selectors = [0] * graph.num_features
-        for i in features:
-            if not 1 <= i <= graph.num_features:
-                raise ClassifierError(f"feature {i} outside 1..{graph.num_features}")
-            selectors[i - 1] = 1
-        return xpg_mod.evaluate_sigma(graph, selectors)
+    def circuit_for(self, instance: Instance | None) -> _Circuit:
+        circuit = self._circuits.get(_key(instance))
+        if circuit is None:
+            circuit = self._circuits[_key(instance)] = _compile_xpg(self.xpg_for(instance))
+        return circuit
+
+    def is_weak_axp(self, instance: Instance | None, features: Iterable[int]) -> bool:
+        return self.circuit_for(instance).is_weak(features)
 
 
 class ObddClassifier(_XpgBackedClassifier):
@@ -253,30 +429,41 @@ def is_weak_cxp(clf, instance: Instance | None, features: Iterable[int]) -> bool
     return not clf.is_weak_axp(instance, _all_features(clf) - fs)
 
 
-def _shrink(clf, seed: Iterable[int], holds, kind: str) -> frozenset[int]:
-    """Drop features from the seed while ``holds`` stays true.
+def _shrink(clf, instance, seed: Iterable[int], frees: bool, kind: str, deadline) -> frozenset[int]:
+    """Drop features from the seed while it stays a weak explanation.
 
     Features are examined in ascending index order and dropped
-    greedily, so the result is deterministic.
+    greedily, so the result is deterministic. The seed's features start
+    pinned and the rest free for an AXp, the other way round for a CXp;
+    dropping a feature frees it (``frees``) or pins it, and it stays
+    in the result exactly when that flips the circuit's output. The
+    deadline, a ``time.time()`` value, is read before each feature.
     """
     current = sorted(_check_features(clf, seed))
-    if not holds(frozenset(current)):
+    circuit = clf.circuit_for(instance)
+    guards = [frees] * clf.num_features
+    for i in current:
+        guards[i - 1] = not frees
+    val = circuit.evaluate(guards)
+    if val[circuit.output] == frees:
         raise ClassifierError(f"seed is not a weak {kind} explanation")
-    for i in list(current):
-        candidate = [j for j in current if j != i]
-        if holds(frozenset(candidate)):
-            current = candidate
-    return frozenset(current)
+    kept = []
+    for i in current:
+        if deadline is not None and time.time() > deadline:
+            raise SolverTimeout(f"{kind} deletion scan exceeded its time limit before feature {i}")
+        if circuit.flips(val, i, frees):
+            kept.append(i)
+    return frozenset(kept)
 
 
-def find_axp(clf, instance: Instance | None, seed: Iterable[int]) -> frozenset[int]:
+def find_axp(clf, instance: Instance | None, seed: Iterable[int], *, deadline=None) -> frozenset[int]:
     """Shrink a weak AXp to a subset-minimal one by deletion."""
-    return _shrink(clf, seed, lambda fs: clf.is_weak_axp(instance, fs), "abductive")
+    return _shrink(clf, instance, seed, True, "abductive", deadline)
 
 
-def find_cxp(clf, instance: Instance | None, seed: Iterable[int]) -> frozenset[int]:
+def find_cxp(clf, instance: Instance | None, seed: Iterable[int], *, deadline=None) -> frozenset[int]:
     """Shrink a weak CXp to a subset-minimal one by the same deletion scan."""
-    return _shrink(clf, seed, lambda fs: is_weak_cxp(clf, instance, fs), "contrastive")
+    return _shrink(clf, instance, seed, False, "contrastive", deadline)
 
 
 # --------------------------------------------------------------------------

@@ -104,7 +104,8 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     containing the target; the two-step seed is checked against its
     contract (weak, and no longer weak once the target is dropped)
     before extraction. The time limit counts from entry: encoding
-    spends part of it, and the solver gets what is left.
+    spends part of it, the solver gets what is left, and the deletion
+    scan and the witness check read it too.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     started = time.perf_counter()
@@ -143,8 +144,8 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
                 raise FmpsatError(
                     "two-step model stays weak without the target; encoding is broken"
                 )
-            witness = find_axp(clf, instance, selected)
-        _verify_witness(clf, instance, witness, t)
+            witness = find_axp(clf, instance, selected, deadline=deadline)
+        _verify_witness(clf, instance, witness, t, deadline)
         outcome_witness = witness
         membership = True
     total_s = time.perf_counter() - started
@@ -161,11 +162,20 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     )
 
 
-def _verify_witness(clf, instance, witness: frozenset[int], target: int) -> None:
+def _verify_witness(clf, instance, witness: frozenset[int], target: int, deadline=None) -> None:
+    """Re-check the witness with a full weak-AXp pass per subset; raise
+    ``SolverTimeout`` if the deadline passes before one of them."""
     if target not in witness:
         raise FmpsatError(f"witness {sorted(witness)} misses the target feature {target}")
+    _check_clock(deadline)
     if not is_weak_axp(clf, instance, witness):
         raise FmpsatError(f"witness {sorted(witness)} is not a weak explanation")
     for i in sorted(witness):
+        _check_clock(deadline)
         if is_weak_axp(clf, instance, witness - {i}):
             raise FmpsatError(f"witness {sorted(witness)} is not minimal: {i} is droppable")
+
+
+def _check_clock(deadline) -> None:
+    if deadline is not None and time.time() > deadline:
+        raise SolverTimeout("witness check exceeded its time limit")

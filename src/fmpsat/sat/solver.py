@@ -121,8 +121,11 @@ def solve_external(
 
     The command receives the path of a temporary DIMACS file as its
     last argument and must print competition-format output
-    (an ``s`` status line, ``v`` value lines for models).
+    (an ``s`` status line, ``v`` value lines for models). The time
+    limit counts from entry: the process gets what the literal check
+    and the writing of the file leave, and is not started if nothing is.
     """
+    deadline = None if time_limit_s is None else time.time() + time_limit_s
     _check_literals(cnf, ())
     argv = shlex.split(solver_command)
     if not argv:
@@ -131,12 +134,17 @@ def solve_external(
         path = Path(tmp) / "problem.cnf"
         with open(path, "w") as sink:
             sink.writelines(iter_dimacs(cnf))
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - time.time()
+            if remaining <= 0:
+                raise SolverTimeout(f"no time left of the {time_limit_s} s limit to run the solver")
         try:
             proc = subprocess.run(
                 argv + [str(path)],
                 capture_output=True,
                 text=True,
-                timeout=time_limit_s,
+                timeout=remaining,
             )
         except FileNotFoundError as exc:
             raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc

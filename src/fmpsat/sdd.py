@@ -451,7 +451,9 @@ def consistency_under(sdd: Sdd, fixed: Mapping[int, int]) -> bool:
     """Consistency of the diagram with `fixed` variables pinned.
 
     Equivalent to `is_consistent(condition(sdd, fixed))` without
-    materializing the conditioned diagram.
+    materializing the conditioned diagram. This is the reference
+    evaluator: `SddClassifier` answers weak-AXp checks on a circuit
+    compiled from the diagram, and the tests hold it to this function.
     """
     _check_term(sdd, fixed)
     con = [False] * len(sdd.nodes)

@@ -30,6 +30,7 @@ from fmpsat.explain import Instance
 from fmpsat.batch import generate_random_obdd, obdd_to_shannon_sdd, random_instance
 from fmpsat.sat import solve
 
+from random_graphs import random_dt, random_xpg
 from sdd_builder import balanced_vtree, compile_sdd, random_function
 
 DATA = Path(__file__).parent / "data"
@@ -500,59 +501,6 @@ def _weak_by_mask(predict, domains, instance):
     return [not broken[full ^ s] for s in range(1 << m)]
 
 
-def _random_dt(rng, m):
-    """A random tree over features 1..m; feature 1 has domain {0, 1, 2}."""
-    domains = {i: (0, 1, 2) if i == 1 else (0, 1) for i in range(1, m + 1)}
-    nodes, edges = [], []
-
-    def grow(free, depth):
-        j = len(nodes)
-        if not free or depth == 0 or rng.random() < 0.2:
-            nodes.append(F.xpg.DtLeaf(int(rng.integers(2))))
-            return j
-        var = int(rng.choice(free))
-        nodes.append(F.xpg.DtInternal(var))
-        rest = [f for f in free if f != var]
-        for value in domains[var]:
-            edges.append((j, grow(rest, depth - 1), frozenset({value})))
-        return j
-
-    while True:
-        nodes.clear()
-        edges.clear()
-        grow(list(range(1, m + 1)), 4)
-        dt = F.xpg.DecisionTree(list(nodes), list(edges), 0, domains)
-        if dt.leaf_labels() == {0, 1}:
-            return dt
-
-
-def _random_xpg(rng, m, n):
-    """A random explanation graph with n inner nodes over features 1..m.
-
-    Its paths may test a feature more than once, as no OBDD's or tree's
-    graph does; it stands for itself, with no classifier behind it.
-    """
-    while True:
-        # inner nodes 0..n-1, then the 1-terminal and two 0-terminals;
-        # edges point to later nodes, the first one out of a node labelled 1
-        nodes = [F.xpg.XpgNonTerminal(int(rng.integers(1, m + 1))) for _ in range(n)]
-        nodes += [F.xpg.XpgTerminal(1), F.xpg.XpgTerminal(0), F.xpg.XpgTerminal(0)]
-        edges, has_parent = [], {0}
-        for j in range(n):
-            later = range(j + 1, n + 3)
-            children = rng.choice(later, size=min(len(later), int(rng.integers(1, 4))), replace=False)
-            for i, child in enumerate(children):
-                edges.append((j, int(child), int(i == 0)))
-                has_parent.add(int(child))
-        for j in range(1, n + 3):
-            if j not in has_parent:
-                edges.append((int(rng.integers(min(j, n))), j, 0))
-        try:
-            return F.xpg.XpGraph(nodes, edges, 0, m)
-        except F.ClassifierError:
-            continue  # the all-1 path ends at a 0-terminal
-
-
 # Feature 2 is tested twice on a path: by node 1, whose 0-labelled edge
 # enters node 2, and by node 2, whose 0-labelled edge reaches the
 # 0-terminal. Replica 2 re-defines node 2 through its edge from node 1
@@ -603,7 +551,7 @@ def _projection_corpus(ella_obdd, ella_sdd):
     rng = np.random.default_rng(61)
     for trial, m in enumerate((5, 6, 7)):
         obdd = generate_random_obdd(m, 3 * m, seed=900 + trial)
-        dt = _random_dt(rng, m)
+        dt = random_dt(rng, m)
         truth = random_function(rng, m)
         boolean = [(0, 1)] * m
         for clf, domains in (
@@ -616,7 +564,7 @@ def _projection_corpus(ella_obdd, ella_sdd):
                 inst = random_instance(clf, rng)
                 cases.append((clf, inst, _weak_by_mask(clf.predict, domains, inst)))
         for _ in range(2):
-            cases.append(_graph_case(_random_xpg(rng, m, 2 * m)))
+            cases.append(_graph_case(random_xpg(rng, m, 2 * m)))
     return cases
 
 

@@ -1,6 +1,7 @@
 """Weak predicates, deletion-based extraction, and the enumeration oracle."""
 
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmpsat as F
-from fmpsat.errors import ClassifierError
+from fmpsat import explain as explain_mod
+from fmpsat.errors import ClassifierError, SolverTimeout
+from fmpsat.xpg import XpGraph, XpgNonTerminal, XpgTerminal
 from fmpsat.batch import (
     generate_random_classifier,
     generate_random_obdd,
@@ -16,6 +19,7 @@ from fmpsat.batch import (
     random_instance,
 )
 
+from random_graphs import random_dt, random_xpg
 from oracles import (
     enumerate_minimal,
     minimal_hitting_sets,
@@ -123,6 +127,141 @@ def test_find_cxp_singleton_seed(ella_sdd_clf, ella_instance):
 def test_find_cxp_empty_seed_rejected(ella_sdd_clf, ella_instance):
     with pytest.raises(ClassifierError, match="not a weak"):
         F.find_cxp(ella_sdd_clf, ella_instance, frozenset())
+
+
+def test_deadline_is_read_before_each_candidate(ella_sdd_clf, ella_instance, monkeypatch):
+    steps = []
+    now = [0.0]
+    flips = explain_mod._Circuit.flips
+
+    def spy(circuit, val, i, value):
+        steps.append(i)
+        now[0] = 2.0  # the clock passes the deadline while feature 1 is tried
+        return flips(circuit, val, i, value)
+
+    monkeypatch.setattr(explain_mod._Circuit, "flips", spy)
+    monkeypatch.setattr(explain_mod, "time", SimpleNamespace(time=lambda: now[0]))
+    for scan, kind in ((F.find_axp, "abductive"), (F.find_cxp, "contrastive")):
+        steps.clear()
+        now[0] = 0.0
+        with pytest.raises(SolverTimeout, match=f"^{kind} deletion scan .* before feature 2$"):
+            scan(ella_sdd_clf, ella_instance, ALL, deadline=1.0)
+        assert steps == [1]
+        # a deadline that has passed already stops the scan before its first feature
+        steps.clear()
+        with pytest.raises(SolverTimeout, match="before feature 1$"):
+            scan(ella_sdd_clf, ella_instance, ALL, deadline=1.0)
+        assert steps == []
+    assert F.find_axp(ella_sdd_clf, ella_instance, ALL) == {1, 3}
+
+
+# ------------------------------------------- compiled circuits and the scans
+#
+# The reference evaluators are sdd.consistency_under on the diagram under
+# which the instance has class 0, and xpg.evaluate_sigma on the instance's
+# explanation graph.
+
+def _reference_weak(clf, inst):
+    """X -> whether X is a weak AXp, by the reference evaluator."""
+    m = clf.num_features
+    if isinstance(clf, F.SddClassifier):
+        diagram = clf.diagram_for(inst)
+        return lambda X: not F.consistency_under(diagram, {i: inst.values[i - 1] for i in X})
+    graph = clf.xpg_for(inst)
+    return lambda X: F.evaluate_sigma(graph, [int(i in X) for i in range(1, m + 1)])
+
+
+def _both_classes(clf, rng):
+    """An instance of each class the classifier predicts (the SDD's class 1
+    runs on its negation)."""
+    found = {}
+    for _ in range(200):
+        inst = random_instance(clf, rng)
+        found.setdefault(inst.label, inst)
+    return [found[c] for c in sorted(found)]
+
+
+def _reference_corpus(max_m, trials):
+    """(classifier, instance) pairs: random OBDDs, their Shannon SDDs and
+    random trees with instances of both classes, and random graphs that
+    test a feature more than once on a path."""
+    rng = np.random.default_rng(97)
+    cases = []
+    for trial in range(trials):
+        m = 3 + trial % (max_m - 2)
+        obdd = generate_random_obdd(m, 3 * m, seed=1700 + trial)
+        for clf in (F.ObddClassifier(obdd), F.SddClassifier(obdd_to_shannon_sdd(obdd)),
+                    F.DtClassifier(random_dt(rng, m))):
+            cases += [(clf, inst) for inst in _both_classes(clf, rng)]
+        cases.append((F.XpgClassifier(random_xpg(rng, m, 2 * m)), None))
+    return cases
+
+
+def _subsets(m):
+    return [frozenset(i for i in range(1, m + 1) if s >> (i - 1) & 1) for s in range(1 << m)]
+
+
+def test_compiled_check_matches_the_reference_evaluators():
+    labels = set()
+    for clf, inst in _reference_corpus(8, 12):
+        weak = _reference_weak(clf, inst)
+        labels.add((type(clf).__name__, inst and inst.label))
+        for X in _subsets(clf.num_features):
+            assert F.is_weak_axp(clf, inst, X) == weak(X), (type(clf).__name__, inst, X)
+    # every adapter was tried on both classes
+    assert {(k, c) for k in ("ObddClassifier", "SddClassifier", "DtClassifier")
+            for c in (0, 1)} <= labels
+
+
+def _full_pass_scan(holds, seed):
+    """The deletion scan by one reference check per candidate; None when the
+    seed does not hold."""
+    current = sorted(seed)
+    if not holds(frozenset(current)):
+        return None
+    for i in list(current):
+        candidate = [j for j in current if j != i]
+        if holds(frozenset(candidate)):
+            current = candidate
+    return frozenset(current)
+
+
+def test_scans_match_a_full_pass_deletion_scan():
+    for clf, inst in _reference_corpus(6, 8):
+        weak = _reference_weak(clf, inst)
+        full = frozenset(range(1, clf.num_features + 1))
+        for scan, holds, kind in ((F.find_axp, weak, "abductive"),
+                                  (F.find_cxp, lambda Y: not weak(full - Y), "contrastive")):
+            for seed in _subsets(clf.num_features):
+                want = _full_pass_scan(holds, seed)
+                if want is None:
+                    with pytest.raises(ClassifierError, match=f"not a weak {kind}"):
+                        scan(clf, inst, seed)
+                else:
+                    assert scan(clf, inst, seed) == want, (type(clf).__name__, inst, seed)
+
+
+def test_graph_without_a_zero_terminal_is_always_weak():
+    graph = XpGraph([XpgNonTerminal(1), XpgTerminal(1)], [(0, 1, 1), (0, 1, 0)], 0, 2)
+    clf = F.XpgClassifier(graph)
+    for X in _subsets(2):
+        assert F.evaluate_sigma(graph, [int(i in X) for i in (1, 2)])
+        assert F.is_weak_axp(clf, None, X)
+    assert F.find_axp(clf, None, {1, 2}) == frozenset()
+    with pytest.raises(ClassifierError, match="not a weak contrastive"):
+        F.find_cxp(clf, None, {1, 2})
+
+
+def test_mismatched_sdd_class_reads_the_diagram_it_names(ella_sdd):
+    # Ella's point is predicted 0; declared 1, the check runs on the negated
+    # diagram as consistency_under does, and the other way round for (1,0,1,1)
+    for values, declared in (((0, 1, 0, 1), 1), ((1, 0, 1, 1), 0)):
+        clf = F.SddClassifier(ella_sdd)
+        inst = F.Instance(values, declared)
+        assert clf.predict(values) != declared
+        weak = _reference_weak(clf, inst)
+        for X in _subsets(4):
+            assert F.is_weak_axp(clf, inst, X) == weak(X)
 
 
 # ------------------------------------------------------------ enumeration

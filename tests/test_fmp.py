@@ -1,12 +1,16 @@
 """Membership decisions, witness extraction, generators, and batches."""
 
 import io
+import time
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fmpsat as F
+from fmpsat import encode as enc_mod
+from fmpsat import explain as explain_mod
 from fmpsat import fmp as fmp_mod
 from fmpsat.errors import ClassifierError, SolverTimeout
 from fmpsat.batch import (
@@ -82,6 +86,33 @@ def test_time_limit_counts_the_encoding(ella_obdd_clf, ella_instance, monkeypatc
     query = FmpQuery(ella_obdd_clf, ella_instance, 3, "one-step", time_limit_s=1e-9)
     with pytest.raises(SolverTimeout, match="encoding"):
         decide_membership(query)
+
+
+def test_deadline_reaches_the_scan_and_the_witness_check(ella_obdd_clf, ella_instance,
+                                                         monkeypatch):
+    now = [0.0]
+    clock = SimpleNamespace(time=lambda: now[0], perf_counter=time.perf_counter)
+    for module in (fmp_mod, enc_mod, explain_mod):
+        monkeypatch.setattr(module, "time", clock)
+
+    def late(step):
+        def call(*args, **kwargs):
+            result = step(*args, **kwargs)
+            now[0] = 2.0  # the clock passes the deadline during this step
+            return result
+        return call
+
+    solve, find_axp = fmp_mod.solve, fmp_mod.find_axp
+    for method, patched, where in (("two-step", "solve", "deletion scan"),
+                                   ("one-step", "solve", "witness check"),
+                                   ("two-step", "find_axp", "witness check")):
+        monkeypatch.setattr(fmp_mod, "solve", late(solve) if patched == "solve" else solve)
+        monkeypatch.setattr(fmp_mod, "find_axp",
+                            late(find_axp) if patched == "find_axp" else find_axp)
+        now[0] = 0.0
+        query = FmpQuery(ella_obdd_clf, ella_instance, 3, method, time_limit_s=1.0)
+        with pytest.raises(SolverTimeout, match=where):
+            decide_membership(query)
 
 
 def test_mismatched_instance_rejected(ella_sdd_clf):

@@ -228,6 +228,42 @@ def test_external_lying_model(tmp_path):
         solve_external(cnf, f"{sys.executable} {script}")
 
 
+def _slow_literal_check(monkeypatch, seconds):
+    check = solver_mod._check_literals
+
+    def slow_check(cnf, assumptions):
+        time.sleep(seconds)
+        check(cnf, assumptions)
+
+    monkeypatch.setattr(solver_mod, "_check_literals", slow_check)
+
+
+def test_external_time_limit_counts_the_literal_check(tmp_path, monkeypatch):
+    # the limit starts when solve_external is called: a literal check that
+    # uses it up leaves no time, so no process is started
+    marker = tmp_path / "started"
+    script = tmp_path / "marks.py"
+    script.write_text(f"open({str(marker)!r}, 'w').close()\nprint('s UNSATISFIABLE')\n")
+    _slow_literal_check(monkeypatch, 0.2)
+    cnf = CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]])
+    with pytest.raises(SolverTimeout):
+        solve_external(cnf, f"{sys.executable} {script}", time_limit_s=0.1)
+    assert not marker.exists()
+
+
+def test_external_solver_gets_the_time_left(tmp_path, monkeypatch):
+    script = tmp_path / "sleeps.py"
+    script.write_text("import time\ntime.sleep(10)\n")
+    _slow_literal_check(monkeypatch, 0.5)
+    cnf = CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]])
+    started = time.perf_counter()
+    with pytest.raises(SolverTimeout):
+        solve_external(cnf, f"{sys.executable} {script}", time_limit_s=0.8)
+    elapsed = time.perf_counter() - started
+    # the whole call takes the limit, not the check plus the limit (1.3 s)
+    assert elapsed < 1.15, f"a 0.8 s limit ended the call after {elapsed:.2f} s"
+
+
 def test_external_spawn_failure():
     cnf = CnfFormula(num_vars=1, clauses=[[1]])
     with pytest.raises(SolverSpawnError):
