@@ -26,21 +26,21 @@ order. A block follows the circuit's evaluation order, operands before
 the gates that read them, and gives each gate's term variables
 (``e_k_j_i``, longest term first) before the gate's own (``n_k_j``).
 
-Each encoder takes an optional ``deadline``, a ``time.time()`` value,
-and raises ``SolverTimeout`` if it has passed before a replica.
+Each encoder takes an optional ``deadline``, a ``time.time()`` value
+(``math.inf`` for none), and raises ``SolverTimeout`` if it has passed
+before a replica.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice, product as product_of
-from math import prod
+from math import inf, prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import EncodingError, SolverTimeout
+from .errors import EncodingError, check_deadline
 from .explain import Instance
 from .sdd import Sdd, SddDecision, SddLiteral, SddTrue, evaluate
 from .xpg import XpGraph
@@ -364,8 +364,7 @@ def _encode(gates, order, m: int, target: int, replicas: Iterable[int], deadline
     base = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]
     term0: dict[int, list] = {}
     for k in replicas:
-        if deadline is not None and time.time() > deadline:
-            raise SolverTimeout(f"encoding exceeded its time limit before replica {k}")
+        check_deadline(deadline, f"encoding exceeded its time limit before replica {k}")
         val = base.copy() if k else base
         _emit_replica(cnf, vm, gates, cone, readers, k, val, term0)
         output = vm.outputs[k] = val[cone[-1]]
@@ -384,25 +383,25 @@ def _encode(gates, order, m: int, target: int, replicas: Iterable[int], deadline
     return cnf, vm
 
 
-def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=None):
+def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf):
     """Replicas 0..m; every model decodes to an AXp containing the target."""
     m = sdd.num_features
     return _encode(*_lower_sdd(sdd, instance), m, target, range(m + 1), deadline)
 
 
-def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=None):
+def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf):
     """Replicas 0 and t; models are weak AXps whose every contained AXp
     includes the target."""
     return _encode(*_lower_sdd(sdd, instance), sdd.num_features, target, (0, target), deadline)
 
 
-def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=None):
+def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=inf):
     """Replicas 0..m over the graph's activation semantics."""
     m = xpg.num_features
     return _encode(*_lower_xpg(xpg), m, target, range(m + 1), deadline)
 
 
-def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=None):
+def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=inf):
     """Replicas 0 and t only."""
     return _encode(*_lower_xpg(xpg), xpg.num_features, target, (0, target), deadline)
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one deadline test."""
+
+import time
 
 
 class FmpsatError(Exception):
@@ -29,6 +31,13 @@ class SolverError(FmpsatError):
 
 class SolverTimeout(FmpsatError):
     """A solve call exceeded its time limit."""
+
+
+def check_deadline(deadline: float, message: str) -> None:
+    """Raise ``SolverTimeout(message)`` once ``time.time()`` is past the
+    deadline; ``math.inf`` means no limit."""
+    if time.time() > deadline:
+        raise SolverTimeout(message)
 
 
 class ExternalSolverError(FmpsatError):

@@ -25,13 +25,13 @@ cannot pass both an encoding and the check of its answer.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Sequence
 
 from . import sdd as sdd_mod
 from . import xpg as xpg_mod
-from .errors import ClassifierError, ParseError, SolverTimeout
+from .errors import ClassifierError, ParseError, check_deadline
 
 __all__ = [
     "Instance",
@@ -247,10 +247,6 @@ def _compile_xpg(graph: xpg_mod.XpGraph) -> _Circuit:
     return circuit
 
 
-def _key(instance: Instance | None):
-    return None if instance is None else (instance.values, instance.label)
-
-
 # --------------------------------------------------------------------------
 # classifier adapters
 # --------------------------------------------------------------------------
@@ -292,10 +288,10 @@ class SddClassifier:
         return self.negated_sdd() if instance.label == 1 else self.sdd
 
     def circuit_for(self, instance: Instance) -> _Circuit:
-        circuit = self._circuits.get(_key(instance))
+        circuit = self._circuits.get(instance)
         if circuit is None:
             diagram = self.diagram_for(instance)
-            circuit = self._circuits[_key(instance)] = _compile_sdd(diagram, instance.values)
+            circuit = self._circuits[instance] = _compile_sdd(diagram, instance.values)
         return circuit
 
     def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
@@ -306,24 +302,22 @@ class _XpgBackedClassifier:
     """Shared behaviour for classifiers explained through a built XpG."""
 
     def __init__(self):
-        self._xpg_cache: dict[tuple[tuple[int, ...], int], xpg_mod.XpGraph] = {}
-        self._circuits: dict = {}
+        self._xpg_cache: dict[Instance, xpg_mod.XpGraph] = {}
+        self._circuits: dict[Instance | None, _Circuit] = {}
 
     def _build_xpg(self, instance: Instance) -> xpg_mod.XpGraph:
         raise NotImplementedError
 
     def xpg_for(self, instance: Instance) -> xpg_mod.XpGraph:
-        key = (instance.values, instance.label)
-        graph = self._xpg_cache.get(key)
+        graph = self._xpg_cache.get(instance)
         if graph is None:
-            graph = self._build_xpg(instance)
-            self._xpg_cache[key] = graph
+            graph = self._xpg_cache[instance] = self._build_xpg(instance)
         return graph
 
     def circuit_for(self, instance: Instance | None) -> _Circuit:
-        circuit = self._circuits.get(_key(instance))
+        circuit = self._circuits.get(instance)
         if circuit is None:
-            circuit = self._circuits[_key(instance)] = _compile_xpg(self.xpg_for(instance))
+            circuit = self._circuits[instance] = _compile_xpg(self.xpg_for(instance))
         return circuit
 
     def is_weak_axp(self, instance: Instance | None, features: Iterable[int]) -> bool:
@@ -415,8 +409,10 @@ def _check_features(clf, features: Iterable[int]) -> frozenset[int]:
 
 
 def is_weak_axp(clf, instance: Instance | None, features: Iterable[int]) -> bool:
-    """Does fixing `features` to the instance values pin the prediction?"""
-    return clf.is_weak_axp(instance, _check_features(clf, features))
+    """Does fixing `features` to the instance values pin the prediction?
+
+    The compiled circuit range-checks the features."""
+    return clf.is_weak_axp(instance, features)
 
 
 def is_weak_cxp(clf, instance: Instance | None, features: Iterable[int]) -> bool:
@@ -437,7 +433,8 @@ def _shrink(clf, instance, seed: Iterable[int], frees: bool, kind: str, deadline
     pinned and the rest free for an AXp, the other way round for a CXp;
     dropping a feature frees it (``frees``) or pins it, and it stays
     in the result exactly when that flips the circuit's output. The
-    deadline, a ``time.time()`` value, is read before each feature.
+    deadline, a ``time.time()`` value (``math.inf`` for none), is read
+    before each feature.
     """
     current = sorted(_check_features(clf, seed))
     circuit = clf.circuit_for(instance)
@@ -449,19 +446,18 @@ def _shrink(clf, instance, seed: Iterable[int], frees: bool, kind: str, deadline
         raise ClassifierError(f"seed is not a weak {kind} explanation")
     kept = []
     for i in current:
-        if deadline is not None and time.time() > deadline:
-            raise SolverTimeout(f"{kind} deletion scan exceeded its time limit before feature {i}")
+        check_deadline(deadline, f"{kind} deletion scan exceeded its time limit before feature {i}")
         if circuit.flips(val, i, frees):
             kept.append(i)
     return frozenset(kept)
 
 
-def find_axp(clf, instance: Instance | None, seed: Iterable[int], *, deadline=None) -> frozenset[int]:
+def find_axp(clf, instance: Instance | None, seed: Iterable[int], *, deadline=inf) -> frozenset[int]:
     """Shrink a weak AXp to a subset-minimal one by deletion."""
     return _shrink(clf, instance, seed, True, "abductive", deadline)
 
 
-def find_cxp(clf, instance: Instance | None, seed: Iterable[int], *, deadline=None) -> frozenset[int]:
+def find_cxp(clf, instance: Instance | None, seed: Iterable[int], *, deadline=inf) -> frozenset[int]:
     """Shrink a weak CXp to a subset-minimal one by the same deletion scan."""
     return _shrink(clf, instance, seed, False, "contrastive", deadline)
 
@@ -476,32 +472,32 @@ def _domains(clf) -> list[tuple[int, ...]]:
     return [(0, 1)] * clf.num_features
 
 
-def _prediction_table(clf) -> dict[tuple[int, ...], int]:
-    return {
-        point: clf.predict(point)
-        for point in itertools.product(*_domains(clf))
-    }
+def _weak_axp_oracle(clf, instance: Instance | None):
+    """X -> whether X is a weak AXp, by the definition alone.
 
+    A classifier that predicts is tabled once over its whole domain, and
+    X is weak when every completion of the fixed features keeps the
+    class. A bare explanation graph cannot predict, so its oracle is
+    `xpg.evaluate_sigma`. Neither reads the compiled circuit.
+    """
+    m = clf.num_features
+    if isinstance(clf, XpgClassifier):
+        graph = clf.graph
+        return lambda X: xpg_mod.evaluate_sigma(graph, [int(i in X) for i in range(1, m + 1)])
+    domains = _domains(clf)
+    table = {point: clf.predict(point) for point in itertools.product(*domains)}
 
-def _weak_axp_by_definition(table, domains, instance, features) -> bool:
-    free = [i for i in range(1, len(domains) + 1) if i not in features]
-    point = list(instance.values)
-    for combo in itertools.product(*(domains[i - 1] for i in free)):
-        for i, v in zip(free, combo):
-            point[i - 1] = v
-        if table[tuple(point)] != instance.label:
-            return False
-    return True
+    def weak(features) -> bool:
+        free = [i for i in range(1, m + 1) if i not in features]
+        point = list(instance.values)
+        for combo in itertools.product(*(domains[i - 1] for i in free)):
+            for i, v in zip(free, combo):
+                point[i - 1] = v
+            if table[tuple(point)] != instance.label:
+                return False
+        return True
 
-
-def _weak_cxp_by_definition(table, domains, instance, features) -> bool:
-    point = list(instance.values)
-    for combo in itertools.product(*(domains[i - 1] for i in sorted(features))):
-        for i, v in zip(sorted(features), combo):
-            point[i - 1] = v
-        if table[tuple(point)] != instance.label:
-            return True
-    return False
+    return weak
 
 
 def _enumerate_minimal(m: int, predicate) -> frozenset[frozenset[int]]:
@@ -527,35 +523,18 @@ def _guard_bruteforce(clf) -> None:
 def enumerate_axps_bruteforce(clf, instance: Instance | None) -> frozenset[frozenset[int]]:
     """All AXps by scanning subsets in increasing cardinality.
 
-    Each candidate is tested directly against the definition (every
-    completion of the fixed features keeps the class), using only the
-    classifier's `predict`; supersets of found explanations are
-    pruned. Bare explanation graphs are tested through their
-    evaluation function instead, which is the same predicate.
+    Each candidate is tested against the definition by the oracle above,
+    never by the compiled circuit whose answers it judges; supersets of
+    found explanations are pruned.
     """
     _guard_bruteforce(clf)
-    if isinstance(clf, XpgClassifier):
-        return _enumerate_minimal(
-            clf.num_features, lambda X: clf.is_weak_axp(instance, X)
-        )
-    table = _prediction_table(clf)
-    domains = _domains(clf)
-    return _enumerate_minimal(
-        clf.num_features,
-        lambda X: _weak_axp_by_definition(table, domains, instance, X),
-    )
+    return _enumerate_minimal(clf.num_features, _weak_axp_oracle(clf, instance))
 
 
 def enumerate_cxps_bruteforce(clf, instance: Instance | None) -> frozenset[frozenset[int]]:
-    """All CXps by the dual subset scan."""
+    """All CXps by the dual subset scan: Y is a weak CXp exactly when the
+    other features are not a weak AXp."""
     _guard_bruteforce(clf)
-    if isinstance(clf, XpgClassifier):
-        return _enumerate_minimal(
-            clf.num_features, lambda Y: is_weak_cxp(clf, instance, Y)
-        )
-    table = _prediction_table(clf)
-    domains = _domains(clf)
-    return _enumerate_minimal(
-        clf.num_features,
-        lambda Y: _weak_cxp_by_definition(table, domains, instance, Y),
-    )
+    weak = _weak_axp_oracle(clf, instance)
+    every = _all_features(clf)
+    return _enumerate_minimal(clf.num_features, lambda Y: not weak(every - Y))

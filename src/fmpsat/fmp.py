@@ -10,11 +10,12 @@ in it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 from . import encode as enc
-from .errors import ClassifierError, FmpsatError, SolverTimeout
+from .errors import ClassifierError, FmpsatError, SolverTimeout, check_deadline
 from .explain import (
     DtClassifier,
     Instance,
@@ -59,11 +60,12 @@ class FmpOutcome:
         return "Yes" if self.membership else "No"
 
 
-def build_encoding(query: FmpQuery, deadline: float | None = None):
+def build_encoding(query: FmpQuery, deadline: float = math.inf):
     """Produce (cnf, varmap, pre_negated) for the query's route.
 
     The encoder raises ``SolverTimeout`` if the deadline (a
-    ``time.time()`` value) passes before one of its replicas.
+    ``time.time()`` value, ``math.inf`` for none) passes before one of
+    its replicas.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
@@ -102,19 +104,20 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
 
     On a positive answer the returned witness is a verified AXp
     containing the target; the two-step seed is checked against its
-    contract (weak, and no longer weak once the target is dropped)
-    before extraction. The time limit counts from entry: encoding
-    spends part of it, the solver gets what is left, and the deletion
-    scan and the witness check read it too.
+    contract before extraction: it is no longer weak once the target is
+    dropped, and the deletion scan's entry pass finds it weak. The time
+    limit counts from entry: encoding spends part of it, the solver gets
+    what is left, and the deletion scan and the witness check read it
+    too.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     started = time.perf_counter()
-    deadline = None if query.time_limit_s is None else time.time() + query.time_limit_s
+    deadline = math.inf if query.time_limit_s is None else time.time() + query.time_limit_s
     cnf, vm, pre_negated = build_encoding(query, deadline)
     encode_s = time.perf_counter() - started
 
     remaining = None
-    if deadline is not None:
+    if query.time_limit_s is not None:
         remaining = deadline - time.time()
         if remaining <= 0:
             raise SolverTimeout(f"encoding exceeded the {query.time_limit_s} s limit")
@@ -138,8 +141,6 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
             witness = selected
         else:
             seed = selected
-            if not is_weak_axp(clf, instance, selected):
-                raise FmpsatError("two-step model decoded to a non-weak selection")
             if is_weak_axp(clf, instance, selected - {t}):
                 raise FmpsatError(
                     "two-step model stays weak without the target; encoding is broken"
@@ -162,20 +163,15 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     )
 
 
-def _verify_witness(clf, instance, witness: frozenset[int], target: int, deadline=None) -> None:
+def _verify_witness(clf, instance, witness: frozenset[int], target: int, deadline: float) -> None:
     """Re-check the witness with a full weak-AXp pass per subset; raise
     ``SolverTimeout`` if the deadline passes before one of them."""
     if target not in witness:
         raise FmpsatError(f"witness {sorted(witness)} misses the target feature {target}")
-    _check_clock(deadline)
+    check_deadline(deadline, "witness check exceeded its time limit")
     if not is_weak_axp(clf, instance, witness):
         raise FmpsatError(f"witness {sorted(witness)} is not a weak explanation")
     for i in sorted(witness):
-        _check_clock(deadline)
+        check_deadline(deadline, "witness check exceeded its time limit")
         if is_weak_axp(clf, instance, witness - {i}):
             raise FmpsatError(f"witness {sorted(witness)} is not minimal: {i} is droppable")
-
-
-def _check_clock(deadline) -> None:
-    if deadline is not None and time.time() > deadline:
-        raise SolverTimeout("witness check exceeded its time limit")

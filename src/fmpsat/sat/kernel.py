@@ -317,13 +317,12 @@ def clean_clauses(num_vars, clauses, assumptions=(), deadline=math.inf):
     return UNKNOWN, units, body
 
 
-def search(num_vars, clauses, assumptions=(), deadline=None):
+def search(num_vars, clauses, assumptions=(), deadline=math.inf):
     """Decide the clause set; returns (status, 0/1 model list or None).
 
     The status is UNKNOWN when the deadline (a ``time.time()`` value)
     passes, during clause packing or during the search.
     """
-    deadline = math.inf if deadline is None else deadline
     status, units, body = clean_clauses(num_vars, clauses, assumptions, deadline)
     if body is None:
         return status, None

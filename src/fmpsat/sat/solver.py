@@ -4,6 +4,7 @@ every satisfiable verdict against the full clause set before returning it."""
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import tempfile
@@ -69,7 +70,7 @@ def solve(
     Assumptions are added as unit clauses; a model covers every
     variable. Raises SolverTimeout when the limit elapses.
     """
-    deadline = None if time_limit_s is None else time.time() + time_limit_s
+    deadline = math.inf if time_limit_s is None else time.time() + time_limit_s
     _check_literals(cnf, assumptions)
     status, raw = kernel.search(cnf.num_vars, cnf.clauses, assumptions, deadline)
     if status == kernel.UNSAT:
@@ -125,7 +126,7 @@ def solve_external(
     limit counts from entry: the process gets what the literal check
     and the writing of the file leave, and is not started if nothing is.
     """
-    deadline = None if time_limit_s is None else time.time() + time_limit_s
+    deadline = math.inf if time_limit_s is None else time.time() + time_limit_s
     _check_literals(cnf, ())
     argv = shlex.split(solver_command)
     if not argv:
@@ -135,7 +136,7 @@ def solve_external(
         with open(path, "w") as sink:
             sink.writelines(iter_dimacs(cnf))
         remaining = None
-        if deadline is not None:
+        if time_limit_s is not None:
             remaining = deadline - time.time()
             if remaining <= 0:
                 raise SolverTimeout(f"no time left of the {time_limit_s} s limit to run the solver")

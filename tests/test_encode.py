@@ -12,6 +12,7 @@ import pytest
 
 import fmpsat as F
 from fmpsat import encode as enc
+from fmpsat import errors as errors_mod
 from fmpsat import sdd as sdd_mod
 from fmpsat.encode import (
     DIMACS_BLOCK_LINES,
@@ -170,7 +171,7 @@ def test_deadline_is_read_before_each_replica(ella_xpg, ella_sdd, ella_instance,
         return emit(cnf, vm, gates, cone, readers, replica, *rest)
 
     monkeypatch.setattr(enc, "_emit_replica", spy)
-    monkeypatch.setattr(enc, "time", SimpleNamespace(time=lambda: now[0]))
+    monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=lambda: now[0]))
     for encode in (
         lambda: encode_xpg_onestep(ella_xpg, 3, deadline=1.0),
         lambda: encode_sdd_twostep(ella_sdd, ella_instance, 3, deadline=1.0),

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmpsat as F
+from fmpsat import errors as errors_mod
 from fmpsat import explain as explain_mod
 from fmpsat.errors import ClassifierError, SolverTimeout
 from fmpsat.xpg import XpGraph, XpgNonTerminal, XpgTerminal
@@ -140,7 +141,7 @@ def test_deadline_is_read_before_each_candidate(ella_sdd_clf, ella_instance, mon
         return flips(circuit, val, i, value)
 
     monkeypatch.setattr(explain_mod._Circuit, "flips", spy)
-    monkeypatch.setattr(explain_mod, "time", SimpleNamespace(time=lambda: now[0]))
+    monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=lambda: now[0]))
     for scan, kind in ((F.find_axp, "abductive"), (F.find_cxp, "contrastive")):
         steps.clear()
         now[0] = 0.0
@@ -277,6 +278,23 @@ def test_enumerate_cxps_running_example(ella_sdd_clf, ella_instance):
         frozenset({1}),
         frozenset({3}),
     }
+
+
+def test_enumerators_never_read_the_compiled_circuit(ella_sdd, ella_obdd, ella_xpg,
+                                                    ella_instance, monkeypatch):
+    # the brute-force arbiter judges the circuit's answers, so it must
+    # reach its own without it: the prediction table, or evaluate_sigma
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the brute-force enumerator read the compiled circuit")
+
+    monkeypatch.setattr(explain_mod._Circuit, "evaluate", unreachable)
+    monkeypatch.setattr(explain_mod._Circuit, "is_weak", unreachable)
+    for clf in (F.SddClassifier(ella_sdd), F.ObddClassifier(ella_obdd),
+                F.XpgClassifier(ella_xpg)):
+        assert F.enumerate_axps_bruteforce(clf, ella_instance) == {frozenset({1, 3})}
+        assert F.enumerate_cxps_bruteforce(clf, ella_instance) == {
+            frozenset({1}), frozenset({3})
+        }
 
 
 def test_enumerate_single_relevant_feature():

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import fmpsat as F
-from fmpsat import encode as enc_mod
-from fmpsat import explain as explain_mod
+from fmpsat import errors as errors_mod
 from fmpsat import fmp as fmp_mod
-from fmpsat.errors import ClassifierError, SolverTimeout
+from fmpsat.errors import ClassifierError, FmpsatError, SolverTimeout
 from fmpsat.batch import (
     BatchQuery,
     batch_run,
@@ -22,6 +21,7 @@ from fmpsat.batch import (
     random_instance,
 )
 from fmpsat.fmp import FmpQuery, decide_membership
+from fmpsat.sat import SatResult
 
 
 def test_running_example_all_four_routes(ella_sdd_clf, ella_obdd_clf, ella_instance):
@@ -90,15 +90,15 @@ def test_time_limit_counts_the_encoding(ella_obdd_clf, ella_instance, monkeypatc
 
 def test_deadline_reaches_the_scan_and_the_witness_check(ella_obdd_clf, ella_instance,
                                                          monkeypatch):
+    # every deadline test reads the clock in fmpsat.errors; the query
+    # fixes its deadline by the real clock, 1 s ahead
     now = [0.0]
-    clock = SimpleNamespace(time=lambda: now[0], perf_counter=time.perf_counter)
-    for module in (fmp_mod, enc_mod, explain_mod):
-        monkeypatch.setattr(module, "time", clock)
+    monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=lambda: now[0]))
 
     def late(step):
         def call(*args, **kwargs):
             result = step(*args, **kwargs)
-            now[0] = 2.0  # the clock passes the deadline during this step
+            now[0] = time.time() + 2.0  # the clock passes the deadline during this step
             return result
         return call
 
@@ -113,6 +113,30 @@ def test_deadline_reaches_the_scan_and_the_witness_check(ella_obdd_clf, ella_ins
         query = FmpQuery(ella_obdd_clf, ella_instance, 3, method, time_limit_s=1.0)
         with pytest.raises(SolverTimeout, match=where):
             decide_membership(query)
+
+
+def test_self_checks_reject_a_broken_model(ella_sdd_clf, ella_obdd_clf, ella_instance,
+                                           monkeypatch):
+    # Ella's only AXp is {1,3}; each crafted model sets the selectors
+    # (variables 1..4) to one selection and every other variable FALSE
+    cases = [
+        ("one-step", 3, {1}, FmpsatError, "misses the target feature 3"),
+        ("one-step", 3, {3}, FmpsatError, r"\[3\] is not a weak explanation"),
+        ("one-step", 3, {1, 2, 3}, FmpsatError, "not minimal: 2 is droppable"),
+        ("two-step", 2, {1, 2, 3}, FmpsatError, "stays weak without the target"),
+        # {3} without the target is not weak either, so the deletion scan's
+        # entry pass is the check that rejects it
+        ("two-step", 3, {3}, ClassifierError, "seed is not a weak abductive explanation"),
+    ]
+    for clf in (ella_sdd_clf, ella_obdd_clf):
+        for method, target, selection, error, message in cases:
+            def crafted(cnf, time_limit_s=None, selection=selection):
+                return SatResult(True, [False] + [i in selection
+                                                  for i in range(1, cnf.num_vars + 1)])
+
+            monkeypatch.setattr(fmp_mod, "solve", crafted)
+            with pytest.raises(error, match=message):
+                decide_membership(FmpQuery(clf, ella_instance, target, method))
 
 
 def test_mismatched_instance_rejected(ella_sdd_clf):
