@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import sdd as sdd_mod
@@ -295,11 +295,7 @@ class _Aggregate:
         ]
 
 
-def batch_run(
-    queries: Sequence[BatchQuery],
-    time_limit_s: float | None,
-    sink,
-) -> list[list[str]]:
+def batch_run(queries: Sequence[BatchQuery], sink) -> list[list[str]]:
     """Run every query, aggregate per (name, method), write CSV rows.
 
     Timed-out queries are counted and skipped; the batch continues.
@@ -317,7 +313,7 @@ def batch_run(
             clf = query.classifier
             agg = groups[key] = _Aggregate(item.name, clf.num_features, clf.num_nodes, query.method)
         try:
-            outcome = decide_membership(replace(query, time_limit_s=time_limit_s))
+            outcome = decide_membership(query)
         except SolverTimeout:
             agg.timeouts += 1
             continue

@@ -251,15 +251,16 @@ def cmd_bench(args) -> int:
                             target=target,
                             method=method,
                             solver_command=solver_command,
+                            time_limit_s=args.time_limit_s,
                         ),
                     )
                 )
     if args.out:
         with open(args.out, "w") as sink:
-            batch_run(queries, args.time_limit_s, sink)
+            batch_run(queries, sink)
         print(f"wrote report to {args.out}", file=sys.stderr)
     else:
-        batch_run(queries, args.time_limit_s, sys.stdout)
+        batch_run(queries, sys.stdout)
     return EXIT_YES
 
 

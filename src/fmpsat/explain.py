@@ -391,6 +391,9 @@ class XpgClassifier(_XpgBackedClassifier):
     def xpg_for(self, instance: Instance | None) -> xpg_mod.XpGraph:
         return self.graph
 
+    def circuit_for(self, instance: Instance | None) -> _Circuit:
+        return super().circuit_for(None)  # one circuit, whatever instance is passed
+
 
 # --------------------------------------------------------------------------
 # predicates and extraction

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from . import encode as enc
-from .errors import ClassifierError, FmpsatError, SolverTimeout, check_deadline
+from .errors import ClassifierError, FmpsatError, check_deadline
 from .explain import (
     DtClassifier,
     Instance,
@@ -116,19 +116,11 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     cnf, vm, pre_negated = build_encoding(query, deadline)
     encode_s = time.perf_counter() - started
 
-    remaining = None
-    if query.time_limit_s is not None:
-        remaining = deadline - time.time()
-        if remaining <= 0:
-            raise SolverTimeout(f"encoding exceeded the {query.time_limit_s} s limit")
     solve_started = time.perf_counter()
-    try:
-        if query.solver_command:
-            result = solve_external(cnf, query.solver_command, remaining)
-        else:
-            result = solve(cnf, time_limit_s=remaining)
-    except SolverTimeout as exc:
-        raise SolverTimeout(f"query exceeded the {query.time_limit_s} s limit") from exc
+    if query.solver_command:
+        result = solve_external(cnf, query.solver_command, deadline=deadline)
+    else:
+        result = solve(cnf, deadline=deadline)
     solve_s = time.perf_counter() - solve_started
 
     seed = None

@@ -21,6 +21,7 @@ from ..errors import (
     SolverOutputError,
     SolverSpawnError,
     SolverTimeout,
+    check_deadline,
 )
 from . import kernel
 
@@ -63,20 +64,23 @@ def _verified_result(cnf: CnfFormula, assumptions: Sequence[int], values, error)
 def solve(
     cnf: CnfFormula,
     assumptions: Sequence[int] = (),
-    time_limit_s: float | None = None,
+    *,
+    deadline: float = math.inf,
 ) -> SatResult:
     """Decide the formula with the internal engine.
 
     Assumptions are added as unit clauses; a model covers every
-    variable. Raises SolverTimeout when the limit elapses.
+    variable. Raises SolverTimeout once the deadline (a ``time.time()``
+    value, ``math.inf`` for none) passes, at entry before the literal
+    check or during the search.
     """
-    deadline = math.inf if time_limit_s is None else time.time() + time_limit_s
+    check_deadline(deadline, "solve exceeded its time limit before the literal check")
     _check_literals(cnf, assumptions)
     status, raw = kernel.search(cnf.num_vars, cnf.clauses, assumptions, deadline)
     if status == kernel.UNSAT:
         return SatResult(False)
     if status == kernel.UNKNOWN:
-        raise SolverTimeout(f"solve exceeded the {time_limit_s} s limit")
+        raise SolverTimeout("solve exceeded its time limit")
     return _verified_result(
         cnf, assumptions, raw, SolverError("internal solver returned a model that violates a clause")
     )
@@ -116,17 +120,18 @@ def _parse_external_output(text: str, num_vars: int):
 def solve_external(
     cnf: CnfFormula,
     solver_command: str,
-    time_limit_s: float | None = None,
+    *,
+    deadline: float = math.inf,
 ) -> SatResult:
     """Run an external DIMACS solver and verify its answer locally.
 
     The command receives the path of a temporary DIMACS file as its
     last argument and must print competition-format output
-    (an ``s`` status line, ``v`` value lines for models). The time
-    limit counts from entry: the process gets what the literal check
-    and the writing of the file leave, and is not started if nothing is.
+    (an ``s`` status line, ``v`` value lines for models). The process
+    gets the time left before the deadline (a ``time.time()`` value,
+    ``math.inf`` for none) once the literal check and the file are
+    done, and is not started if nothing is left.
     """
-    deadline = math.inf if time_limit_s is None else time.time() + time_limit_s
     _check_literals(cnf, ())
     argv = shlex.split(solver_command)
     if not argv:
@@ -135,24 +140,18 @@ def solve_external(
         path = Path(tmp) / "problem.cnf"
         with open(path, "w") as sink:
             sink.writelines(iter_dimacs(cnf))
-        remaining = None
-        if time_limit_s is not None:
-            remaining = deadline - time.time()
-            if remaining <= 0:
-                raise SolverTimeout(f"no time left of the {time_limit_s} s limit to run the solver")
+        check_deadline(deadline, "no time left to run the external solver")
         try:
             proc = subprocess.run(
                 argv + [str(path)],
                 capture_output=True,
                 text=True,
-                timeout=remaining,
+                timeout=None if deadline == math.inf else deadline - time.time(),
             )
-        except FileNotFoundError as exc:
-            raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc
         except OSError as exc:
             raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc
         except subprocess.TimeoutExpired as exc:
-            raise SolverTimeout(f"external solver exceeded {time_limit_s} s") from exc
+            raise SolverTimeout("external solver exceeded its time limit") from exc
     verdict, values = _parse_external_output(proc.stdout, cnf.num_vars)
     if not verdict:
         return SatResult(False)

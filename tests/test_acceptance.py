@@ -246,7 +246,7 @@ def test_criterion_8_determinism(ella_xpg):
             for inst, t in picks
         ]
         sink = io.StringIO()
-        batch_run(queries, None, sink)
+        batch_run(queries, sink)
         # timing columns legitimately vary between runs
         return [
             ",".join(line.split(",")[:7] + line.split(",")[9:])

@@ -185,6 +185,33 @@ def test_constant_sdd_rejected(capsys, tmp_path, body, label):
     assert "constant" in err
 
 
+REJECTED_FILES = {
+    "const.dt": "dt 1\nDOM 1 2 0 1\nN 0 1\nT 1 0\nT 2 0\nE 0 1 0\nE 0 2 1\n",
+    "const.xpg": "xpg 1 3\nN 0 1\nT 1 1\nT 2 1\nE 0 1 0\nE 0 2 1\n",
+    "one.inst": "v: 0\nc: 0\n",
+}
+REJECTED = {
+    "constant-dt": (["axp", "--dt", "const.dt", "--instance", "one.inst"], "constant"),
+    "xpg-without-0-terminal": (["axp", "--xpg", "const.xpg"], "constant"),
+    "obdd-without-instance": (["axp", "--obdd", str(DATA / "ella.obdd")],
+                              "--obdd needs --instance"),
+    "xpg-instance-length": (["axp", *ELLA_XPG, "--instance", "one.inst"],
+                            "instance has 1 features, graph has 4"),
+    "two-classifiers": (["axp", *ELLA_OBDD, *ELLA_XPG], "exactly one classifier input"),
+    "unknown-backend": (["fmp", *ELLA_OBDD, "--target", "3", "--backend", "bogus"],
+                        "unknown backend 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", REJECTED.values(), ids=REJECTED.keys())
+def test_rejected_arguments(capsys, tmp_path, argv, fragment):
+    for name, text in REJECTED_FILES.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run(capsys, [str(tmp_path / a) if a in REJECTED_FILES else a for a in argv])
+    assert code == 2
+    assert fragment in err
+
+
 def test_sdd_runs_negate_only_for_class_1(capsys, tmp_path, monkeypatch):
     calls = []
     negate = sdd_mod.negate

@@ -86,6 +86,17 @@ def test_xpg_classifier_cannot_predict(ella_xpg):
         clf.predict((0, 1, 0, 1))
 
 
+def test_bare_graph_compiles_one_circuit(ella_xpg, ella_instance):
+    # the graph fixes its instance, so every instance a caller passes
+    # names the same circuit
+    clf = F.XpgClassifier(ella_xpg)
+    subsets = [frozenset(i + 1 for i in range(4) if bits[i]) for bits in product((0, 1), repeat=4)]
+    answers = [[F.is_weak_axp(clf, inst, X) for X in subsets]
+               for inst in (None, ella_instance, F.Instance((1, 1, 1, 1), 0))]
+    assert len(clf._circuits) == 1
+    assert answers[0] == answers[1] == answers[2]
+
+
 def test_weak_axp_matches_definition(ella_sdd_clf, ella_instance):
     for bits in product((0, 1), repeat=4):
         X = frozenset(i + 1 for i in range(4) if bits[i])

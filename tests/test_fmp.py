@@ -1,6 +1,7 @@
 """Membership decisions, witness extraction, generators, and batches."""
 
 import io
+import math
 import time
 from itertools import product
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import pytest
 import fmpsat as F
 from fmpsat import errors as errors_mod
 from fmpsat import fmp as fmp_mod
+from fmpsat.sat import solver as solver_mod
 from fmpsat.errors import ClassifierError, FmpsatError, SolverTimeout
 from fmpsat.batch import (
     BatchQuery,
@@ -88,6 +90,29 @@ def test_time_limit_counts_the_encoding(ella_obdd_clf, ella_instance, monkeypatc
         decide_membership(query)
 
 
+def test_solve_reads_the_deadline_before_the_literal_check(ella_obdd_clf, ella_instance,
+                                                           monkeypatch):
+    # the clock passes the deadline just as the encoding is done, so solve
+    # must stop at entry and never pay for its literal pass
+    now = [0.0]
+    monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=lambda: now[0]))
+    build_encoding = fmp_mod.build_encoding
+
+    def late_encoding(*args, **kwargs):
+        encoding = build_encoding(*args, **kwargs)
+        now[0] = time.time() + 2.0
+        return encoding
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("checked the literals after the deadline had passed")
+
+    monkeypatch.setattr(fmp_mod, "build_encoding", late_encoding)
+    monkeypatch.setattr(solver_mod, "_check_literals", no_check)
+    query = FmpQuery(ella_obdd_clf, ella_instance, 3, "one-step", time_limit_s=1.0)
+    with pytest.raises(SolverTimeout, match="solve"):
+        decide_membership(query)
+
+
 def test_deadline_reaches_the_scan_and_the_witness_check(ella_obdd_clf, ella_instance,
                                                          monkeypatch):
     # every deadline test reads the clock in fmpsat.errors; the query
@@ -130,7 +155,7 @@ def test_self_checks_reject_a_broken_model(ella_sdd_clf, ella_obdd_clf, ella_ins
     ]
     for clf in (ella_sdd_clf, ella_obdd_clf):
         for method, target, selection, error, message in cases:
-            def crafted(cnf, time_limit_s=None, selection=selection):
+            def crafted(cnf, deadline=math.inf, selection=selection):
                 return SatResult(True, [False] + [i in selection
                                                   for i in range(1, cnf.num_vars + 1)])
 
@@ -260,7 +285,7 @@ def test_sdd_and_xpg_routes_agree_from_same_obdd():
 
 # ------------------------------------------------------------------ batch
 
-def _small_batch(method_list, seed=5, queries=10):
+def _small_batch(method_list, seed=5, queries=10, time_limit_s=None):
     rng = np.random.default_rng(seed)
     clf = generate_random_classifier("obdd", 6, 20, seed=seed)
     picks = [
@@ -269,13 +294,14 @@ def _small_batch(method_list, seed=5, queries=10):
     out = []
     for method in method_list:
         for inst, t in picks:
-            out.append(BatchQuery("toy", FmpQuery(clf, inst, t, method)))
+            out.append(BatchQuery("toy", FmpQuery(clf, inst, t, method,
+                                                  time_limit_s=time_limit_s)))
     return out
 
 
 def test_batch_rows_and_header():
     sink = io.StringIO()
-    rows = batch_run(_small_batch(["one-step", "two-step"]), None, sink)
+    rows = batch_run(_small_batch(["one-step", "two-step"]), sink)
     text = sink.getvalue().splitlines()
     assert text[0] == "name,m,nodes,method,yes_pct,avg_vars,avg_cls,max_s,avg_s,timeouts"
     assert len(rows) == 2
@@ -288,17 +314,17 @@ def test_batch_rows_and_header():
 
 def test_batch_no_timeouts_on_tiny_inputs():
     sink = io.StringIO()
-    rows = batch_run(_small_batch(["two-step"], queries=100), 30.0, sink)
+    rows = batch_run(_small_batch(["two-step"], queries=100, time_limit_s=30.0), sink)
     assert rows[0][9] == "0"
 
 
 def test_batch_timeout_handling():
     # a zero budget times out every query but the batch still completes
     sink = io.StringIO()
-    rows = batch_run(_small_batch(["two-step"], queries=3), 0.0, sink)
+    rows = batch_run(_small_batch(["two-step"], queries=3, time_limit_s=0.0), sink)
     assert rows[0][9] == "3"
 
 
 def test_batch_requires_queries():
     with pytest.raises(ClassifierError, match="at least one"):
-        batch_run([], None, io.StringIO())
+        batch_run([], io.StringIO())

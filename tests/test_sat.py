@@ -53,6 +53,7 @@ def test_single_unit():
 
 def test_contradiction():
     assert not solve(CnfFormula(num_vars=1, clauses=[[1], [-1]])).satisfiable
+    assert not solve(CnfFormula(num_vars=1, clauses=[[1], []])).satisfiable
 
 
 def test_pigeonhole_4_into_3():
@@ -122,14 +123,14 @@ def test_assumption_semantics():
 def test_zero_time_limit_raises():
     cnf = _php(5, 4)
     with pytest.raises(SolverTimeout):
-        solve(cnf, time_limit_s=0.0)
+        solve(cnf, deadline=time.time())
 
 
 def test_time_limit_holds_during_search():
     cnf = _php(9, 8)  # far more than half a second of search
     started = time.perf_counter()
     with pytest.raises(SolverTimeout):
-        solve(cnf, time_limit_s=0.5)
+        solve(cnf, deadline=time.time() + 0.5)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.5, f"a 0.5 s limit ended the search after {elapsed:.2f} s"
 
@@ -145,7 +146,7 @@ def test_time_limit_counts_the_literal_check(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "_check_literals", slow_check)
     with pytest.raises(SolverTimeout):
-        solve(CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]]), time_limit_s=0.1)
+        solve(CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]]), deadline=time.time() + 0.1)
 
 
 def test_passed_deadline_ends_search_during_clause_packing():
@@ -212,11 +213,22 @@ def test_external_unsat_line(tmp_path):
     assert not solve_external(cnf, f"{sys.executable} {script}").satisfiable
 
 
-def test_external_unparseable_output(tmp_path):
-    script = tmp_path / "garbage.py"
-    script.write_text("print('hello world')\n")
+UNPARSEABLE_OUTPUT = {
+    "no-s-line": ("hello world\n", "no s-line"),
+    "unknown": ("s UNKNOWN\n", "answered UNKNOWN"),
+    "bad-status": ("s MAYBE\n", "unrecognized status line 's MAYBE'"),
+    "bad-literal": ("s SATISFIABLE\nv 1 x 0\n", "bad literal 'x'"),
+    "past-num-vars": ("s SATISFIABLE\nv 1 2 0\n", "unknown variable 2"),
+}
+
+
+@pytest.mark.parametrize("output, message", UNPARSEABLE_OUTPUT.values(),
+                         ids=UNPARSEABLE_OUTPUT.keys())
+def test_external_unparseable_output(tmp_path, output, message):
+    script = tmp_path / "prints.py"
+    script.write_text(f"print({output!r}, end='')\n")
     cnf = CnfFormula(num_vars=1, clauses=[[1]])
-    with pytest.raises(SolverOutputError, match="no s-line"):
+    with pytest.raises(SolverOutputError, match=re.escape(message)):
         solve_external(cnf, f"{sys.executable} {script}")
 
 
@@ -247,7 +259,7 @@ def test_external_time_limit_counts_the_literal_check(tmp_path, monkeypatch):
     _slow_literal_check(monkeypatch, 0.2)
     cnf = CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]])
     with pytest.raises(SolverTimeout):
-        solve_external(cnf, f"{sys.executable} {script}", time_limit_s=0.1)
+        solve_external(cnf, f"{sys.executable} {script}", deadline=time.time() + 0.1)
     assert not marker.exists()
 
 
@@ -258,7 +270,7 @@ def test_external_solver_gets_the_time_left(tmp_path, monkeypatch):
     cnf = CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]])
     started = time.perf_counter()
     with pytest.raises(SolverTimeout):
-        solve_external(cnf, f"{sys.executable} {script}", time_limit_s=0.8)
+        solve_external(cnf, f"{sys.executable} {script}", deadline=time.time() + 0.8)
     elapsed = time.perf_counter() - started
     # the whole call takes the limit, not the check plus the limit (1.3 s)
     assert elapsed < 1.15, f"a 0.8 s limit ended the call after {elapsed:.2f} s"
@@ -268,6 +280,8 @@ def test_external_spawn_failure():
     cnf = CnfFormula(num_vars=1, clauses=[[1]])
     with pytest.raises(SolverSpawnError):
         solve_external(cnf, "/nonexistent/solver-binary")
+    with pytest.raises(SolverSpawnError, match="empty"):
+        solve_external(cnf, "")
 
 
 # ------------------------------------------------------ malformed formulas
