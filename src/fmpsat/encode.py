@@ -26,9 +26,19 @@ order. A block follows the circuit's evaluation order, operands before
 the gates that read them, and gives each gate's term variables
 (``e_k_j_i``, longest term first) before the gate's own (``n_k_j``).
 
+Nothing in replica 0 depends on the target, so it is built once per
+(classifier, instance): each encoder takes an optional ``store``, a
+dict for one (diagram, instance) that the encoder fills once replica 0
+is complete, and with a filled one it skips the lowering and replica
+0. Each query then copies only what it appends to, replica 0's clause
+list and roles, adds its ``[s_t]`` unit and emits replica t (two-step)
+or 1..m (one-step), each on a copy of replica 0's values.
+`build_encoding` passes the adapter's store for the instance, which
+both methods share and which lives as long as the adapter.
+
 Each encoder takes an optional ``deadline``, a ``time.time()`` value
 (``math.inf`` for none), and raises ``SolverTimeout`` if it has passed
-before a replica.
+before a replica; a store is never left half filled.
 """
 
 from __future__ import annotations
@@ -83,6 +93,10 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
+    def copy(self) -> CnfFormula:
+        """A formula with the same clauses, which appending to leaves this one as it is."""
+        return CnfFormula(self.num_vars, self.clauses.copy())
+
 
 class VarMap:
     """The role of each CNF variable of one encoding, and each replica's output."""
@@ -96,6 +110,15 @@ class VarMap:
         self._roles = array("i")
         # replica -> its output's value: a literal, or "T"/"F" when constant
         self.outputs: dict[int, int | str] = {}
+
+    def copy(self) -> VarMap:
+        """A map with the same roles and outputs, which allocating in
+        leaves this one as it is."""
+        vm = VarMap(self.num_features)
+        vm._sel = self._sel
+        vm._roles = self._roles[:]
+        vm.outputs = self.outputs.copy()
+        return vm
 
     def allocate_selectors(self, cnf: CnfFormula) -> None:
         for i in range(1, self.num_features + 1):
@@ -254,10 +277,11 @@ def _cone(gates, order: list[int], num_features: int):
         for term in gates[j]:
             for o in term:
                 readers[o].append(p)
-    return cone, readers
+    # kept with replica 0: tuples hold it in less memory, and () is shared
+    return cone, [tuple(r) for r in readers]
 
 
-def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, term_values=None):
+def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, term_vars=None):
     """The value of the gate whose terms have these operand values.
 
     A term with a FALSE operand is dropped and TRUE operands vanish; a
@@ -268,7 +292,8 @@ def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, term_valu
     terms, one clause per choice of one literal from each. A term gets
     a variable of its own (its length plus one clauses) only where that
     costs less than the factor its length adds to the product.
-    ``term_values``, if given, receives each kept term's literals.
+    ``term_vars``, if given, records (term index, variable) under the
+    gate for each term that gets one.
     """
     live = []
     for i, ops in enumerate(terms):
@@ -282,10 +307,7 @@ def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, term_valu
     if not live:
         return _FALSE
     if len(live) == 1 and len(live[0][1]) == 1:
-        i, (lit,) = live[0]
-        if term_values is not None:
-            term_values[i] = [lit]
-        return lit
+        return live[0][1][0]
     lits = [ops for _, ops in live]
     sizes = [len(ops) for ops in lits]
     product = prod(sizes)
@@ -299,27 +321,28 @@ def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, term_valu
         e = vm.allocate(cnf, replica, gate, live[p][0])
         clausify_eq_and(cnf, e, lits[p])
         lits[p] = [e]
+        if term_vars is not None:
+            term_vars.setdefault(gate, []).append((live[p][0], e))
     n = vm.allocate(cnf, replica, gate)
     add = cnf.clauses.append
     for choice in product_of(*lits):
         add([-n, *choice])
-    for (i, _), ops in zip(live, lits):
+    for ops in lits:
         add([n] + [-lit for lit in ops])
-        if term_values is not None:
-            term_values[i] = ops
     return n
 
 
-def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term0) -> None:
+def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term_vars) -> None:
     """Evaluate the replica's gates into ``val``.
 
-    Replica 0 evaluates every gate of the cone and keeps each term's
-    literals in ``term0``: its own variable, or the literals it ANDs.
-    Replica k starts from replica 0's values with the guard -s_k made
-    TRUE, and re-evaluates only the gates with an operand it changed; in
-    them, a term whose operands are all unchanged keeps replica 0's
-    value. A gate that is constant in replica 0 is the same constant in
-    every replica, since freeing a feature only turns guards TRUE.
+    Replica 0 evaluates every gate of the cone and records in
+    ``term_vars`` the terms that got a variable of their own. Replica k
+    starts from replica 0's values with the guard -s_k made TRUE, and
+    re-evaluates only the gates with an operand it changed; in them, a
+    term whose operands are all unchanged keeps replica 0's value: the
+    operands' values, which it shares, or the term's variable. A gate
+    that is constant in replica 0 is the same constant in every
+    replica, since freeing a feature only turns guards TRUE.
     """
     changed = bytearray(len(val))
     todo = bytearray(len(cone))  # the positions in the cone to evaluate
@@ -337,14 +360,11 @@ def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term0) -> None:
         old = val[j]  # None before replica 0 sets it
         if old != _TRUE and old != _FALSE:
             terms = gates[j]
-            if replica:
-                kept = term0[j]
-                ops = [[val[o] for o in term] if any(map(is_changed, term)) else kept[i]
-                       for i, term in enumerate(terms)]
-                value = _fold(cnf, vm, replica, j, ops)
-            else:
-                term0[j] = [[_FALSE]] * len(terms)
-                value = _fold(cnf, vm, 0, j, [[val[o] for o in term] for term in terms], term0[j])
+            ops = [[val[o] for o in term] for term in terms]
+            for i, e in term_vars.get(j, ()):
+                if not any(map(is_changed, terms[i])):
+                    ops[i] = [e]
+            value = _fold(cnf, vm, replica, j, ops, None if replica else term_vars)
             if value != old:
                 val[j] = value
                 changed[j] = 1
@@ -353,28 +373,51 @@ def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term0) -> None:
         p = todo.find(1, p + 1)
 
 
-def _encode(gates, order, m: int, target: int, replicas: Iterable[int], deadline):
-    """Replica 0 keeps the output FALSE; replica k ties it to s_k."""
-    _check_target(m, target)
+def _replica0(gates, order, m: int, deadline) -> dict:
+    """The circuit's cone and readers, and replica 0 on them: its clauses
+    and roles, then the unit keeping its output FALSE (fixing the
+    selection keeps the class; the input checks rule out a TRUE output,
+    the instance's own class). None of it depends on the target."""
     cone, readers = _cone(gates, order, m)
     cnf = CnfFormula()
     vm = VarMap(m)
     vm.allocate_selectors(cnf)
+    check_deadline(deadline, "encoding exceeded its time limit before replica 0")
     # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
-    base = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]
-    term0: dict[int, list] = {}
+    val = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]
+    term_vars: dict[int, list] = {}
+    _emit_replica(cnf, vm, gates, cone, readers, 0, val, term_vars)
+    output = vm.outputs[0] = val[cone[-1]]
+    if output != _FALSE:
+        cnf.add([-output])
+    return {"gates": gates, "cone": cone, "readers": readers, "val": val,
+            "term_vars": term_vars, "cnf": cnf, "vm": vm}
+
+
+def _encode(lower, m: int, target: int, replicas: Iterable[int], deadline, store):
+    """Replica 0 keeps the output FALSE and selects the target; replica k
+    ties the output to s_k.
+
+    ``store`` holds replica 0 of one (diagram, instance): an empty one
+    is filled from ``lower()`` once replica 0 is complete, and a filled
+    one skips the lowering, its input checks and replica 0. Every query
+    appends to copies of its clause list and roles, and evaluates each
+    replica k on a copy of its values.
+    """
+    _check_target(m, target)
+    if store is None:
+        store = {}
+    if not store:
+        store.update(_replica0(*lower(), m, deadline))
+    gates, cone, readers = store["gates"], store["cone"], store["readers"]
+    cnf, vm = store["cnf"].copy(), store["vm"].copy()
+    cnf.add([vm.sel(target)])
     for k in replicas:
         check_deadline(deadline, f"encoding exceeded its time limit before replica {k}")
-        val = base.copy() if k else base
-        _emit_replica(cnf, vm, gates, cone, readers, k, val, term0)
+        val = store["val"].copy()
+        _emit_replica(cnf, vm, gates, cone, readers, k, val, store["term_vars"])
         output = vm.outputs[k] = val[cone[-1]]
-        if k == 0:
-            # fixing the selection keeps the class; the input checks rule
-            # out a TRUE output (the instance's own class)
-            if output != _FALSE:
-                cnf.add([-output])
-            cnf.add([vm.sel(target)])
-        elif output in (_TRUE, _FALSE):
+        if output in (_TRUE, _FALSE):
             s = vm.sel(k)
             cnf.add([s if output == _TRUE else -s])
         else:
@@ -383,27 +426,28 @@ def _encode(gates, order, m: int, target: int, replicas: Iterable[int], deadline
     return cnf, vm
 
 
-def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf):
+def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, store=None):
     """Replicas 0..m; every model decodes to an AXp containing the target."""
     m = sdd.num_features
-    return _encode(*_lower_sdd(sdd, instance), m, target, range(m + 1), deadline)
+    return _encode(lambda: _lower_sdd(sdd, instance), m, target, range(1, m + 1), deadline, store)
 
 
-def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf):
+def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, store=None):
     """Replicas 0 and t; models are weak AXps whose every contained AXp
     includes the target."""
-    return _encode(*_lower_sdd(sdd, instance), sdd.num_features, target, (0, target), deadline)
+    return _encode(lambda: _lower_sdd(sdd, instance), sdd.num_features, target, (target,),
+                   deadline, store)
 
 
-def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=inf):
+def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=inf, store=None):
     """Replicas 0..m over the graph's activation semantics."""
     m = xpg.num_features
-    return _encode(*_lower_xpg(xpg), m, target, range(m + 1), deadline)
+    return _encode(lambda: _lower_xpg(xpg), m, target, range(1, m + 1), deadline, store)
 
 
-def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=inf):
+def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=inf, store=None):
     """Replicas 0 and t only."""
-    return _encode(*_lower_xpg(xpg), xpg.num_features, target, (0, target), deadline)
+    return _encode(lambda: _lower_xpg(xpg), xpg.num_features, target, (target,), deadline, store)
 
 
 # --------------------------------------------------------------------------

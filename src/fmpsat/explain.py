@@ -257,13 +257,16 @@ class SddClassifier:
     Weak-explanation tests run on a circuit compiled once per instance
     from the diagram under which it has class 0: the diagram itself, or
     for instances predicted 1 a lazily built, cached negation. Either
-    way the pinned diagram must be inconsistent.
+    way the pinned diagram must be inconsistent. Beside the circuits,
+    the adapter keeps each instance's encoding store, in which the CNF
+    encoders hold replica 0 for every query on that instance.
     """
 
     def __init__(self, sdd: sdd_mod.Sdd):
         self.sdd = sdd
         self._negated: sdd_mod.Sdd | None = None
         self._circuits: dict = {}
+        self._encodings: dict[Instance, dict] = {}
 
     @property
     def num_features(self) -> int:
@@ -276,16 +279,18 @@ class SddClassifier:
     def predict(self, point: Sequence[int]) -> int:
         return int(sdd_mod.evaluate(self.sdd, point))
 
-    def negated_sdd(self) -> sdd_mod.Sdd:
+    def negated_sdd(self, *, deadline=inf) -> sdd_mod.Sdd:
+        """The negated diagram, built on first use; only a finished
+        negation is kept."""
         if self._negated is None:
-            self._negated = sdd_mod.negate(self.sdd)
+            self._negated = sdd_mod.negate(self.sdd, deadline=deadline)
         return self._negated
 
-    def diagram_for(self, instance: Instance) -> sdd_mod.Sdd:
+    def diagram_for(self, instance: Instance, *, deadline=inf) -> sdd_mod.Sdd:
         """The diagram under which the instance has class 0."""
         if instance.label not in (0, 1):
             raise ClassifierError(f"SDD classifiers are binary, got class {instance.label}")
-        return self.negated_sdd() if instance.label == 1 else self.sdd
+        return self.negated_sdd(deadline=deadline) if instance.label == 1 else self.sdd
 
     def circuit_for(self, instance: Instance) -> _Circuit:
         circuit = self._circuits.get(instance)
@@ -293,6 +298,10 @@ class SddClassifier:
             diagram = self.diagram_for(instance)
             circuit = self._circuits[instance] = _compile_sdd(diagram, instance.values)
         return circuit
+
+    def encoding_store(self, instance: Instance) -> dict:
+        """The store in which the encoders keep replica 0 for this instance."""
+        return self._encodings.setdefault(instance, {})
 
     def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
@@ -304,6 +313,7 @@ class _XpgBackedClassifier:
     def __init__(self):
         self._xpg_cache: dict[Instance, xpg_mod.XpGraph] = {}
         self._circuits: dict[Instance | None, _Circuit] = {}
+        self._encodings: dict[Instance | None, dict] = {}
 
     def _build_xpg(self, instance: Instance) -> xpg_mod.XpGraph:
         raise NotImplementedError
@@ -319,6 +329,10 @@ class _XpgBackedClassifier:
         if circuit is None:
             circuit = self._circuits[instance] = _compile_xpg(self.xpg_for(instance))
         return circuit
+
+    def encoding_store(self, instance: Instance | None) -> dict:
+        """The store in which the encoders keep replica 0 for this instance."""
+        return self._encodings.setdefault(instance, {})
 
     def is_weak_axp(self, instance: Instance | None, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
@@ -393,6 +407,9 @@ class XpgClassifier(_XpgBackedClassifier):
 
     def circuit_for(self, instance: Instance | None) -> _Circuit:
         return super().circuit_for(None)  # one circuit, whatever instance is passed
+
+    def encoding_store(self, instance: Instance | None) -> dict:
+        return super().encoding_store(None)  # one replica 0, likewise
 
 
 # --------------------------------------------------------------------------

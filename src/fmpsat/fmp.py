@@ -63,9 +63,12 @@ class FmpOutcome:
 def build_encoding(query: FmpQuery, deadline: float = math.inf):
     """Produce (cnf, varmap, pre_negated) for the query's route.
 
-    The encoder raises ``SolverTimeout`` if the deadline (a
-    ``time.time()`` value, ``math.inf`` for none) passes before one of
-    its replicas.
+    Replica 0 is encoded once per (classifier, instance) and kept in the
+    adapter's store, so the queries of a relevancy sweep, one-step and
+    two-step alike, each emit only their target's replicas. The SDD
+    negation and the encoder raise ``SolverTimeout`` if the deadline (a
+    ``time.time()`` value, ``math.inf`` for none) passes during the one
+    or before a replica of the other.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
@@ -81,10 +84,10 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
                 f"instance declares class {instance.label} but the SDD predicts {predicted}"
             )
         pre_negated = instance.label == 1
-        diagram = clf.diagram_for(instance)
+        diagram = clf.diagram_for(instance, deadline=deadline)
         inst = Instance(instance.values, 0)
         encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
-        cnf, vm = encoder(diagram, inst, t, deadline=deadline)
+        cnf, vm = encoder(diagram, inst, t, deadline=deadline, store=clf.encoding_store(instance))
         return cnf, vm, pre_negated
     if isinstance(clf, (ObddClassifier, DtClassifier)):
         if instance is None:
@@ -95,7 +98,7 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
     else:
         raise ClassifierError(f"unsupported classifier type {type(clf).__name__}")
     encoder = enc.encode_xpg_onestep if one_step else enc.encode_xpg_twostep
-    cnf, vm = encoder(graph, t, deadline=deadline)
+    cnf, vm = encoder(graph, t, deadline=deadline, store=clf.encoding_store(instance))
     return cnf, vm, False
 
 

@@ -10,10 +10,11 @@ not re-canonicalize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Mapping, Sequence
 
 from ._nodelist import LineFormat, add_node, check_node_count, postorder, read_records
-from .errors import ClassifierError, ParseError
+from .errors import ClassifierError, ParseError, check_deadline
 
 __all__ = [
     "Vtree",
@@ -380,19 +381,27 @@ def condition(sdd: Sdd, term: Mapping[int, int]) -> Sdd:
     return Sdd(nodes, remap[sdd.root], sdd.vtree)
 
 
-def negate(sdd: Sdd) -> Sdd:
+_NEGATE_POLL_NODES = 1 << 10  # nodes between two reads of negate's deadline
+
+
+def negate(sdd: Sdd, *, deadline=inf) -> Sdd:
     """Structural negation: flip terminals and recurse into subs.
 
     Primes are kept as-is, which is valid because the primes of each
     decision node partition their variable space. Shared nodes are
     translated once per required polarity, so the result is at most
-    twice the size of the input.
+    twice the size of the input. Both passes read the deadline (a
+    ``time.time()`` value, ``math.inf`` for none) every
+    ``_NEGATE_POLL_NODES`` nodes and raise ``SolverTimeout`` once it
+    has passed.
     """
     n = len(sdd.nodes)
     need_pos = [False] * n
     need_neg = [False] * n
     need_neg[sdd.root] = True
     for j in range(n - 1, -1, -1):
+        if j % _NEGATE_POLL_NODES == 0:
+            check_deadline(deadline, "negation exceeded its time limit")
         node = sdd.nodes[j]
         if not isinstance(node, SddDecision):
             continue
@@ -407,6 +416,8 @@ def negate(sdd: Sdd) -> Sdd:
     pos_id = [-1] * n
     neg_id = [-1] * n
     for j in range(n):
+        if j % _NEGATE_POLL_NODES == 0:
+            check_deadline(deadline, "negation exceeded its time limit")
         node = sdd.nodes[j]
         if need_pos[j]:
             pos_id[j] = len(nodes)

@@ -216,9 +216,9 @@ def test_sdd_runs_negate_only_for_class_1(capsys, tmp_path, monkeypatch):
     calls = []
     negate = sdd_mod.negate
 
-    def counting(sdd):
+    def counting(sdd, **kwargs):
         calls.append(sdd)
-        return negate(sdd)
+        return negate(sdd, **kwargs)
 
     monkeypatch.setattr(sdd_mod, "negate", counting)
     # ella.inst has class 0: neither loading nor the query negates the diagram

@@ -4,6 +4,7 @@ import io
 import math
 import time
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,9 @@ from fmpsat.batch import (
 )
 from fmpsat.fmp import FmpQuery, decide_membership
 from fmpsat.sat import SatResult
+from random_graphs import random_dt
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_running_example_all_four_routes(ella_sdd_clf, ella_obdd_clf, ella_instance):
@@ -172,6 +176,100 @@ def test_mismatched_instance_rejected(ella_sdd_clf):
 def test_unknown_method_rejected(ella_sdd_clf, ella_instance):
     with pytest.raises(ClassifierError, match="unknown method"):
         decide_membership(FmpQuery(ella_sdd_clf, ella_instance, 1, "three-step"))
+
+
+# ------------------------------------------------- replica 0 kept per instance
+
+def _fresh(clf):
+    """An adapter of the same classifier with nothing cached."""
+    if isinstance(clf, F.SddClassifier):
+        return F.SddClassifier(clf.sdd)
+    if isinstance(clf, F.ObddClassifier):
+        return F.ObddClassifier(clf.obdd)
+    if isinstance(clf, F.DtClassifier):
+        return F.DtClassifier(clf.dt)
+    return F.XpgClassifier(clf.graph)
+
+
+def _answer(clf, inst, target, method):
+    """The DIMACS text of the query's encoding and everything its outcome pins."""
+    query = FmpQuery(clf, inst, target, method)
+    cnf, vm, _ = F.build_encoding(query)
+    out = decide_membership(query)
+    return (F.write_dimacs(cnf, vm), out.membership, out.witness, out.two_step_seed,
+            out.num_vars, out.num_clauses)
+
+
+def _sweep_corpus(ella_sdd, ella_obdd, ella_instance):
+    ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
+    cases = [
+        (F.SddClassifier(ella_sdd), ella_instance),
+        (F.SddClassifier(ella_sdd), F.Instance((1, 0, 1, 1), 1)),
+        (F.ObddClassifier(ella_obdd), ella_instance),
+        (F.DtClassifier(ella_dt), ella_instance),
+        (F.XpgClassifier(F.build_xpg_from_obdd(ella_obdd, ella_instance)), None),
+    ]
+    rng = np.random.default_rng(29)
+    for trial, m in enumerate((5, 6, 8)):
+        obdd = generate_random_obdd(m, 3 * m, seed=700 + trial)
+        for clf in (F.ObddClassifier(obdd), F.SddClassifier(obdd_to_shannon_sdd(obdd)),
+                    F.DtClassifier(random_dt(rng, m))):
+            cases.append((clf, random_instance(clf, rng)))
+    return cases
+
+
+def test_a_sweep_on_one_adapter_matches_a_fresh_adapter_per_query(ella_sdd, ella_obdd,
+                                                                  ella_instance):
+    # replica 0 is built by the sweep's first query and read by every
+    # other: each must still give the bytes and outcome a cold query gives
+    methods = ("two-step", "one-step")
+    for clf, inst in _sweep_corpus(ella_sdd, ella_obdd, ella_instance):
+        m = clf.num_features
+        ascending = [(t, method) for method in methods for t in range(1, m + 1)]
+        interleaved = [(t, method) for t in range(m, 0, -1)
+                       for method in (methods if t % 2 else methods[::-1])]
+        cold = {(t, method): _answer(_fresh(clf), inst, t, method) for t, method in ascending}
+        for t, method in ascending + interleaved:
+            assert _answer(clf, inst, t, method) == cold[t, method], (
+                type(clf).__name__, inst, t, method)
+        assert clf.encoding_store(inst)  # the sweep filled it once
+
+
+def test_a_deadline_before_replica_0_leaves_the_store_empty(ella_sdd, ella_obdd, ella_xpg,
+                                                            ella_instance, monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=lambda: now[0]))
+    for clf, inst in ((F.SddClassifier(ella_sdd), ella_instance),
+                      (F.ObddClassifier(ella_obdd), ella_instance),
+                      (F.XpgClassifier(ella_xpg), None)):
+        for method in ("two-step", "one-step"):
+            now[0] = time.time() + 2.0  # past the query's deadline from the start
+            with pytest.raises(SolverTimeout, match="before replica 0$"):
+                decide_membership(FmpQuery(clf, inst, 3, method, time_limit_s=1.0))
+            assert clf.encoding_store(inst) == {}
+        now[0] = 0.0
+        for method in ("two-step", "one-step"):
+            assert _answer(clf, inst, 3, method) == _answer(_fresh(clf), inst, 3, method)
+
+
+def test_a_deadline_during_negation_keeps_no_negated_diagram(ella_sdd, monkeypatch):
+    # the clock passes the deadline after negate's first read of it
+    reads = []
+
+    def clock():
+        reads.append(1)
+        return 0.0 if len(reads) == 1 else time.time() + 2.0
+
+    monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=clock))
+    clf = F.SddClassifier(ella_sdd)
+    accepted = F.Instance((1, 0, 1, 1), 1)
+    with pytest.raises(SolverTimeout, match="negation"):
+        decide_membership(FmpQuery(clf, accepted, 3, "two-step", time_limit_s=1.0))
+    assert clf._negated is None
+    assert clf.encoding_store(accepted) == {}
+    monkeypatch.undo()
+    for method in ("two-step", "one-step"):
+        assert _answer(clf, accepted, 3, method) == _answer(_fresh(clf), accepted, 3, method)
 
 
 # Pinned outcomes of fixed-seed queries, keyed by the (kind, m, node budget,
