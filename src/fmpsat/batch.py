@@ -299,13 +299,17 @@ def batch_run(queries: Sequence[BatchQuery], sink) -> list[list[str]]:
     """Run every query, aggregate per (name, method), write CSV rows.
 
     Timed-out queries are counted and skipped; the batch continues.
-    Rows appear in first-encounter order.
+    Rows appear in first-encounter order. After the last query on a
+    (classifier, instance) the adapter releases what it kept for that
+    instance, so a run that asks each instance's queries back to back
+    holds one instance's graph, circuit and replica 0 at a time.
     """
     if not queries:
         raise ClassifierError("batch run needs at least one query")
+    last = {(item.query.classifier, item.query.instance): i for i, item in enumerate(queries)}
     groups: dict[tuple[str, str], _Aggregate] = {}
     negated = 0
-    for item in queries:
+    for i, item in enumerate(queries):
         query = item.query
         key = (item.name, query.method)
         agg = groups.get(key)
@@ -317,6 +321,9 @@ def batch_run(queries: Sequence[BatchQuery], sink) -> list[list[str]]:
         except SolverTimeout:
             agg.timeouts += 1
             continue
+        finally:
+            if last[query.classifier, query.instance] == i:
+                query.classifier.release(query.instance)
         agg.answered += 1
         agg.yes += outcome.membership
         agg.vars_sum += outcome.num_vars

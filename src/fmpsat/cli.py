@@ -159,9 +159,10 @@ def cmd_fmp(args) -> int:
         time_limit_s=args.time_limit_s,
     )
     outcome = decide_membership(query)
+    counters = "".join(f" {name}={count}" for name, count in outcome.stats.items())
     print(
         f"stats: vars={outcome.num_vars} clauses={outcome.num_clauses} "
-        f"solve_s={outcome.solve_s:.4f} total_s={outcome.total_s:.4f}",
+        f"solve_s={outcome.solve_s:.4f} total_s={outcome.total_s:.4f}{counters}",
         file=sys.stderr,
     )
     if outcome.pre_negated:
@@ -240,8 +241,8 @@ def cmd_bench(args) -> int:
             (random_instance(clf, rng), int(rng.integers(1, args.m + 1)))
             for _ in range(args.queries)
         ]
-        for method in methods:
-            for instance, target in picks:
+        for instance, target in picks:
+            for method in methods:
                 queries.append(
                     BatchQuery(
                         name,

@@ -32,9 +32,11 @@ dict for one (diagram, instance) that the encoder fills once replica 0
 is complete, and with a filled one it skips the lowering and replica
 0. Each query then copies only what it appends to, replica 0's clause
 list and roles, adds its ``[s_t]`` unit and emits replica t (two-step)
-or 1..m (one-step), each on a copy of replica 0's values.
-`build_encoding` passes the adapter's store for the instance, which
-both methods share and which lives as long as the adapter.
+or 1..m (one-step), each on a copy of replica 0's values. The copied
+formula keeps replica 0's as its base, so the solver checks and packs
+replica 0's clauses once as well (see `CnfFormula`). `build_encoding`
+passes the adapter's store for the instance, which both methods share
+and which lives until the adapter releases the instance.
 
 Each encoder takes an optional ``deadline``, a ``time.time()`` value
 (``math.inf`` for none), and raises ``SolverTimeout`` if it has passed
@@ -74,10 +76,22 @@ _FALSE = "F"
 
 @dataclass
 class CnfFormula:
-    """Clause set over integer variables 1..num_vars."""
+    """Clause set over integer variables 1..num_vars.
+
+    A copy knows the formula it was copied from, its ``base``. The
+    solver keeps a base's checked and packed clauses in ``packed``, with
+    a private copy of the clauses they came from, and gives the search
+    of each copy that still starts with those clauses fresh copies of
+    the packing, so a store's replica 0 is packed once for every query
+    that extends it.
+    """
 
     num_vars: int = 0
     clauses: list[list[int]] = field(default_factory=list)
+    base: CnfFormula | None = field(default=None, init=False, repr=False, compare=False)
+    # (clauses, num_vars, units, body): what was checked and packed, and the
+    # packing in kernel codes; set by the solver once both are complete
+    packed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -95,7 +109,9 @@ class CnfFormula:
 
     def copy(self) -> CnfFormula:
         """A formula with the same clauses, which appending to leaves this one as it is."""
-        return CnfFormula(self.num_vars, self.clauses.copy())
+        copy = CnfFormula(self.num_vars, self.clauses.copy())
+        copy.base = self
+        return copy
 
 
 class VarMap:

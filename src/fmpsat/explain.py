@@ -303,6 +303,11 @@ class SddClassifier:
         """The store in which the encoders keep replica 0 for this instance."""
         return self._encodings.setdefault(instance, {})
 
+    def release(self, instance: Instance) -> None:
+        """Drop the instance's circuit and store; the negated diagram stays."""
+        self._circuits.pop(instance, None)
+        self._encodings.pop(instance, None)
+
     def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
 
@@ -333,6 +338,12 @@ class _XpgBackedClassifier:
     def encoding_store(self, instance: Instance | None) -> dict:
         """The store in which the encoders keep replica 0 for this instance."""
         return self._encodings.setdefault(instance, {})
+
+    def release(self, instance: Instance | None) -> None:
+        """Drop the instance's graph, circuit and store."""
+        self._xpg_cache.pop(instance, None)
+        self._circuits.pop(instance, None)
+        self._encodings.pop(instance, None)
 
     def is_weak_axp(self, instance: Instance | None, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
@@ -410,6 +421,9 @@ class XpgClassifier(_XpgBackedClassifier):
 
     def encoding_store(self, instance: Instance | None) -> dict:
         return super().encoding_store(None)  # one replica 0, likewise
+
+    def release(self, instance: Instance | None) -> None:
+        super().release(None)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import encode as enc
 from .errors import ClassifierError, FmpsatError, check_deadline
@@ -54,6 +54,8 @@ class FmpOutcome:
     pre_negated: bool = False
     # the decoded selection a two-step model produced, before shrinking
     two_step_seed: frozenset[int] | None = None
+    # the internal search's counters (decisions, conflicts, ...); empty for an external solver
+    stats: dict = field(default_factory=dict)
 
     @property
     def answer(self) -> str:
@@ -65,10 +67,11 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
 
     Replica 0 is encoded once per (classifier, instance) and kept in the
     adapter's store, so the queries of a relevancy sweep, one-step and
-    two-step alike, each emit only their target's replicas. The SDD
-    negation and the encoder raise ``SolverTimeout`` if the deadline (a
-    ``time.time()`` value, ``math.inf`` for none) passes during the one
-    or before a replica of the other.
+    two-step alike, each emit only their target's replicas; an SDD query
+    checks the instance's class against the diagram only while its store
+    is empty. The SDD negation and the encoder raise ``SolverTimeout`` if
+    the deadline (a ``time.time()`` value, ``math.inf`` for none) passes
+    during the one or before a replica of the other.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
@@ -78,16 +81,19 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
         if instance is None:
             raise ClassifierError("SDD queries need an instance")
         enc._check_target(clf.num_features, t)  # before the diagram may be negated
-        predicted = clf.predict(instance.values)
-        if predicted != instance.label:
-            raise ClassifierError(
-                f"instance declares class {instance.label} but the SDD predicts {predicted}"
-            )
+        store = clf.encoding_store(instance)
+        if not store:  # a filled store's instance has passed this check
+            predicted = clf.predict(instance.values)
+            if predicted != instance.label:
+                clf.release(instance)  # keep no store for a rejected instance
+                raise ClassifierError(
+                    f"instance declares class {instance.label} but the SDD predicts {predicted}"
+                )
         pre_negated = instance.label == 1
         diagram = clf.diagram_for(instance, deadline=deadline)
         inst = Instance(instance.values, 0)
         encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
-        cnf, vm = encoder(diagram, inst, t, deadline=deadline, store=clf.encoding_store(instance))
+        cnf, vm = encoder(diagram, inst, t, deadline=deadline, store=store)
         return cnf, vm, pre_negated
     if isinstance(clf, (ObddClassifier, DtClassifier)):
         if instance is None:
@@ -155,6 +161,7 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
         total_s=total_s,
         pre_negated=pre_negated,
         two_step_seed=seed,
+        stats=result.stats,
     )
 
 

@@ -60,8 +60,15 @@ def _free_heap(value, activity, queued):
     return heap
 
 
+def _counters(decisions=0, conflicts=0, propagations=0, restarts=0, learned=0, learned_lits=0):
+    """A search's counters; ``propagations`` counts watch visits."""
+    return {"decisions": decisions, "conflicts": conflicts, "propagations": propagations,
+            "restarts": restarts, "learned_clauses": learned, "learned_literals": learned_lits}
+
+
 def _search(n_vars, clauses, units, deadline):  # noqa: C901
-    """Run CDCL to completion; returns (status, 0/1 model list or None).
+    """Run CDCL to completion; returns (status, 0/1 model list or None,
+    counters).
 
     ``clauses`` are lists of two or more codes, whose literals the
     search reorders. Restarts follow a Luby sequence, branching follows
@@ -69,7 +76,7 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
     """
     now = time.time
     if now() > deadline:
-        return UNKNOWN, None
+        return UNKNOWN, None, _counters()
     value: list[bool | None] = [None] * (2 * n_vars)
     level = [0] * n_vars
     reason: list = [None] * n_vars  # the clause that implied each variable
@@ -84,9 +91,14 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
 
     qhead = 0
     var_inc = 1.0
+    decisions = 0
     conflicts = 0
     props = 0
+    restarts = 0
+    learned = 0
+    learned_lits = 0
     next_poll = _POLL_VISITS
+    model = None
     luby_u = 1
     luby_v = 1
     restart_base = 100
@@ -99,7 +111,7 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
             value[code ^ 1] = False
             trail.append(code)
         elif value[code] is False:
-            return UNSAT, None
+            return UNSAT, None, _counters()
 
     # watch the first two literals of every input clause
     for clause in clauses:
@@ -155,16 +167,19 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
             if props >= next_poll:
                 next_poll = props + _POLL_VISITS
                 if now() > deadline:
-                    return UNKNOWN, None
+                    return UNKNOWN, None, _counters(decisions, conflicts, props, restarts,
+                                                    learned, learned_lits)
 
         # ------------------------------------------------------- conflict
         if confl is not None:
             conflicts += 1
             n_levels = len(trail_lim)
             if n_levels == 0:
-                return UNSAT, None
+                status = UNSAT
+                break
             if now() > deadline:
-                return UNKNOWN, None
+                status = UNKNOWN
+                break
 
             # first-UIP learning
             learnt = [0]
@@ -206,6 +221,8 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
             var_inc *= 1.0 / 0.95
 
             n_learnt = len(learnt)
+            learned += 1
+            learned_lits += n_learnt
             if n_learnt == 1:
                 bt_level = 0
             else:
@@ -231,7 +248,8 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
                     level[v] = 0
                     trail.append(code)
                 elif value[code] is False:
-                    return UNSAT, None
+                    status = UNSAT
+                    break
             else:
                 # store the learned clause and watch its first two literals
                 learnt = array("i", learnt)
@@ -251,6 +269,7 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
                 else:
                     luby_v *= 2
                 restart_at = conflicts + restart_base * luby_v
+                restarts += 1
                 if trail_lim:
                     _backtrack(trail, trail_lim[0], value, phase, activity, heap, queued)
                     trail_lim.clear()
@@ -259,7 +278,9 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
 
         # -------------------------------------------------------- decide
         if len(trail) == n_vars:
-            return SAT, [1 if x else 0 for x in value[0::2]]
+            status = SAT
+            model = [1 if x else 0 for x in value[0::2]]
+            break
         if len(heap) > 4 * n_vars:
             heap = _free_heap(value, activity, queued)
         while True:
@@ -269,11 +290,13 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
                 if value[2 * v] is None:
                     break
         code = phase[v]
+        decisions += 1
         trail_lim.append(len(trail))
         value[code] = True
         value[code ^ 1] = False
         level[v] = len(trail_lim)
         trail.append(code)
+    return status, model, _counters(decisions, conflicts, props, restarts, learned, learned_lits)
 
 
 def clean_clauses(num_vars, clauses, assumptions=(), deadline=math.inf):
@@ -317,28 +340,29 @@ def clean_clauses(num_vars, clauses, assumptions=(), deadline=math.inf):
     return UNKNOWN, units, body
 
 
-def search(num_vars, clauses, assumptions=(), deadline=math.inf):
-    """Decide the clause set; returns (status, 0/1 model list or None).
+def search(num_vars, clauses, assumptions=(), deadline=math.inf, prefix=((), ())):
+    """Decide the clause set; returns (status, 0/1 model list or None,
+    counters).
 
-    The status is UNKNOWN when the deadline (a ``time.time()`` value)
-    passes, during clause packing or during the search.
+    ``prefix`` is the (units, body) that `clean_clauses` gave for the
+    clauses that come before ``clauses``. The search starts from its
+    units, then those of ``clauses`` and the assumptions, and works on
+    fresh copies of its body before the clauses packed here, so it runs
+    as on one packing of the whole list. The status is UNKNOWN when the
+    deadline (a ``time.time()`` value) passes, during clause packing or
+    during the search.
     """
     status, units, body = clean_clauses(num_vars, clauses, assumptions, deadline)
     if body is None:
-        return status, None
-    return _search(num_vars, body, units, deadline)
+        return status, None, _counters()
+    units0, body0 = prefix
+    return _search(num_vars, [*map(list.copy, body0), *body], [*units0, *units], deadline)
 
 
 def model_satisfies(clauses, model) -> bool:
     """Check a 0-based boolean model against signed-literal clauses."""
-    for clause in clauses:
-        for lit in clause:
-            value = bool(model[abs(lit) - 1])
-            if (lit > 0) == value:
-                break
-        else:
-            return False
-    return True
+    true = {v if x else -v for v, x in enumerate(model, 1)}
+    return not any(map(true.isdisjoint, clauses))
 
 
 def warm_up() -> None:

@@ -9,7 +9,7 @@ import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 from typing import Sequence
@@ -34,6 +34,8 @@ class SatResult:
 
     satisfiable: bool
     model: list[bool] | None = None  # bool per variable, entry 0 unused
+    # the internal search's counters (kernel._counters); empty for an external solver
+    stats: dict = field(default_factory=dict)
 
     def value(self, var: int) -> bool:
         if not self.satisfiable:
@@ -41,24 +43,53 @@ class SatResult:
         return self.model[var]
 
 
-def _check_literals(cnf: CnfFormula, assumptions: Sequence[int]) -> None:
+def _check_literals(num_vars: int, clauses, assumptions: Sequence[int]) -> None:
     """Every literal of the clauses and assumptions must name a variable 1..num_vars."""
-    n = cnf.num_vars
-    used = set(chain.from_iterable(cnf.clauses))
+    used = set(chain.from_iterable(clauses))
     used.update(assumptions)
-    if used and (min(used) < -n or max(used) > n or 0 in used):
+    if used and (min(used) < -num_vars or max(used) > num_vars or 0 in used):
         # name the first bad literal in clause order, then the assumptions
-        lits = chain(chain.from_iterable(cnf.clauses), assumptions)
-        lit = next(lit for lit in lits if lit == 0 or abs(lit) > n)
-        raise SolverError(f"literal {lit} outside 1..{n}")
+        lits = chain(chain.from_iterable(clauses), assumptions)
+        lit = next(lit for lit in lits if lit == 0 or abs(lit) > num_vars)
+        raise SolverError(f"literal {lit} outside 1..{num_vars}")
 
 
-def _verified_result(cnf: CnfFormula, assumptions: Sequence[int], values, error) -> SatResult:
+def _packed_base(cnf: CnfFormula, deadline: float):
+    """How many of the formula's first clauses its base's packing
+    covers, and that packing as (units, body); (0, an empty packing)
+    when it has no base, a base with a literal out of its range, or no
+    longer starts with the clauses the packing came from. The first
+    solve that reaches a base checks and packs its clauses, and keeps
+    the packing with a private copy of those clauses only once it is
+    complete: a passed deadline or an empty clause leaves the whole
+    formula to this call. Comparing with that copy catches clauses
+    since added to or edited in the base.
+    """
+    base = cnf.base
+    if base is None:
+        return 0, ((), ())
+    if base.packed is None:
+        try:
+            _check_literals(base.num_vars, base.clauses, ())
+        except SolverError:  # the check of the whole formula names the literal
+            return 0, ((), ())
+        _, units, body = kernel.clean_clauses(base.num_vars, base.clauses, (), deadline)
+        if body is None:
+            return 0, ((), ())
+        base.packed = [c.copy() for c in base.clauses], base.num_vars, units, body
+    clauses, num_vars, units, body = base.packed
+    if num_vars > cnf.num_vars or clauses != cnf.clauses[:len(clauses)]:
+        return 0, ((), ())
+    return len(clauses), (units, body)
+
+
+def _verified_result(cnf: CnfFormula, assumptions: Sequence[int], values, error,
+                     stats: dict) -> SatResult:
     """The model of ``values`` (one truth value per variable 1..num_vars),
     once it satisfies every clause and assumption; else raise ``error``."""
     if not kernel.model_satisfies(chain(cnf.clauses, ([a] for a in assumptions)), values):
         raise error
-    return SatResult(True, [False, *map(bool, values)])
+    return SatResult(True, [False, *map(bool, values)], stats)
 
 
 def solve(
@@ -70,19 +101,24 @@ def solve(
     """Decide the formula with the internal engine.
 
     Assumptions are added as unit clauses; a model covers every
-    variable. Raises SolverTimeout once the deadline (a ``time.time()``
-    value, ``math.inf`` for none) passes, at entry before the literal
-    check or during the search.
+    variable. The clauses a copy shares with its base are checked and
+    packed once per base (see `CnfFormula`), the rest on every call.
+    Raises SolverTimeout once the deadline (a ``time.time()`` value,
+    ``math.inf`` for none) passes, at entry before the literal check,
+    during clause packing or during the search.
     """
     check_deadline(deadline, "solve exceeded its time limit before the literal check")
-    _check_literals(cnf, assumptions)
-    status, raw = kernel.search(cnf.num_vars, cnf.clauses, assumptions, deadline)
+    shared, prefix = _packed_base(cnf, deadline)
+    rest = cnf.clauses[shared:]
+    _check_literals(cnf.num_vars, rest, assumptions)
+    status, raw, stats = kernel.search(cnf.num_vars, rest, assumptions, deadline, prefix)
     if status == kernel.UNSAT:
-        return SatResult(False)
+        return SatResult(False, stats=stats)
     if status == kernel.UNKNOWN:
         raise SolverTimeout("solve exceeded its time limit")
     return _verified_result(
-        cnf, assumptions, raw, SolverError("internal solver returned a model that violates a clause")
+        cnf, assumptions, raw,
+        SolverError("internal solver returned a model that violates a clause"), stats,
     )
 
 
@@ -132,7 +168,7 @@ def solve_external(
     ``math.inf`` for none) once the literal check and the file are
     done, and is not started if nothing is left.
     """
-    _check_literals(cnf, ())
+    _check_literals(cnf.num_vars, cnf.clauses, ())
     argv = shlex.split(solver_command)
     if not argv:
         raise SolverSpawnError("empty external solver command")
@@ -156,5 +192,5 @@ def solve_external(
     if not verdict:
         return SatResult(False)
     return _verified_result(
-        cnf, (), values, SolverModelError("external model fails local clause verification")
+        cnf, (), values, SolverModelError("external model fails local clause verification"), {}
     )

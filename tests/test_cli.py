@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fmpsat as F
+from fmpsat import batch as batch_mod
 from fmpsat import sdd as sdd_mod
 from fmpsat.cli import main
 from fmpsat.batch import generate_random_obdd
@@ -36,6 +37,16 @@ def test_fmp_yes_for_male(capsys):
     code, out, _ = run(capsys, ["fmp", *ELLA_SDD, "--target", "3"])
     assert code == 0
     assert out.strip() == "YES witness=1,3"
+
+
+def test_stats_line_reports_the_search_counters(capsys):
+    code, _, err = run(capsys, ["fmp", *ELLA_OBDD, "--target", "2", "--method", "one-step"])
+    assert code == 1
+    line = next(line for line in err.splitlines() if line.startswith("stats:"))
+    counters = dict(field.split("=") for field in line.split()[5:])
+    assert list(counters) == ["decisions", "conflicts", "propagations", "restarts",
+                              "learned_clauses", "learned_literals"]
+    assert all(value.isdigit() for value in counters.values())
 
 
 def test_fmp_no_for_young(capsys):
@@ -365,3 +376,26 @@ def test_bench_paired_rows_and_method_agreement(capsys):
     two = lines[2].split(",")
     assert {one[3], two[3]} == {"one-step", "two-step"}
     assert one[4] == two[4]  # same yes percentage
+
+
+def test_bench_holds_one_instance_and_negates_once_per_classifier(capsys, monkeypatch):
+    negations = []
+    negate, decide = sdd_mod.negate, batch_mod.decide_membership
+
+    def counting(sdd, **kwargs):
+        negations.append(sdd)
+        return negate(sdd, **kwargs)
+
+    def decide_holding_one_instance(query):
+        clf = query.classifier
+        assert set(clf._encodings) <= {query.instance}
+        assert set(clf._circuits) <= {query.instance}
+        return decide(query)
+
+    monkeypatch.setattr(sdd_mod, "negate", counting)
+    monkeypatch.setattr(batch_mod, "decide_membership", decide_holding_one_instance)
+    code, out, err = run(capsys, ["bench", "--kind", "sdd", "--count", "2", "--m", "6",
+                                  "--nodes", "20", "--queries", "8", "--seed", "3"])
+    assert code == 0 and len(out.splitlines()) == 5
+    assert "negated diagram" in err  # some instances have class 1
+    assert len(negations) == len(set(map(id, negations))) == 2

@@ -3,6 +3,7 @@
 import io
 import math
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import pytest
 import fmpsat as F
 from fmpsat import errors as errors_mod
 from fmpsat import fmp as fmp_mod
+from fmpsat.sat import kernel
 from fmpsat.sat import solver as solver_mod
 from fmpsat.errors import ClassifierError, FmpsatError, SolverTimeout
 from fmpsat.batch import (
@@ -169,8 +171,10 @@ def test_self_checks_reject_a_broken_model(ella_sdd_clf, ella_obdd_clf, ella_ins
 
 
 def test_mismatched_instance_rejected(ella_sdd_clf):
+    rejected = F.Instance((0, 1, 0, 1), 1)
     with pytest.raises(ClassifierError, match="predicts"):
-        decide_membership(FmpQuery(ella_sdd_clf, F.Instance((0, 1, 0, 1), 1), 1))
+        decide_membership(FmpQuery(ella_sdd_clf, rejected, 1))
+    assert rejected not in ella_sdd_clf._encodings
 
 
 def test_unknown_method_rejected(ella_sdd_clf, ella_instance):
@@ -197,7 +201,7 @@ def _answer(clf, inst, target, method):
     cnf, vm, _ = F.build_encoding(query)
     out = decide_membership(query)
     return (F.write_dimacs(cnf, vm), out.membership, out.witness, out.two_step_seed,
-            out.num_vars, out.num_clauses)
+            out.num_vars, out.num_clauses, out.stats)
 
 
 def _sweep_corpus(ella_sdd, ella_obdd, ella_instance):
@@ -233,6 +237,65 @@ def test_a_sweep_on_one_adapter_matches_a_fresh_adapter_per_query(ella_sdd, ella
             assert _answer(clf, inst, t, method) == cold[t, method], (
                 type(clf).__name__, inst, t, method)
         assert clf.encoding_store(inst)  # the sweep filled it once
+
+
+def test_a_sweep_packs_replica_0_once(ella_sdd, ella_instance, monkeypatch):
+    # and an SDD sweep checks the instance's class once, with the first query
+    packed, predicted = Counter(), []
+    clean, predict = kernel.clean_clauses, F.SddClassifier.predict
+
+    def recording(num_vars, clauses, *args):
+        packed.update(map(id, clauses))
+        return clean(num_vars, clauses, *args)
+
+    def counting(clf, point):
+        predicted.append(point)
+        return predict(clf, point)
+
+    monkeypatch.setattr(kernel, "clean_clauses", recording)
+    monkeypatch.setattr(F.SddClassifier, "predict", counting)
+    obdd = generate_random_obdd(8, 24, seed=702)
+    for clf, inst in ((F.SddClassifier(ella_sdd), ella_instance),
+                      (F.SddClassifier(ella_sdd), F.Instance((1, 0, 1, 1), 1)),
+                      (F.SddClassifier(obdd_to_shannon_sdd(obdd)), None),
+                      (F.ObddClassifier(obdd), None)):
+        inst = inst or random_instance(clf, np.random.default_rng(3))
+        packed.clear()
+        predicted.clear()
+        for method in ("two-step", "one-step"):
+            for t in range(1, clf.num_features + 1):
+                decide_membership(FmpQuery(clf, inst, t, method))
+        replica0 = clf.encoding_store(inst)["cnf"].clauses
+        assert replica0 and {packed[id(clause)] for clause in replica0} == {1}
+        assert len(predicted) == isinstance(clf, F.SddClassifier)
+
+
+def test_a_deadline_while_replica_0_is_packed_keeps_no_packing(ella_sdd, ella_instance,
+                                                              monkeypatch):
+    # the kernel's clock passes the deadline at its first read, which is
+    # in the packing of replica 0
+    clean = kernel.clean_clauses
+    calls = []
+
+    def recording(num_vars, clauses, *args):
+        result = clean(num_vars, clauses, *args)
+        calls.append((clauses, result))
+        return result
+
+    monkeypatch.setattr(kernel, "clean_clauses", recording)
+    monkeypatch.setattr(kernel, "time", SimpleNamespace(time=lambda: math.inf))
+    clf = F.SddClassifier(ella_sdd)
+    with pytest.raises(SolverTimeout, match="solve exceeded its time limit"):
+        decide_membership(FmpQuery(clf, ella_instance, 3, "two-step", time_limit_s=60.0))
+    base = clf.encoding_store(ella_instance)["cnf"]
+    clauses, result = calls[0]
+    assert clauses is base.clauses and result == (kernel.UNKNOWN, None, None)
+    assert base.packed is None
+    monkeypatch.undo()
+    for method in ("two-step", "one-step"):
+        assert _answer(clf, ella_instance, 3, method) == _answer(_fresh(clf), ella_instance, 3,
+                                                                 method)
+    assert base.packed is not None
 
 
 def test_a_deadline_before_replica_0_leaves_the_store_empty(ella_sdd, ella_obdd, ella_xpg,
@@ -421,6 +484,26 @@ def test_batch_timeout_handling():
     sink = io.StringIO()
     rows = batch_run(_small_batch(["two-step"], queries=3, time_limit_s=0.0), sink)
     assert rows[0][9] == "3"
+
+
+@pytest.mark.parametrize("time_limit_s", [30.0, 0.0])
+def test_batch_builds_each_instance_once_in_any_order(time_limit_s, monkeypatch):
+    # method-major order asks every instance twice, far apart; the graph is
+    # built once per instance and released after its last query, timed out
+    # or not
+    queries = _small_batch(["one-step", "two-step"], time_limit_s=time_limit_s)
+    clf = queries[0].query.classifier
+    built = []
+    build = type(clf)._build_xpg
+
+    def counting(self, instance):
+        built.append(instance)
+        return build(self, instance)
+
+    monkeypatch.setattr(type(clf), "_build_xpg", counting)
+    batch_run(queries, io.StringIO())
+    assert len(built) == len(set(built)) == len({q.query.instance for q in queries})
+    assert not clf._xpg_cache and not clf._circuits and not clf._encodings
 
 
 def test_batch_requires_queries():

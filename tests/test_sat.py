@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmpsat.encode import CnfFormula
 from fmpsat.errors import (
@@ -75,6 +77,91 @@ def test_model_is_total_and_sound():
         assert model_satisfies(cnf.clauses, result.model[1:])
 
 
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_model_satisfies_matches_a_literal_by_literal_check(data):
+    n = data.draw(st.integers(1, 8))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = data.draw(st.lists(st.lists(literal, max_size=5), max_size=12))
+    model = data.draw(st.lists(st.sampled_from((0, 1, False, True)), min_size=n, max_size=n))
+    expected = all(any((lit > 0) == bool(model[abs(lit) - 1]) for lit in clause)
+                   for clause in clauses)
+    assert model_satisfies(clauses, model) is expected
+
+
+def test_search_counters():
+    rng = np.random.default_rng(8)
+    for cnf, satisfiable in ((_php(5, 4), False), (_random_3cnf(rng, 40, 150), True)):
+        result = solve(cnf)
+        assert result.satisfiable is satisfiable
+        stats = result.stats
+        assert stats["decisions"] > 0 and stats["propagations"] > 0
+        assert stats["conflicts"] > 0 or satisfiable
+        assert stats["learned_literals"] >= stats["learned_clauses"]
+        # every conflict above level 0 learns a clause; UNSAT may end on one at level 0
+        assert stats["conflicts"] - stats["learned_clauses"] in ((0,) if satisfiable else (0, 1))
+
+
+def test_a_copy_searches_as_its_whole_clause_list():
+    # a copy's search starts from its base's packing, kept on the base once
+    # the first copy is solved, and must run as on the full list
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        n = int(rng.integers(5, 30))
+        base = _random_3cnf(rng, n, int(rng.integers(1, 4 * n)))
+        base.clauses += [[int(rng.integers(1, n + 1))], [1, -1, 2], [2, 2, -3]][: trial % 4]
+        for _ in range(3):
+            cnf = base.copy()
+            for _ in range(int(rng.integers(0, 3))):
+                cnf.new_var()
+            extra = _random_3cnf(rng, cnf.num_vars, int(rng.integers(0, n)))
+            cnf.clauses += extra.clauses + [[-cnf.num_vars]][: trial % 2]
+            whole = CnfFormula(cnf.num_vars, list(cnf.clauses))
+            assert solve(cnf) == solve(whole)
+        assert base.packed is not None
+
+
+def test_a_copy_no_longer_starting_with_its_base_is_packed_whole():
+    base = CnfFormula(2, [[1], [1, 2]])
+    assert solve(base.copy()).value(1)
+    for edit in (lambda c: c.__setitem__(0, [-1]), lambda c: c.__delitem__(0)):
+        cnf = base.copy()
+        edit(cnf.clauses)
+        cnf.clauses.append([-1])
+        assert solve(cnf) == solve(CnfFormula(2, list(cnf.clauses)))
+    cnf = base.copy()
+    cnf.num_vars = 0
+    with pytest.raises(SolverError, match="literal 1 outside 1..0"):
+        solve(cnf)
+
+
+def test_a_base_changed_after_packing_is_searched_as_it_is_now():
+    # the packing covers the clauses the base had when it was packed:
+    # clauses added to the base later, or edited in place, are not skipped
+    base = CnfFormula(2, [[1, 2]])
+    assert solve(base.copy()).satisfiable
+    base.add([-1])
+    base.add([-2])
+    cnf = base.copy()
+    assert solve(cnf) == solve(CnfFormula(2, list(cnf.clauses)))
+    assert not solve(cnf).satisfiable
+    base.add([3])
+    with pytest.raises(SolverError, match="literal 3 outside 1..2"):
+        solve(base.copy())
+    base = CnfFormula(2, [[1, 2], [-1]])
+    assert solve(base.copy()).satisfiable
+    base.clauses[0][1] = 1  # the shared clause is now [1, 1]
+    cnf = base.copy()
+    assert solve(cnf) == solve(CnfFormula(2, list(cnf.clauses)))
+    assert not solve(cnf).satisfiable
+    base = CnfFormula(1, [[2]])  # out of the base's range, not of its copy's
+    cnf = base.copy()
+    cnf.new_var()
+    assert solve(cnf).value(2)
+    with pytest.raises(TypeError):
+        CnfFormula(2, [[1]], packed=([[1]], 2, [0], []))
+
+
 def test_tautological_clause_ignored():
     cnf = CnfFormula(num_vars=2, clauses=[[1, -1], [2]])
     result = solve(cnf)
@@ -140,9 +227,9 @@ def test_time_limit_counts_the_literal_check(monkeypatch):
     # check takes leaves less for the search
     check = solver_mod._check_literals
 
-    def slow_check(cnf, assumptions):
+    def slow_check(*args):
         time.sleep(0.2)
-        check(cnf, assumptions)
+        check(*args)
 
     monkeypatch.setattr(solver_mod, "_check_literals", slow_check)
     with pytest.raises(SolverTimeout):
@@ -156,7 +243,8 @@ def test_passed_deadline_ends_search_during_clause_packing():
     kernel.clean_clauses(n, clauses)
     full_pass = time.perf_counter() - started
     started = time.perf_counter()
-    assert kernel.search(n, clauses, deadline=time.time() - 1.0) == (kernel.UNKNOWN, None)
+    assert kernel.search(n, clauses, deadline=time.time() - 1.0) == (
+        kernel.UNKNOWN, None, kernel._counters())
     elapsed = time.perf_counter() - started
     assert elapsed < full_pass / 10, (elapsed, full_pass)
 
@@ -243,9 +331,9 @@ def test_external_lying_model(tmp_path):
 def _slow_literal_check(monkeypatch, seconds):
     check = solver_mod._check_literals
 
-    def slow_check(cnf, assumptions):
+    def slow_check(*args):
         time.sleep(seconds)
-        check(cnf, assumptions)
+        check(*args)
 
     monkeypatch.setattr(solver_mod, "_check_literals", slow_check)
 
@@ -306,3 +394,20 @@ def test_malformed_formula_is_a_solver_error(num_vars, clauses, assumptions, bad
     if not assumptions:
         with pytest.raises(SolverError, match=message):
             solve_external(cnf, stub_solver)
+
+
+@pytest.mark.parametrize(
+    "num_vars,clauses,assumptions,bad", MALFORMED.values(), ids=MALFORMED.keys()
+)
+def test_malformed_copy_is_a_solver_error(num_vars, clauses, assumptions, bad):
+    # the bad literal in a copy's base, and after a base already packed
+    message = re.escape(f"literal {bad} outside 1..{num_vars}")
+    with pytest.raises(SolverError, match=message):
+        solve(CnfFormula(num_vars, clauses).copy(), assumptions=assumptions)
+    base = CnfFormula(num_vars, [[1, -1], [-1]])
+    assert solve(base.copy()).satisfiable
+    assert base.packed is not None
+    cnf = base.copy()
+    cnf.clauses += clauses
+    with pytest.raises(SolverError, match=message):
+        solve(cnf, assumptions=assumptions)
