@@ -13,18 +13,26 @@ whose operands are other gates and guards -s_i ("feature i is not
 selected"): an explanation graph's nodes and the OR of its 0-terminals,
 or an SDD's nodes with its root as the output. Replica k reads the
 guard -s_k as TRUE; replica 0 keeps the output FALSE, and replica k
-ties it to s_k. Constants fold away, and a gate that reduces to one
-literal is that literal, with no variable. A term's literals enter its
-gate's clauses directly unless a variable of its own takes fewer
-clauses. Replica k ≥ 1 re-evaluates only the gates with an operand it
-changed, and inside them keeps replica 0's value for each term whose
-operands are unchanged.
+ties it to s_k. Both lowerings make terms of at most two operands, and
+a circuit with a longer term is refused (``EncodingError``) once, before
+replica 0. Constants fold away, and a gate that reduces to one literal
+is that literal, with no variable. A gate's clauses include the product
+of its live terms, which each two-literal term doubles; a variable of
+its own costs such a term three clauses. So of a gate's k two-literal
+live terms the first k - 2, in term order, get one: the rule "a term
+gets a variable where that takes fewer clauses" in closed form.
+Replica k ≥ 1 re-evaluates only the gates with an operand it changed,
+and inside them keeps replica 0's value for each term whose operands
+are unchanged.
 
 Variable numbering is fixed for byte-stable output: the selector block
 comes first (variables 1..m), then one block per replica in ascending
 order. A block follows the circuit's evaluation order, operands before
 the gates that read them, and gives each gate's term variables
-(``e_k_j_i``, longest term first) before the gate's own (``n_k_j``).
+(``e_k_j_i``, in term order) before the gate's own (``n_k_j``). The
+DIMACS writer formats each clause line with one ``%`` from a format
+string for its length, ``"%d " * k + "0\n"``, made on first use, so a
+clause of any length, a user's included, is written alike.
 
 Nothing in replica 0 depends on the target, so it is built once per
 (classifier, instance): each encoder takes an optional ``store``, a
@@ -49,7 +57,7 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice, product as product_of
-from math import inf, prod
+from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EncodingError, check_deadline
@@ -297,54 +305,65 @@ def _cone(gates, order: list[int], num_features: int):
     return cone, [tuple(r) for r in readers]
 
 
-def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, term_vars=None):
-    """The value of the gate whose terms have these operand values.
+def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, val, changed, term_vars):
+    """The value of the gate with these terms, whose operands ``val`` holds.
 
     A term with a FALSE operand is dropped and TRUE operands vanish; a
     term left empty makes the gate TRUE, and a gate with no term left is
     FALSE. A gate that reduces to one literal is that literal. Any other
     gate gets a variable n and the clauses of n <-> OR of its terms:
     one clause (term -> n) per term, and for n -> OR the product of the
-    terms, one clause per choice of one literal from each. A term gets
-    a variable of its own (its length plus one clauses) only where that
-    costs less than the factor its length adds to the product.
-    ``term_vars``, if given, records (term index, variable) under the
-    gate for each term that gets one.
+    terms, one clause per choice of one literal from each. Of the gate's
+    k live two-literal terms, the first k - 2 get a variable of their
+    own, which replica 0 records in ``term_vars`` (gate -> {term index:
+    variable}); replica k uses that variable for each such term whose
+    operands ``changed`` does not mark. Terms have at most two operands.
     """
-    live = []
-    for i, ops in enumerate(terms):
-        if _FALSE in ops:
-            continue
-        if _TRUE in ops:
-            ops = [op for op in ops if op != _TRUE]
-        if not ops:
+    lits = []  # each live term's literals
+    pairs = []  # (position in lits, term index) of the two-literal terms
+    kept = term_vars.get(gate) if replica else None
+    for i, term in enumerate(terms):
+        if len(term) == 2:
+            a, b = term
+            x = val[a]
+            y = val[b]
+            if x is _FALSE or y is _FALSE:
+                continue
+            if x is _TRUE:
+                if y is _TRUE:
+                    return _TRUE
+                lits.append((y,))
+            elif y is _TRUE:
+                lits.append((x,))
+            elif kept and i in kept and not (changed[a] or changed[b]):
+                lits.append((kept[i],))
+            else:
+                pairs.append((len(lits), i))
+                lits.append((x, y))
+        elif term:
+            x = val[term[0]]
+            if x is _TRUE:
+                return _TRUE
+            if x is not _FALSE:
+                lits.append((x,))
+        else:
             return _TRUE
-        live.append((i, ops))
-    if not live:
+    if not lits:
         return _FALSE
-    if len(live) == 1 and len(live[0][1]) == 1:
-        return live[0][1][0]
-    lits = [ops for _, ops in live]
-    sizes = [len(ops) for ops in lits]
-    product = prod(sizes)
-    while product > 1:
-        size = max(sizes)
-        if product - product // size <= size + 1:
-            break
-        p = sizes.index(size)
-        product //= size
-        sizes[p] = 1
-        e = vm.allocate(cnf, replica, gate, live[p][0])
+    if len(lits) == 1 and len(lits[0]) == 1:
+        return lits[0][0]
+    for p, i in pairs[:-2]:
+        e = vm.allocate(cnf, replica, gate, i)
         clausify_eq_and(cnf, e, lits[p])
-        lits[p] = [e]
-        if term_vars is not None:
-            term_vars.setdefault(gate, []).append((live[p][0], e))
+        lits[p] = (e,)
+        if not replica:
+            term_vars.setdefault(gate, {})[i] = e
     n = vm.allocate(cnf, replica, gate)
     add = cnf.clauses.append
-    for choice in product_of(*lits):
-        add([-n, *choice])
+    for choice in product_of((-n,), *lits):
+        add([*choice])
     for ops in lits:
-        add([n] + [-lit for lit in ops])
+        add([n, -ops[0]] if len(ops) == 1 else [n, -ops[0], -ops[1]])
     return n
 
 
@@ -369,18 +388,12 @@ def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term_vars) -> Non
             todo[p] = 1
     else:
         todo[:] = b"\1" * len(cone)
-    is_changed = changed.__getitem__
     p = todo.find(1)
     while p >= 0:
         j = cone[p]
         old = val[j]  # None before replica 0 sets it
-        if old != _TRUE and old != _FALSE:
-            terms = gates[j]
-            ops = [[val[o] for o in term] for term in terms]
-            for i, e in term_vars.get(j, ()):
-                if not any(map(is_changed, terms[i])):
-                    ops[i] = [e]
-            value = _fold(cnf, vm, replica, j, ops, None if replica else term_vars)
+        if old is not _TRUE and old is not _FALSE:
+            value = _fold(cnf, vm, replica, j, gates[j], val, changed, term_vars)
             if value != old:
                 val[j] = value
                 changed[j] = 1
@@ -394,6 +407,8 @@ def _replica0(gates, order, m: int, deadline) -> dict:
     and roles, then the unit keeping its output FALSE (fixing the
     selection keeps the class; the input checks rule out a TRUE output,
     the instance's own class). None of it depends on the target."""
+    if any(len(term) > 2 for terms in gates for term in terms):
+        raise EncodingError("a lowered term has more than two operands")
     cone, readers = _cone(gates, order, m)
     cnf = CnfFormula()
     vm = VarMap(m)
@@ -401,7 +416,7 @@ def _replica0(gates, order, m: int, deadline) -> dict:
     check_deadline(deadline, "encoding exceeded its time limit before replica 0")
     # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
     val = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]
-    term_vars: dict[int, list] = {}
+    term_vars: dict[int, dict[int, int]] = {}
     _emit_replica(cnf, vm, gates, cone, readers, 0, val, term_vars)
     output = vm.outputs[0] = val[cone[-1]]
     if output != _FALSE:
@@ -480,6 +495,14 @@ def _blocks(lines: Iterable[str]) -> Iterator[str]:
         yield block
 
 
+class _LineFormats(dict):
+    """Clause length k -> the line format ``"%d " * k + "0\\n"``, made on first use."""
+
+    def __missing__(self, k: int) -> str:
+        line = self[k] = "%d " * k + "0\n"
+        return line
+
+
 def iter_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> Iterator[str]:
     """Standard DIMACS text as a sequence of blocks of whole lines.
 
@@ -491,7 +514,8 @@ def iter_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> Iterator[str]:
     if varmap is not None:
         yield from _blocks(varmap.legend(cnf.num_vars))
     yield f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n"
-    yield from _blocks(" ".join(map(str, clause)) + " 0\n" for clause in cnf.clauses)
+    formats = _LineFormats()
+    yield from _blocks(formats[len(clause)] % tuple(clause) for clause in cnf.clauses)
 
 
 def write_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> str:

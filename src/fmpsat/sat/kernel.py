@@ -103,6 +103,7 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
     luby_v = 1
     restart_base = 100
     restart_at = restart_base
+    status = None  # set when the search ends
 
     # root-level units
     for code in units:
@@ -167,8 +168,10 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
             if props >= next_poll:
                 next_poll = props + _POLL_VISITS
                 if now() > deadline:
-                    return UNKNOWN, None, _counters(decisions, conflicts, props, restarts,
-                                                    learned, learned_lits)
+                    status = UNKNOWN
+                    break
+        if status is not None:  # the deadline passed during propagation
+            break
 
         # ------------------------------------------------------- conflict
         if confl is not None:

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from fmpsat.cli import main
 from fmpsat.batch import generate_random_obdd
 
 DATA = Path(__file__).parent / "data"
+DESK = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk"
 
 ELLA_SDD = [
     "--sdd", str(DATA / "ella.sdd"),
@@ -331,6 +333,19 @@ def test_encode_streams_the_goldens_to_file_and_stdout(capsys, tmp_path):
         code, out, _ = run(capsys, ["encode", *args, "--target", "3"])
         assert code == 0
         assert out.encode() == expected
+
+
+def test_encode_keeps_the_bytes_of_a_desk_one_step_file(capsys, tmp_path):
+    # the 132k-clause one-step file of the benchmark's desk query obdd-m60-q0,
+    # pinned by a SHA-256 digest of its bytes; the CI job checks the same
+    # digest through the installed script
+    out_path = tmp_path / "m60.cnf"
+    code, _, _ = run(capsys, ["encode", "--obdd", str(DESK / "obdd-m60.obdd"),
+                              "--instance", str(DESK / "obdd-m60-q0.inst"), "--target", "48",
+                              "--method", "one-step", "--out", str(out_path)])
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == (DATA / "obdd-m60-q0-t48-onestep.sha256").read_text().strip()
 
 
 def test_encode_twostep_smaller(capsys, tmp_path):

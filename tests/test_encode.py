@@ -1,6 +1,8 @@
 """CNF construction: clausification, the worked running example, and
 exhaustive faithfulness checks against the diagram predicates."""
 
+import hashlib
+import math
 import re
 import tracemalloc
 from itertools import product
@@ -9,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmpsat as F
 from fmpsat import encode as enc
@@ -28,7 +32,12 @@ from fmpsat.encode import (
 )
 from fmpsat.errors import EncodingError, SolverTimeout
 from fmpsat.explain import Instance
-from fmpsat.batch import generate_random_obdd, obdd_to_shannon_sdd, random_instance
+from fmpsat.batch import (
+    generate_random_classifier,
+    generate_random_obdd,
+    obdd_to_shannon_sdd,
+    random_instance,
+)
 from fmpsat.sat import solve
 
 from random_graphs import random_dt, random_xpg
@@ -146,6 +155,32 @@ def test_dimacs_legend_names_variables_outside_the_varmap():
     assert write_dimacs(cnf, vm) == (
         "c map 1 s_1\nc map 2 v2\nc map 3 n_0_7\nc map 4 v4\np cnf 4 1\n1 2 -3 4 0\n"
     )
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_clause_lines_match_joined_literals(data):
+    # one format string per clause length, made on first use, writes what
+    # joining the literals writes, for lengths and literals no encoder makes
+    literal = st.integers(1, 10**6).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = data.draw(st.lists(st.lists(literal, min_size=1, max_size=200), max_size=30))
+    m = data.draw(st.integers(0, 5))
+    cnf = CnfFormula()
+    vm = F.VarMap(m)
+    vm.allocate_selectors(cnf)
+    # the writer does not compare literals with num_vars, and a small one
+    # keeps the legend short
+    cnf.num_vars += data.draw(st.integers(0, 5))
+    for clause in clauses:
+        cnf.add(clause)
+    block_lines = data.draw(st.integers(1, 8))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enc, "DIMACS_BLOCK_LINES", block_lines)
+        blocks = list(iter_dimacs(cnf, vm))
+    expected = "".join(vm.legend(cnf.num_vars)) + f"p cnf {cnf.num_vars} {len(clauses)}\n"
+    expected += "".join(" ".join(map(str, clause)) + " 0\n" for clause in clauses)
+    assert "".join(blocks) == expected
+    assert all(block.endswith("\n") and block.count("\n") <= block_lines for block in blocks)
 
 
 def test_sdd_target_is_checked_before_negation(ella_sdd, monkeypatch):
@@ -591,3 +626,114 @@ def test_selector_projection_matches_the_definitions(ella_obdd, ella_sdd):
                              for i in range(1, m + 1)]
                     got = solve(cnf, assumptions=fixed).satisfiable
                     assert got == want, (type(clf).__name__, inst, t, method, s)
+
+
+# ----------------------------------------------------------- byte stability
+
+# SHA-256 of write_dimacs(cnf, vm) for each (case, method) of _digest_corpus,
+# recorded with the general fold (terms of any length) that the two-operand
+# fold replaced; any change to variables, clause order or literals shows here
+ENCODING_DIGESTS = {
+    ("obdd-m10-t7", "one-step"): "ff3bd31f49094897ee2b27dd70708461eb467aaddf76caab6823ed06162a94e3",
+    ("obdd-m10-t7", "two-step"): "12484e53dd2719ee2333cfff8f1e3728d333a3f600f5dcb4364303711b25280d",
+    ("obdd-m10-t9", "one-step"): "21a3b23acbca5a609a6aa1f819e4fe7b936dcd004e2c8ab98e9bf5e8f96220b3",
+    ("obdd-m10-t9", "two-step"): "91a62b6794f775facc78662b4904c41c6f4465862e3339fe5ad3e6b6f3fc5f5b",
+    ("obdd-m10-t10", "one-step"): "dd3ed17d45007881e5c27d4ca47933cf09bf47c5e86c18cbc934650dec7e8f23",
+    ("obdd-m10-t10", "two-step"): "4ed2fa49345fd5eb2e35557a17144a0d849cbb381016581271fe9b507a92c218",
+    ("obdd-m20-t1", "one-step"): "a9a2f596a05bde270a59010485059ce37dce7df0f8bc74e4a1fcf016e2fefcf4",
+    ("obdd-m20-t1", "two-step"): "6ae2929b440dc51a11dc32699c2407ecaa76718bc0e1a94a034dc1f5a07b5ea4",
+    ("obdd-m20-t5", "one-step"): "87eea60d704c0c31c0b2dcc9190c91ac6fa02a567f3cb8c031fd79101e044776",
+    ("obdd-m20-t5", "two-step"): "7f38d27e0e3c5cb59f62248e53ce3f274652aa66ef8ff6261f1e17e4617a2330",
+    ("obdd-m20-t14", "one-step"): "59e387c3c57cab86b5b010b388194421623295f0a4cf32c7faedddd0e6a1e474",
+    ("obdd-m20-t14", "two-step"): "918896ea2fe1ecfb2384827452f0e63cf9cd1489e5c6c1bf194089625967a716",
+    ("obdd-m30-t2", "one-step"): "d46dd2f4f4b905aad82d47a4c629c48b0d58d1567ded6689794b398d44cfd3d1",
+    ("obdd-m30-t2", "two-step"): "32354e08befa014e8829221119f1b142c644a4f53d9630d789b1ede8aa40d51a",
+    ("obdd-m30-t11", "one-step"): "0219a394acab2038d22f53db5ec1e5b644a529530e196f7b12686de7aef28efd",
+    ("obdd-m30-t11", "two-step"): "6ee59576c9a4db313a56cd8166e4ba563a3b87326e4c6542d9464015a1f6d4f6",
+    ("obdd-m30-t25", "one-step"): "c10c69e78d72fc41a18e5ba3aa2659f3c6fb9bee952523a1c10309c810fe9976",
+    ("obdd-m30-t25", "two-step"): "ea10efb1fb5666a5d537960feede5c02fa560d3a73bc513fa7646a3a1ee095c8",
+    ("shannon-sdd-m10-t4", "one-step"): "5f29faf93392c13e6395cf2c154326709b0c74e7a7c798aabb77051e7135dc24",
+    ("shannon-sdd-m10-t4", "two-step"): "8048535fc49f0a0980f0282eb451ccb541548ec837e683ccb16e988768f17d1c",
+    ("shannon-sdd-m10-t6", "one-step"): "37f46c8b94062012fddc7d0fbf0a66b02ba9a50858653b63369e464889e2a2b2",
+    ("shannon-sdd-m10-t6", "two-step"): "ee77845c8786318773b694c2c4f411fbec462add49f2e44a15eeec34665684ae",
+    ("shannon-sdd-m10-t9", "one-step"): "52693d8c752f2d7707b0a84292b36a1242e6b6d632379a45a6bdf7cf7260f3b6",
+    ("shannon-sdd-m10-t9", "two-step"): "8d2ec75d367025c11a2fb568013f9c8cf22f0089aa7d57ece1a35a7003b11593",
+    ("shannon-sdd-m20-t1", "one-step"): "f231144595f39128dacdeb1c9b4cb4fc447e14f12be93053883ad81d9db87a6f",
+    ("shannon-sdd-m20-t1", "two-step"): "7ab3a3fdafb95320003bd40197b6ddcff2f99326155e5c498f7a35873b510cb1",
+    ("shannon-sdd-m20-t4", "one-step"): "96799856a87dea789c4757ca254dd620feb7ec565492c2eda31e9147ccbad7b1",
+    ("shannon-sdd-m20-t4", "two-step"): "4751ab098deb02aa0dd1d0a1c1227e03117ac8db67ef1517c8140a325be0e4bd",
+    ("shannon-sdd-m20-t7", "one-step"): "313893fa99f98a01d2b158224e997de8cc086717bc808a35f4c60dce508a900d",
+    ("shannon-sdd-m20-t7", "two-step"): "5fc7c1d72c8dfed3178dd963c6ec7671752a50fdb9f012a6c75dca59ef5fe716",
+    ("shannon-sdd-m30-t2", "one-step"): "81c34ccad940a2a4c6e199055d6f7c31f40cc3e2cbf6d6b688b3daded4a5981b",
+    ("shannon-sdd-m30-t2", "two-step"): "54dc1d8f8e0b1d5dca1a54625d26097c24941427d10dcd9c691b719cc5bb9314",
+    ("shannon-sdd-m30-t3", "one-step"): "1573486c2d80bddbb8a74eaf06126b9c233d4ea39c89c884da531c21a75f2d21",
+    ("shannon-sdd-m30-t3", "two-step"): "cc2cef231cdde7f65f0d0426f4f69093713f70a0b2b62f6d6e714bcdc48b0f66",
+    ("shannon-sdd-m30-t23", "one-step"): "d0e416277a3f22cd33a73fd328d64de4ef10caa47ac13de8827b85f239c53ce3",
+    ("shannon-sdd-m30-t23", "two-step"): "9e5e93fd018ffd460f60c528853dcea9f3d082b4f85734ba8cccd769a4ef3360",
+    ("dt-m8-t1", "one-step"): "122ad002b16b277b1eb0cde4e29e4e275f4e145a37f4c672063f59e4b728af90",
+    ("dt-m8-t1", "two-step"): "211293036a7669818ddb52b6842e5a6cfba3464068fd5460aa3e7413cfa78bf0",
+    ("dt-m8-t4", "one-step"): "cad190cd172e3d2306c18a84d91abc848cfc6255563dfd6ea1ef98668d70c1a5",
+    ("dt-m8-t4", "two-step"): "c5374f30ba2ac692aaa4ec8d030a017f5ca9e69cbcf53d60b993d96cfbe00719",
+    ("dt-m8-t7", "one-step"): "f4bb4a7eb9309588fe6482dd8e21351c07a06981c11953896c21372bbef20c3e",
+    ("dt-m8-t7", "two-step"): "58f4ceadc513b3dc894de774db44a38eacd77ee453fb8dc80ab6b45b00f9d169",
+}
+
+
+def _digest_corpus():
+    """(name, classifier, instance, target): OBDDs and their Shannon SDDs
+    with m = 10, 20, 30 (class 1, 0, 1), three targets each, and one DT."""
+    rng = np.random.default_rng(14)
+    for kind in ("obdd", "shannon-sdd"):
+        for m in (10, 20, 30):
+            clf = generate_random_classifier(kind, m, 10 * m, seed=m)
+            inst = random_instance(clf, rng)
+            while inst.label != m // 10 % 2:  # both classes on both kinds
+                inst = random_instance(clf, rng)
+            for t in sorted(int(t) for t in rng.choice(np.arange(1, m + 1), 3, replace=False)):
+                yield f"{kind}-m{m}-t{t}", clf, inst, t
+    dt = random_dt(rng, 8)
+    while len(dt.nodes) < 25:
+        dt = random_dt(rng, 8)
+    clf = F.DtClassifier(dt)
+    inst = random_instance(clf, rng)
+    for t in sorted(int(t) for t in rng.choice(np.arange(1, 9), 3, replace=False)):
+        yield f"dt-m8-t{t}", clf, inst, t
+
+
+def test_encodings_keep_their_bytes():
+    digests = {}
+    for name, clf, inst, t in _digest_corpus():
+        for method in ("one-step", "two-step"):
+            cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, method))
+            text = write_dimacs(cnf, vm).encode()
+            digests[name, method] = hashlib.sha256(text).hexdigest()
+    assert digests == ENCODING_DIGESTS
+
+
+# ---------------------------------------------------------------- lowering
+
+def test_lowered_terms_have_at_most_two_operands():
+    rng = np.random.default_rng(23)
+    for trial in range(8):
+        m = int(rng.integers(4, 12))
+        obdd = generate_random_obdd(m, 6 * m, seed=1400 + trial)
+        truth = random_function(rng, m)
+        classifiers = (F.ObddClassifier(obdd), F.DtClassifier(random_dt(rng, m)),
+                       F.SddClassifier(obdd_to_shannon_sdd(obdd)),
+                       F.SddClassifier(compile_sdd(balanced_vtree(m), truth)))
+        for clf in classifiers:
+            inst = random_instance(clf, rng)
+            if isinstance(clf, F.SddClassifier):
+                gates, _ = enc._lower_sdd(clf.diagram_for(inst), Instance(inst.values, 0))
+            else:
+                gates, _ = enc._lower_xpg(clf.xpg_for(inst))
+            assert max(len(term) for terms in gates for term in terms) <= 2
+
+
+def test_a_lowered_term_of_three_operands_is_refused():
+    # gate 0 is the AND of the three guards, and the output
+    def lower():
+        return [[(-1, -2, -3)]], [0]
+
+    with pytest.raises(EncodingError, match="more than two operands"):
+        enc._encode(lower, 3, 1, (1,), math.inf, None)

@@ -4,6 +4,7 @@ import re
 import sys
 import textwrap
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,6 +248,21 @@ def test_passed_deadline_ends_search_during_clause_packing():
         kernel.UNKNOWN, None, kernel._counters())
     elapsed = time.perf_counter() - started
     assert elapsed < full_pass / 10, (elapsed, full_pass)
+
+
+
+def test_deadline_passing_during_propagation_returns_the_counters(monkeypatch):
+    # a chain x1 -> x2 -> ... -> x100 under the unit x1, as kernel codes: the
+    # first propagation makes 99 watch visits, and the clock, read at entry
+    # and then at every 8 visits, has passed the deadline after entry
+    clock = iter([0.0])
+    monkeypatch.setattr(kernel, "time", SimpleNamespace(time=lambda: next(clock, 10.0)))
+    monkeypatch.setattr(kernel, "_POLL_VISITS", 8)
+    chain = [[2 * v + 1, 2 * v + 2] for v in range(99)]
+    status, model, stats = kernel._search(100, chain, [0], deadline=5.0)
+    assert (status, model) == (kernel.UNKNOWN, None)
+    assert stats == kernel._counters(propagations=stats["propagations"])
+    assert 8 <= stats["propagations"] < 99
 
 
 # ------------------------------------------------------- external adapter
