@@ -27,7 +27,7 @@ from .explain import (
     find_cxp,
     parse_instance,
 )
-from .fmp import FmpQuery, build_encoding, decide_membership
+from .fmp import FmpQuery, build_encoding, collector_paused, decide_membership
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -323,7 +323,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with collector_paused():
+            return args.func(args)
     except FmpsatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -29,10 +29,15 @@ Variable numbering is fixed for byte-stable output: the selector block
 comes first (variables 1..m), then one block per replica in ascending
 order. A block follows the circuit's evaluation order, operands before
 the gates that read them, and gives each gate's term variables
-(``e_k_j_i``, in term order) before the gate's own (``n_k_j``). The
-DIMACS writer formats each clause line with one ``%`` from a format
-string for its length, ``"%d " * k + "0\n"``, made on first use, so a
-clause of any length, a user's included, is written alike.
+(``e_k_j_i``, in term order) before the gate's own (``n_k_j``).
+
+Every clause an encoder makes is a tuple of ints: immutable, smaller
+than a list, and untracked by the cyclic garbage collector once it has
+seen it. The DIMACS writer formats each block of clause lines with one
+``%``: the format joins one string per clause length,
+``"%d " * k + "0\n"``, made on first use, and the arguments are the
+block's literals in order. A clause given as a list, a user's of any
+length included, is written alike.
 
 Nothing in replica 0 depends on the target, so it is built once per
 (classifier, instance): each encoder takes an optional ``store``, a
@@ -56,7 +61,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice, product as product_of
+from itertools import chain, islice, product as product_of
 from math import inf
 from typing import Iterable, Iterator, Sequence
 
@@ -86,6 +91,9 @@ _FALSE = "F"
 class CnfFormula:
     """Clause set over integer variables 1..num_vars.
 
+    A clause is a sequence of nonzero ints: the encoders make tuples,
+    and a list is accepted, solved and written alike.
+
     A copy knows the formula it was copied from, its ``base``. The
     solver keeps a base's checked and packed clauses in ``packed``, with
     a private copy of the clauses they came from, and gives the search
@@ -95,7 +103,7 @@ class CnfFormula:
     """
 
     num_vars: int = 0
-    clauses: list[list[int]] = field(default_factory=list)
+    clauses: list[Sequence[int]] = field(default_factory=list)
     base: CnfFormula | None = field(default=None, init=False, repr=False, compare=False)
     # (clauses, num_vars, units, body): what was checked and packed, and the
     # packing in kernel codes; set by the solver once both are complete
@@ -105,7 +113,7 @@ class CnfFormula:
         self.num_vars += 1
         return self.num_vars
 
-    def add(self, clause: list[int]) -> None:
+    def add(self, clause: Sequence[int]) -> None:
         """Append the clause itself; its literals are checked when it reaches a solver."""
         if not clause:
             raise EncodingError("refusing to add an empty clause; encode the conflict explicitly")
@@ -198,9 +206,9 @@ def clausify_eq_or(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
     if not lits:
         raise EncodingError("equivalence with an empty disjunction")
     add = cnf.clauses.append
-    add([-var] + lits)
+    add((-var, *lits))
     for lit in lits:
-        add([var, -lit])
+        add((var, -lit))
 
 
 def clausify_eq_and(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
@@ -209,8 +217,8 @@ def clausify_eq_and(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
         raise EncodingError("equivalence with an empty conjunction")
     add = cnf.clauses.append
     for lit in literals:
-        add([-var, lit])
-    add([var] + [-lit for lit in literals])
+        add((-var, lit))
+    add((var, *[-lit for lit in literals]))
 
 
 # --------------------------------------------------------------------------
@@ -359,11 +367,9 @@ def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, val, chan
         if not replica:
             term_vars.setdefault(gate, {})[i] = e
     n = vm.allocate(cnf, replica, gate)
-    add = cnf.clauses.append
-    for choice in product_of((-n,), *lits):
-        add([*choice])
-    for ops in lits:
-        add([n, -ops[0]] if len(ops) == 1 else [n, -ops[0], -ops[1]])
+    clauses = cnf.clauses
+    clauses += product_of((-n,), *lits)
+    clauses += [(n, -ops[0]) if len(ops) == 1 else (n, -ops[0], -ops[1]) for ops in lits]
     return n
 
 
@@ -420,7 +426,7 @@ def _replica0(gates, order, m: int, deadline) -> dict:
     _emit_replica(cnf, vm, gates, cone, readers, 0, val, term_vars)
     output = vm.outputs[0] = val[cone[-1]]
     if output != _FALSE:
-        cnf.add([-output])
+        cnf.add((-output,))
     return {"gates": gates, "cone": cone, "readers": readers, "val": val,
             "term_vars": term_vars, "cnf": cnf, "vm": vm}
 
@@ -442,7 +448,7 @@ def _encode(lower, m: int, target: int, replicas: Iterable[int], deadline, store
         store.update(_replica0(*lower(), m, deadline))
     gates, cone, readers = store["gates"], store["cone"], store["readers"]
     cnf, vm = store["cnf"].copy(), store["vm"].copy()
-    cnf.add([vm.sel(target)])
+    cnf.add((vm.sel(target),))
     for k in replicas:
         check_deadline(deadline, f"encoding exceeded its time limit before replica {k}")
         val = store["val"].copy()
@@ -450,7 +456,7 @@ def _encode(lower, m: int, target: int, replicas: Iterable[int], deadline, store
         output = vm.outputs[k] = val[cone[-1]]
         if output in (_TRUE, _FALSE):
             s = vm.sel(k)
-            cnf.add([s if output == _TRUE else -s])
+            cnf.add((s if output == _TRUE else -s,))
         else:
             # a selected feature must be necessary: freeing it flips the class
             clausify_eq_or(cnf, vm.sel(k), [output])
@@ -509,13 +515,17 @@ def iter_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> Iterator[str]:
     With a varmap the text opens with one ``c map <var> <name>`` line
     per variable; then comes the ``p cnf`` line and one line per clause.
     Only one block of text is held at a time, so ``sink.writelines``
-    writes a formula of any size in bounded extra memory.
+    writes a formula of any size in bounded extra memory. Each block of
+    clause lines is one ``%``: its lines' formats joined, applied to its
+    literals in order.
     """
     if varmap is not None:
         yield from _blocks(varmap.legend(cnf.num_vars))
     yield f"p cnf {cnf.num_vars} {len(cnf.clauses)}\n"
-    formats = _LineFormats()
-    yield from _blocks(formats[len(clause)] % tuple(clause) for clause in cnf.clauses)
+    line_format = _LineFormats().__getitem__
+    clauses = iter(cnf.clauses)
+    while block := list(islice(clauses, DIMACS_BLOCK_LINES)):
+        yield "".join(map(line_format, map(len, block))) % tuple(chain.from_iterable(block))
 
 
 def write_dimacs(cnf: CnfFormula, varmap: VarMap | None = None) -> str:

@@ -63,7 +63,8 @@ def _packed_base(cnf: CnfFormula, deadline: float):
     the packing with a private copy of those clauses only once it is
     complete: a passed deadline or an empty clause leaves the whole
     formula to this call. Comparing with that copy catches clauses
-    since added to or edited in the base.
+    since added to or edited in the base. The copy keeps a tuple clause
+    itself, which nothing can edit, and copies any other.
     """
     base = cnf.base
     if base is None:
@@ -76,7 +77,8 @@ def _packed_base(cnf: CnfFormula, deadline: float):
         _, units, body = kernel.clean_clauses(base.num_vars, base.clauses, (), deadline)
         if body is None:
             return 0, ((), ())
-        base.packed = [c.copy() for c in base.clauses], base.num_vars, units, body
+        clauses = [c if isinstance(c, tuple) else c.copy() for c in base.clauses]
+        base.packed = clauses, base.num_vars, units, body
     clauses, num_vars, units, body = base.packed
     if num_vars > cnf.num_vars or clauses != cnf.clauses[:len(clauses)]:
         return 0, ((), ())

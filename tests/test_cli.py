@@ -348,6 +348,22 @@ def test_encode_keeps_the_bytes_of_a_desk_one_step_file(capsys, tmp_path):
     assert digest == (DATA / "obdd-m60-q0-t48-onestep.sha256").read_text().strip()
 
 
+@pytest.mark.parametrize("method", ["one-step", "two-step"])
+def test_encode_keeps_the_bytes_of_the_desk_negated_sdd_files(capsys, tmp_path, method):
+    # desk query sdd-m100-q0 is of class 1 with target 8, so both files
+    # encode the negated diagram; each is pinned by a SHA-256 digest of its
+    # bytes, which the CI job checks through the installed script too
+    out_path = tmp_path / "sdd-m100.cnf"
+    code, _, _ = run(capsys, ["encode", "--sdd", str(DESK / "sdd-m100.sdd"),
+                              "--vtree", str(DESK / "sdd-m100.vtree"),
+                              "--instance", str(DESK / "sdd-m100-q0.inst"), "--target", "8",
+                              "--method", method, "--out", str(out_path)])
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    step = method.replace("-", "")
+    assert digest == (DATA / f"sdd-m100-q0-t8-{step}.sha256").read_text().strip()
+
+
 def test_encode_twostep_smaller(capsys, tmp_path):
     one, two = tmp_path / "one.cnf", tmp_path / "two.cnf"
     run(capsys, ["encode", *ELLA_SDD, "--target", "3", "--method", "one-step", "--out", str(one)])

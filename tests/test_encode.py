@@ -51,13 +51,13 @@ DATA = Path(__file__).parent / "data"
 def test_eq_or_single_literal():
     cnf = CnfFormula(num_vars=2)
     clausify_eq_or(cnf, 1, [2])
-    assert cnf.clauses == [[-1, 2], [1, -2]]
+    assert cnf.clauses == [(-1, 2), (1, -2)]
 
 
 def test_eq_and_two_literals():
     cnf = CnfFormula(num_vars=3)
     clausify_eq_and(cnf, 1, [2, 3])
-    assert cnf.clauses == [[-1, 2], [-1, 3], [1, -2, -3]]
+    assert cnf.clauses == [(-1, 2), (-1, 3), (1, -2, -3)]
 
 
 def test_eq_or_empty_rejected():
@@ -161,9 +161,12 @@ def test_dimacs_legend_names_variables_outside_the_varmap():
 @given(data=st.data())
 def test_clause_lines_match_joined_literals(data):
     # one format string per clause length, made on first use, writes what
-    # joining the literals writes, for lengths and literals no encoder makes
+    # joining the literals writes, for lengths and literals no encoder makes,
+    # and for clauses given as the encoders' tuples or as lists
     literal = st.integers(1, 10**6).flatmap(lambda v: st.sampled_from((v, -v)))
-    clauses = data.draw(st.lists(st.lists(literal, min_size=1, max_size=200), max_size=30))
+    clause = st.lists(literal, min_size=1, max_size=200).flatmap(
+        lambda lits: st.sampled_from((lits, tuple(lits))))
+    clauses = data.draw(st.lists(clause, max_size=30))
     m = data.draw(st.integers(0, 5))
     cnf = CnfFormula()
     vm = F.VarMap(m)

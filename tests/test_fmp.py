@@ -1,5 +1,6 @@
 """Membership decisions, witness extraction, generators, and batches."""
 
+import gc
 import io
 import math
 import time
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import fmpsat as F
+from fmpsat import cli
 from fmpsat import errors as errors_mod
 from fmpsat import fmp as fmp_mod
 from fmpsat.sat import kernel
@@ -333,6 +335,85 @@ def test_a_deadline_during_negation_keeps_no_negated_diagram(ella_sdd, monkeypat
     monkeypatch.undo()
     for method in ("two-step", "one-step"):
         assert _answer(clf, accepted, 3, method) == _answer(_fresh(clf), accepted, 3, method)
+
+
+# -------------------------------------- the cyclic collector paused per query
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_a_query_leaves_the_collector_as_it_found_it(ella_sdd, ella_instance, tmp_path,
+                                                     capsys, enabled):
+    clf = F.SddClassifier(ella_sdd)
+    mismatched = F.Instance((0, 1, 0, 1), 1)
+    queries = [FmpQuery(clf, ella_instance, 3), FmpQuery(clf, ella_instance, 2),
+               FmpQuery(clf, ella_instance, 3, "one-step", time_limit_s=1e-9),
+               FmpQuery(clf, mismatched, 1)]
+    (tmp_path / "mismatched.inst").write_text("v: 0,1,0,1\nc: 1\n")
+    ella = ["fmp", "--obdd", str(DATA / "ella.obdd"), "--instance"]
+    argvs = [[*ella, str(DATA / "ella.inst"), "--target", "3"],
+             [*ella, str(DATA / "ella.inst"), "--target", "2"],
+             [*ella, str(DATA / "ella.inst"), "--target", "3", "--time-limit-s", "1e-9"],
+             [*ella, str(tmp_path / "mismatched.inst"), "--target", "1"]]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        answers, codes = [], []
+        for query in queries:
+            try:
+                answers.append(decide_membership(query).answer)
+            except FmpsatError as exc:
+                answers.append(type(exc))
+            assert gc.isenabled() == enabled
+        for argv in argvs:
+            codes.append(cli.main(argv))
+            assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert answers == ["Yes", "No", SolverTimeout, ClassifierError]
+    assert codes == [0, 1, 2, 2]
+    err = capsys.readouterr().err
+    assert "time limit" in err and "predicts 0" in err
+
+
+def _instance_of_class(clf, label, rng):
+    for _ in range(1000):
+        inst = random_instance(clf, rng)
+        if inst.label == label:
+            return inst
+    raise AssertionError(f"no instance of class {label} in 1000 draws")
+
+
+def test_queries_leave_no_cyclic_garbage(ella_sdd, ella_obdd, ella_instance):
+    # decide_membership pauses the collector, which loses nothing only while
+    # the query path makes no reference cycle: with the collector off, Ella's
+    # queries and sweeps on random diagrams of both classes must leave no
+    # unreachable object behind
+    ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
+    accepted = F.Instance((1, 0, 1, 1), 1)
+    cases = [(F.SddClassifier(ella_sdd), ella_instance), (F.SddClassifier(ella_sdd), accepted),
+             (F.ObddClassifier(ella_obdd), ella_instance), (F.ObddClassifier(ella_obdd), accepted),
+             (F.DtClassifier(ella_dt), ella_instance),
+             (F.XpgClassifier(F.build_xpg_from_obdd(ella_obdd, ella_instance)), None)]
+    rng = np.random.default_rng(43)
+    for trial, m in enumerate((6, 8, 10)):
+        obdd = generate_random_obdd(m, 3 * m, seed=900 + trial)
+        for clf in (F.ObddClassifier(obdd), F.SddClassifier(obdd_to_shannon_sdd(obdd)),
+                    F.DtClassifier(random_dt(rng, m))):
+            cases += [(clf, _instance_of_class(clf, label, rng)) for label in (0, 1)]
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        answers = Counter()
+        for clf, inst in cases:
+            for method in ("two-step", "one-step"):
+                for t in range(1, clf.num_features + 1):
+                    answers[decide_membership(FmpQuery(clf, inst, t, method)).answer] += 1
+        unreachable = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert unreachable == 0
+    assert answers["Yes"] and answers["No"]
 
 
 # Pinned outcomes of fixed-seed queries, keyed by the (kind, m, node budget,

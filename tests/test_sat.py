@@ -111,6 +111,8 @@ def test_a_copy_searches_as_its_whole_clause_list():
         n = int(rng.integers(5, 30))
         base = _random_3cnf(rng, n, int(rng.integers(1, 4 * n)))
         base.clauses += [[int(rng.integers(1, n + 1))], [1, -1, 2], [2, 2, -3]][: trial % 4]
+        if trial % 2:  # tuples, as the encoders make them
+            base.clauses = list(map(tuple, base.clauses))
         for _ in range(3):
             cnf = base.copy()
             for _ in range(int(rng.integers(0, 3))):
@@ -154,6 +156,16 @@ def test_a_base_changed_after_packing_is_searched_as_it_is_now():
     base.clauses[0][1] = 1  # the shared clause is now [1, 1]
     cnf = base.copy()
     assert solve(cnf) == solve(CnfFormula(2, list(cnf.clauses)))
+    assert not solve(cnf).satisfiable
+    # the encoders' tuples are kept as they are, and a list among them is
+    # copied, so an edit in place after packing is still caught
+    base = CnfFormula(3, [(1, 2), (-1, 3), (-3,), [2, 3]])
+    assert solve(base.copy()).value(2)
+    packed = base.packed[0]
+    assert all(p is c for p, c in zip(packed[:3], base.clauses)) and packed[3] is not base.clauses[3]
+    base.clauses[3][0] = -2  # the list clause is now [-2, 3]
+    cnf = base.copy()
+    assert solve(cnf) == solve(CnfFormula(3, list(cnf.clauses)))
     assert not solve(cnf).satisfiable
     base = CnfFormula(1, [[2]])  # out of the base's range, not of its copy's
     cnf = base.copy()
