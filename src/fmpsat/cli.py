@@ -94,22 +94,10 @@ def _load_classifier(args):
             raise FmpsatError("classifier is constant; explanation queries are undefined")
         clf = XpgClassifier(graph)
 
-    instance = None
-    if args.instance:
-        instance = parse_instance(Path(args.instance).read_text())
-        if kind != "xpg":
-            predicted = clf.predict(instance.values)
-            if predicted != instance.label:
-                raise FmpsatError(
-                    f"instance declares class {instance.label} "
-                    f"but the classifier predicts {predicted}"
-                )
-        elif instance.num_features != clf.num_features:
-            raise FmpsatError(
-                f"instance has {instance.num_features} features, graph has {clf.num_features}"
-            )
-    elif kind != "xpg":
+    instance = parse_instance(Path(args.instance).read_text()) if args.instance else None
+    if instance is None and kind != "xpg":
         raise FmpsatError(f"--{kind} needs --instance")
+    clf.check_instance(instance)
     # the instance matches the SDD, so the SDD is constant exactly when the
     # diagram giving the instance class 0 has no model; a class-0 run negates nothing
     if kind == "sdd" and not sdd_mod.is_consistent(clf.diagram_for(instance)):

@@ -58,7 +58,6 @@ before a replica; a store is never left half filled.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice, product as product_of
@@ -131,14 +130,17 @@ class CnfFormula:
 
 
 class VarMap:
-    """The role of each CNF variable of one encoding, and each replica's output."""
+    """The role of each CNF variable of one encoding, and each replica's output.
+
+    Variables are numbered by position: the selectors s_1..s_m are
+    variables 1..m, and each later one is made by `allocate`, in order.
+    """
 
     def __init__(self, num_features: int):
         self.num_features = num_features
-        self._sel: list[int] = []
-        # var, replica, gate and term index (-1 for the gate itself) of
-        # each gate or term variable, in allocation order; one flat array
-        # holds a one-step encoding's 100k+ roles in a few MB
+        # replica, gate and term index (-1 for the gate itself) of each
+        # gate or term variable, m + 1 onwards; one flat array holds a
+        # one-step encoding's 100k+ roles in a few MB
         self._roles = array("i")
         # replica -> its output's value: a literal, or "T"/"F" when constant
         self.outputs: dict[int, int | str] = {}
@@ -147,47 +149,30 @@ class VarMap:
         """A map with the same roles and outputs, which allocating in
         leaves this one as it is."""
         vm = VarMap(self.num_features)
-        vm._sel = self._sel
         vm._roles = self._roles[:]
         vm.outputs = self.outputs.copy()
         return vm
 
-    def allocate_selectors(self, cnf: CnfFormula) -> None:
-        for i in range(1, self.num_features + 1):
-            var = cnf.new_var()
-            self._sel.append(var)
-
     def sel(self, i: int) -> int:
-        return self._sel[i - 1]
+        """The selector s_i, variable i."""
+        return i
 
     def allocate(self, cnf: CnfFormula, replica: int, gate: int, term: int = -1) -> int:
         """A fresh variable for the gate (``n_k_j``), or for one of its
         terms (``e_k_j_i``), in the replica."""
-        var = cnf.new_var()
-        self._roles.extend((var, replica, gate, term))
-        return var
+        self._roles.extend((replica, gate, term))
+        return cnf.new_var()
 
     def legend(self, num_vars: int) -> Iterator[str]:
-        """One ``c map <var> <name>`` line per variable 1..num_vars, in order.
-
-        Selectors and roles are each held in allocation order, so a merge
-        yields the lines one at a time. A variable made by
-        ``cnf.new_var()`` outside this map is named ``v<var>``.
-        """
-        roles = iter(self._roles)  # read four entries at a time
-        named = heapq.merge(
-            ((var, f"c map {var} s_{i}\n") for i, var in enumerate(self._sel, start=1)),
-            ((var, f"c map {var} n_{k}_{j}\n" if i < 0 else f"c map {var} e_{k}_{j}_{i}\n")
-             for var, k, j, i in zip(roles, roles, roles, roles)),
-        )
-        unnamed = 1  # the first variable not yet listed
-        for var, line in named:
-            while unnamed < var:
-                yield f"c map {unnamed} v{unnamed}\n"
-                unnamed += 1
-            yield line
-            unnamed = var + 1
-        yield from (f"c map {var} v{var}\n" for var in range(unnamed, num_vars + 1))
+        """One ``c map <var> <name>`` line per variable 1..num_vars, in
+        order; a variable past the roles is named ``v<var>``."""
+        m = self.num_features
+        roles = iter(self._roles)  # read three entries at a time
+        named = m + len(self._roles) // 3
+        yield from (f"c map {i} s_{i}\n" for i in range(1, m + 1))
+        yield from (f"c map {var} n_{k}_{j}\n" if i < 0 else f"c map {var} e_{k}_{j}_{i}\n"
+                    for var, k, j, i in zip(range(m + 1, named + 1), roles, roles, roles))
+        yield from (f"c map {var} v{var}\n" for var in range(named + 1, num_vars + 1))
 
     def selected_features(self, model) -> frozenset[int]:
         """Decode the selector block of a satisfying assignment."""
@@ -416,9 +401,8 @@ def _replica0(gates, order, m: int, deadline) -> dict:
     if any(len(term) > 2 for terms in gates for term in terms):
         raise EncodingError("a lowered term has more than two operands")
     cone, readers = _cone(gates, order, m)
-    cnf = CnfFormula()
+    cnf = CnfFormula(m)  # the selectors
     vm = VarMap(m)
-    vm.allocate_selectors(cnf)
     check_deadline(deadline, "encoding exceeded its time limit before replica 0")
     # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
     val = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]

@@ -25,7 +25,7 @@ cannot pass both an encoding and the check of its answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 from typing import Iterable, Sequence
 
@@ -251,22 +251,84 @@ def _compile_xpg(graph: xpg_mod.XpGraph) -> _Circuit:
 # classifier adapters
 # --------------------------------------------------------------------------
 
-class SddClassifier:
+@dataclass(slots=True)
+class _Record:
+    """What an adapter keeps for one instance: the diagram or graph its
+    queries read, the weak-AXp circuit compiled from it on first use,
+    and the store in which the CNF encoders keep replica 0."""
+
+    source: object
+    circuit: _Circuit | None = None
+    store: dict = field(default_factory=dict)
+
+
+class _Adapter:
+    """One record per key, the instance itself unless `_key` says
+    otherwise, made once the key passes `check_instance` and its source
+    is built, so a rejected instance, or a deadline passing while the
+    source is built, keeps nothing."""
+
+    def __init__(self):
+        self._records: dict[Instance | None, _Record] = {}
+
+    def _key(self, instance: Instance | None) -> Instance | None:
+        return instance
+
+    def check_instance(self, instance: Instance | None) -> None:
+        """Raise ``ClassifierError`` unless the instance is a point of the
+        classifier's domain and the classifier predicts its declared class."""
+        if instance is None:
+            raise ClassifierError(f"{type(self).__name__} queries need an instance")
+        m = self.num_features
+        if instance.num_features != m:
+            raise ClassifierError(
+                f"instance has {instance.num_features} values, classifier has {m} features"
+            )
+        for i, (value, domain) in enumerate(zip(instance.values, _domains(self)), start=1):
+            if value not in domain:
+                raise ClassifierError(f"instance value {value} of feature {i} outside {domain}")
+        predicted = self.predict(instance.values)
+        if predicted != instance.label:
+            raise ClassifierError(
+                f"instance declares class {instance.label} but the classifier predicts {predicted}"
+            )
+
+    def _record(self, instance: Instance | None, deadline=inf) -> _Record:
+        key = self._key(instance)
+        record = self._records.get(key)
+        if record is None:
+            self.check_instance(key)
+            record = self._records[key] = _Record(self._source(key, deadline))
+        return record
+
+    def circuit_for(self, instance: Instance | None) -> _Circuit:
+        record = self._record(instance)
+        if record.circuit is None:
+            record.circuit = self._compile(record.source, instance)
+        return record.circuit
+
+    def encoding_store(self, instance: Instance | None) -> dict:
+        """The store in which the encoders keep replica 0 for this instance."""
+        return self._record(instance).store
+
+    def release(self, instance: Instance | None) -> None:
+        """Drop the instance's record; an SDD's negated diagram stays."""
+        self._records.pop(self._key(instance), None)
+
+
+class SddClassifier(_Adapter):
     """SDD-backed binary classifier (classes 0 and 1).
 
-    Weak-explanation tests run on a circuit compiled once per instance
-    from the diagram under which it has class 0: the diagram itself, or
-    for instances predicted 1 a lazily built, cached negation. Either
-    way the pinned diagram must be inconsistent. Beside the circuits,
-    the adapter keeps each instance's encoding store, in which the CNF
-    encoders hold replica 0 for every query on that instance.
+    An instance's record reads the diagram under which it has class 0:
+    the diagram itself, or for instances predicted 1 a lazily built
+    negation, cached for every such instance. Either way the pinned
+    diagram must be inconsistent.
     """
 
     def __init__(self, sdd: sdd_mod.Sdd):
+        super().__init__()
         self.sdd = sdd
         self._negated: sdd_mod.Sdd | None = None
-        self._circuits: dict = {}
-        self._encodings: dict[Instance, dict] = {}
 
     @property
     def num_features(self) -> int:
@@ -286,64 +348,28 @@ class SddClassifier:
             self._negated = sdd_mod.negate(self.sdd, deadline=deadline)
         return self._negated
 
+    def _source(self, instance: Instance, deadline) -> sdd_mod.Sdd:
+        return self.negated_sdd(deadline=deadline) if instance.label else self.sdd
+
+    def _compile(self, diagram: sdd_mod.Sdd, instance: Instance) -> _Circuit:
+        return _compile_sdd(diagram, instance.values)
+
     def diagram_for(self, instance: Instance, *, deadline=inf) -> sdd_mod.Sdd:
         """The diagram under which the instance has class 0."""
-        if instance.label not in (0, 1):
-            raise ClassifierError(f"SDD classifiers are binary, got class {instance.label}")
-        return self.negated_sdd(deadline=deadline) if instance.label == 1 else self.sdd
-
-    def circuit_for(self, instance: Instance) -> _Circuit:
-        circuit = self._circuits.get(instance)
-        if circuit is None:
-            diagram = self.diagram_for(instance)
-            circuit = self._circuits[instance] = _compile_sdd(diagram, instance.values)
-        return circuit
-
-    def encoding_store(self, instance: Instance) -> dict:
-        """The store in which the encoders keep replica 0 for this instance."""
-        return self._encodings.setdefault(instance, {})
-
-    def release(self, instance: Instance) -> None:
-        """Drop the instance's circuit and store; the negated diagram stays."""
-        self._circuits.pop(instance, None)
-        self._encodings.pop(instance, None)
+        return self._record(instance, deadline).source
 
     def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
 
 
-class _XpgBackedClassifier:
+class _XpgBackedClassifier(_Adapter):
     """Shared behaviour for classifiers explained through a built XpG."""
 
-    def __init__(self):
-        self._xpg_cache: dict[Instance, xpg_mod.XpGraph] = {}
-        self._circuits: dict[Instance | None, _Circuit] = {}
-        self._encodings: dict[Instance | None, dict] = {}
+    def _compile(self, graph: xpg_mod.XpGraph, instance: Instance | None) -> _Circuit:
+        return _compile_xpg(graph)
 
-    def _build_xpg(self, instance: Instance) -> xpg_mod.XpGraph:
-        raise NotImplementedError
-
-    def xpg_for(self, instance: Instance) -> xpg_mod.XpGraph:
-        graph = self._xpg_cache.get(instance)
-        if graph is None:
-            graph = self._xpg_cache[instance] = self._build_xpg(instance)
-        return graph
-
-    def circuit_for(self, instance: Instance | None) -> _Circuit:
-        circuit = self._circuits.get(instance)
-        if circuit is None:
-            circuit = self._circuits[instance] = _compile_xpg(self.xpg_for(instance))
-        return circuit
-
-    def encoding_store(self, instance: Instance | None) -> dict:
-        """The store in which the encoders keep replica 0 for this instance."""
-        return self._encodings.setdefault(instance, {})
-
-    def release(self, instance: Instance | None) -> None:
-        """Drop the instance's graph, circuit and store."""
-        self._xpg_cache.pop(instance, None)
-        self._circuits.pop(instance, None)
-        self._encodings.pop(instance, None)
+    def xpg_for(self, instance: Instance | None) -> xpg_mod.XpGraph:
+        return self._record(instance).source
 
     def is_weak_axp(self, instance: Instance | None, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
@@ -365,7 +391,7 @@ class ObddClassifier(_XpgBackedClassifier):
     def predict(self, point: Sequence[int]) -> int:
         return self.obdd.predict(point)
 
-    def _build_xpg(self, instance: Instance) -> xpg_mod.XpGraph:
+    def _source(self, instance: Instance, deadline) -> xpg_mod.XpGraph:
         return xpg_mod.build_xpg_from_obdd(self.obdd, instance)
 
 
@@ -385,7 +411,7 @@ class DtClassifier(_XpgBackedClassifier):
     def predict(self, point: Sequence[int]) -> int:
         return self.dt.predict(point)
 
-    def _build_xpg(self, instance: Instance) -> xpg_mod.XpGraph:
+    def _source(self, instance: Instance, deadline) -> xpg_mod.XpGraph:
         return xpg_mod.build_xpg_from_dt(self.dt, instance)
 
 
@@ -393,7 +419,10 @@ class XpgClassifier(_XpgBackedClassifier):
     """A bare explanation graph, e.g. loaded from a file.
 
     The instance is baked into the graph's labels, so explanation
-    queries need no point values and `predict` is unavailable.
+    queries need no point values, `predict` is unavailable, and every
+    instance a caller passes names the one record, keyed None; only the
+    command line, which reads an instance file beside the graph, checks
+    that instance's arity.
     """
 
     def __init__(self, graph: xpg_mod.XpGraph):
@@ -413,17 +442,18 @@ class XpgClassifier(_XpgBackedClassifier):
             "an explanation graph fixes its instance at build time and cannot classify points"
         )
 
-    def xpg_for(self, instance: Instance | None) -> xpg_mod.XpGraph:
+    def check_instance(self, instance: Instance | None) -> None:
+        """None, or an instance of the graph's arity."""
+        if instance is not None and instance.num_features != self.num_features:
+            raise ClassifierError(
+                f"instance has {instance.num_features} features, graph has {self.num_features}"
+            )
+
+    def _key(self, instance: Instance | None) -> None:
+        return None
+
+    def _source(self, instance: Instance | None, deadline) -> xpg_mod.XpGraph:
         return self.graph
-
-    def circuit_for(self, instance: Instance | None) -> _Circuit:
-        return super().circuit_for(None)  # one circuit, whatever instance is passed
-
-    def encoding_store(self, instance: Instance | None) -> dict:
-        return super().encoding_store(None)  # one replica 0, likewise
-
-    def release(self, instance: Instance | None) -> None:
-        super().release(None)
 
 
 # --------------------------------------------------------------------------

@@ -68,45 +68,29 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
     """Produce (cnf, varmap, pre_negated) for the query's route.
 
     Replica 0 is encoded once per (classifier, instance) and kept in the
-    adapter's store, so the queries of a relevancy sweep, one-step and
-    two-step alike, each emit only their target's replicas; an SDD query
-    checks the instance's class against the diagram only while its store
-    is empty. The SDD negation and the encoder raise ``SolverTimeout`` if
-    the deadline (a ``time.time()`` value, ``math.inf`` for none) passes
-    during the one or before a replica of the other.
+    store of the adapter's record for the instance, so the queries of a
+    relevancy sweep, one-step and two-step alike, each emit only their
+    target's replicas. The adapter checks the instance when it makes
+    that record. The SDD negation and the encoder raise ``SolverTimeout``
+    if the deadline (a ``time.time()`` value, ``math.inf`` for none)
+    passes during the one or before a replica of the other.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
         raise ClassifierError(f"unknown method {query.method!r}")
     one_step = query.method == "one-step"
     if isinstance(clf, SddClassifier):
-        if instance is None:
-            raise ClassifierError("SDD queries need an instance")
         enc._check_target(clf.num_features, t)  # before the diagram may be negated
-        store = clf.encoding_store(instance)
-        if not store:  # a filled store's instance has passed this check
-            predicted = clf.predict(instance.values)
-            if predicted != instance.label:
-                clf.release(instance)  # keep no store for a rejected instance
-                raise ClassifierError(
-                    f"instance declares class {instance.label} but the SDD predicts {predicted}"
-                )
-        pre_negated = instance.label == 1
         diagram = clf.diagram_for(instance, deadline=deadline)
-        inst = Instance(instance.values, 0)
         encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
-        cnf, vm = encoder(diagram, inst, t, deadline=deadline, store=store)
-        return cnf, vm, pre_negated
-    if isinstance(clf, (ObddClassifier, DtClassifier)):
-        if instance is None:
-            raise ClassifierError("decision-diagram queries need an instance")
-        graph = clf.xpg_for(instance)
-    elif isinstance(clf, XpgClassifier):
-        graph = clf.graph
-    else:
+        cnf, vm = encoder(diagram, Instance(instance.values, 0), t, deadline=deadline,
+                          store=clf.encoding_store(instance))
+        return cnf, vm, instance.label == 1
+    if not isinstance(clf, (ObddClassifier, DtClassifier, XpgClassifier)):
         raise ClassifierError(f"unsupported classifier type {type(clf).__name__}")
     encoder = enc.encode_xpg_onestep if one_step else enc.encode_xpg_twostep
-    cnf, vm = encoder(graph, t, deadline=deadline, store=clf.encoding_store(instance))
+    cnf, vm = encoder(clf.xpg_for(instance), t, deadline=deadline,
+                      store=clf.encoding_store(instance))
     return cnf, vm, False
 
 

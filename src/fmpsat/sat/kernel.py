@@ -27,7 +27,7 @@ import math
 import time
 from array import array
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
+from itertools import islice
 
 SAT = 10
 UNSAT = 20
@@ -302,7 +302,7 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
     return status, model, _counters(decisions, conflicts, props, restarts, learned, learned_lits)
 
 
-def clean_clauses(num_vars, clauses, assumptions=(), deadline=math.inf):
+def clean_clauses(num_vars, clauses, deadline=math.inf):
     """Normalize input clauses into kernel lists.
 
     Returns (status, units, clauses) with literals as codes: duplicate
@@ -317,7 +317,7 @@ def clean_clauses(num_vars, clauses, assumptions=(), deadline=math.inf):
     # the code of literal l sits at index l (negative l counts from the end),
     # so all clauses share one int object per code
     code_of = [-1, *range(0, 2 * num_vars, 2), *range(2 * num_vars - 1, 0, -2)]
-    stream = chain(clauses, ([a] for a in assumptions))
+    stream = iter(clauses)
     while batch := list(islice(stream, _POLL_CLAUSES)):
         if now() > deadline:
             return UNKNOWN, None, None
@@ -343,19 +343,19 @@ def clean_clauses(num_vars, clauses, assumptions=(), deadline=math.inf):
     return UNKNOWN, units, body
 
 
-def search(num_vars, clauses, assumptions=(), deadline=math.inf, prefix=((), ())):
+def search(num_vars, clauses, deadline=math.inf, prefix=((), ())):
     """Decide the clause set; returns (status, 0/1 model list or None,
     counters).
 
     ``prefix`` is the (units, body) that `clean_clauses` gave for the
     clauses that come before ``clauses``. The search starts from its
-    units, then those of ``clauses`` and the assumptions, and works on
+    units, then those of ``clauses``, and works on
     fresh copies of its body before the clauses packed here, so it runs
     as on one packing of the whole list. The status is UNKNOWN when the
     deadline (a ``time.time()`` value) passes, during clause packing or
     during the search.
     """
-    status, units, body = clean_clauses(num_vars, clauses, assumptions, deadline)
+    status, units, body = clean_clauses(num_vars, clauses, deadline)
     if body is None:
         return status, None, _counters()
     units0, body0 = prefix

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
 from ..encode import CnfFormula, iter_dimacs
 from ..errors import (
@@ -43,14 +42,12 @@ class SatResult:
         return self.model[var]
 
 
-def _check_literals(num_vars: int, clauses, assumptions: Sequence[int]) -> None:
-    """Every literal of the clauses and assumptions must name a variable 1..num_vars."""
+def _check_literals(num_vars: int, clauses) -> None:
+    """Every literal of the clauses must name a variable 1..num_vars."""
     used = set(chain.from_iterable(clauses))
-    used.update(assumptions)
     if used and (min(used) < -num_vars or max(used) > num_vars or 0 in used):
-        # name the first bad literal in clause order, then the assumptions
-        lits = chain(chain.from_iterable(clauses), assumptions)
-        lit = next(lit for lit in lits if lit == 0 or abs(lit) > num_vars)
+        # name the first bad literal in clause order
+        lit = next(lit for lit in chain.from_iterable(clauses) if lit == 0 or abs(lit) > num_vars)
         raise SolverError(f"literal {lit} outside 1..{num_vars}")
 
 
@@ -71,10 +68,10 @@ def _packed_base(cnf: CnfFormula, deadline: float):
         return 0, ((), ())
     if base.packed is None:
         try:
-            _check_literals(base.num_vars, base.clauses, ())
+            _check_literals(base.num_vars, base.clauses)
         except SolverError:  # the check of the whole formula names the literal
             return 0, ((), ())
-        _, units, body = kernel.clean_clauses(base.num_vars, base.clauses, (), deadline)
+        _, units, body = kernel.clean_clauses(base.num_vars, base.clauses, deadline)
         if body is None:
             return 0, ((), ())
         clauses = [c if isinstance(c, tuple) else c.copy() for c in base.clauses]
@@ -85,42 +82,35 @@ def _packed_base(cnf: CnfFormula, deadline: float):
     return len(clauses), (units, body)
 
 
-def _verified_result(cnf: CnfFormula, assumptions: Sequence[int], values, error,
-                     stats: dict) -> SatResult:
+def _verified_result(cnf: CnfFormula, values, error, stats: dict) -> SatResult:
     """The model of ``values`` (one truth value per variable 1..num_vars),
-    once it satisfies every clause and assumption; else raise ``error``."""
-    if not kernel.model_satisfies(chain(cnf.clauses, ([a] for a in assumptions)), values):
+    once it satisfies every clause; else raise ``error``."""
+    if not kernel.model_satisfies(cnf.clauses, values):
         raise error
     return SatResult(True, [False, *map(bool, values)], stats)
 
 
-def solve(
-    cnf: CnfFormula,
-    assumptions: Sequence[int] = (),
-    *,
-    deadline: float = math.inf,
-) -> SatResult:
+def solve(cnf: CnfFormula, *, deadline: float = math.inf) -> SatResult:
     """Decide the formula with the internal engine.
 
-    Assumptions are added as unit clauses; a model covers every
-    variable. The clauses a copy shares with its base are checked and
-    packed once per base (see `CnfFormula`), the rest on every call.
-    Raises SolverTimeout once the deadline (a ``time.time()`` value,
-    ``math.inf`` for none) passes, at entry before the literal check,
-    during clause packing or during the search.
+    A model covers every variable. The clauses a copy shares with its
+    base are checked and packed once per base (see `CnfFormula`), the
+    rest on every call. Raises SolverTimeout once the deadline (a
+    ``time.time()`` value, ``math.inf`` for none) passes, at entry
+    before the literal check, during clause packing or during the
+    search.
     """
     check_deadline(deadline, "solve exceeded its time limit before the literal check")
     shared, prefix = _packed_base(cnf, deadline)
     rest = cnf.clauses[shared:]
-    _check_literals(cnf.num_vars, rest, assumptions)
-    status, raw, stats = kernel.search(cnf.num_vars, rest, assumptions, deadline, prefix)
+    _check_literals(cnf.num_vars, rest)
+    status, raw, stats = kernel.search(cnf.num_vars, rest, deadline, prefix)
     if status == kernel.UNSAT:
         return SatResult(False, stats=stats)
     if status == kernel.UNKNOWN:
         raise SolverTimeout("solve exceeded its time limit")
     return _verified_result(
-        cnf, assumptions, raw,
-        SolverError("internal solver returned a model that violates a clause"), stats,
+        cnf, raw, SolverError("internal solver returned a model that violates a clause"), stats
     )
 
 
@@ -170,7 +160,7 @@ def solve_external(
     ``math.inf`` for none) once the literal check and the file are
     done, and is not started if nothing is left.
     """
-    _check_literals(cnf.num_vars, cnf.clauses, ())
+    _check_literals(cnf.num_vars, cnf.clauses)
     argv = shlex.split(solver_command)
     if not argv:
         raise SolverSpawnError("empty external solver command")
@@ -194,5 +184,5 @@ def solve_external(
     if not verdict:
         return SatResult(False)
     return _verified_result(
-        cnf, (), values, SolverModelError("external model fails local clause verification"), {}
+        cnf, values, SolverModelError("external model fails local clause verification"), {}
     )

@@ -419,8 +419,7 @@ def test_bench_holds_one_instance_and_negates_once_per_classifier(capsys, monkey
 
     def decide_holding_one_instance(query):
         clf = query.classifier
-        assert set(clf._encodings) <= {query.instance}
-        assert set(clf._circuits) <= {query.instance}
+        assert set(clf._records) <= {query.instance}
         return decide(query)
 
     monkeypatch.setattr(sdd_mod, "negate", counting)

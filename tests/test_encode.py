@@ -110,13 +110,11 @@ def multiblock_encoding():
 def test_streamed_dimacs_matches_line_by_line_text(multiblock_encoding, tmp_path):
     cnf, vm = multiblock_encoding
     # the text built line by line, with no blocks to get wrong
-    lines = [f"c map {var} {name}" for var, name in (
-        [(v, f"s_{i}") for i, v in enumerate(vm._sel, start=1)]
-        + [(v, f"n_{k}_{j}" if i < 0 else f"e_{k}_{j}_{i}")
-           for v, k, j, i in zip(*[iter(vm._roles)] * 4)]
-    )]
+    m = vm.num_features
+    names = [f"s_{i}" for i in range(1, m + 1)] + [
+        f"n_{k}_{j}" if i < 0 else f"e_{k}_{j}_{i}" for k, j, i in zip(*[iter(vm._roles)] * 3)]
+    lines = [f"c map {var} {name}" for var, name in enumerate(names, start=1)]
     assert len(lines) == cnf.num_vars
-    lines.sort(key=lambda line: int(line.split()[2]))
     lines.append(f"p cnf {cnf.num_vars} {cnf.num_clauses}")
     lines += [" ".join(map(str, clause)) + " 0" for clause in cnf.clauses]
     expected = "\n".join(lines) + "\n"
@@ -144,19 +142,6 @@ def test_streaming_dimacs_holds_a_fraction_of_the_text(multiblock_encoding, tmp_
     assert peak < size / 2, (peak, size)
 
 
-def test_dimacs_legend_names_variables_outside_the_varmap():
-    cnf = CnfFormula()
-    vm = F.VarMap(1)
-    vm.allocate_selectors(cnf)
-    cnf.new_var()
-    vm.allocate(cnf, 0, 7)
-    cnf.new_var()
-    cnf.add([1, 2, -3, 4])
-    assert write_dimacs(cnf, vm) == (
-        "c map 1 s_1\nc map 2 v2\nc map 3 n_0_7\nc map 4 v4\np cnf 4 1\n1 2 -3 4 0\n"
-    )
-
-
 @settings(deadline=None, max_examples=100)
 @given(data=st.data())
 def test_clause_lines_match_joined_literals(data):
@@ -168,9 +153,8 @@ def test_clause_lines_match_joined_literals(data):
         lambda lits: st.sampled_from((lits, tuple(lits))))
     clauses = data.draw(st.lists(clause, max_size=30))
     m = data.draw(st.integers(0, 5))
-    cnf = CnfFormula()
+    cnf = CnfFormula(m)  # the selectors
     vm = F.VarMap(m)
-    vm.allocate_selectors(cnf)
     # the writer does not compare literals with num_vars, and a small one
     # keeps the legend short
     cnf.num_vars += data.draw(st.integers(0, 5))
@@ -447,11 +431,10 @@ def test_xpg_twostep_variable_count(ella_xpg):
 # --------------------------------------------------- faithfulness, small m
 
 def _force_selection(cnf, vm, features, m):
-    assumptions = []
-    for i in range(1, m + 1):
-        var = vm.sel(i)
-        assumptions.append(var if i in features else -var)
-    return assumptions
+    """A copy of the formula with unit clauses fixing every selector."""
+    forced = cnf.copy()
+    forced.clauses += [(vm.sel(i) if i in features else -vm.sel(i),) for i in range(1, m + 1)]
+    return forced
 
 
 def test_replica_zero_matches_weak_predicate():
@@ -479,8 +462,8 @@ def test_replica_zero_matches_weak_predicate():
                 weak = F.is_weak_axp(oclf, inst, X)
                 weak_drop = F.is_weak_axp(oclf, inst, X - {t})
                 expect = weak and not weak_drop
-                got_x = solve(xc, assumptions=_force_selection(xc, xv, X, m)).satisfiable
-                got_s = solve(sc, assumptions=_force_selection(sc, sv, X, m)).satisfiable
+                got_x = solve(_force_selection(xc, xv, X, m)).satisfiable
+                got_s = solve(_force_selection(sc, sv, X, m)).satisfiable
                 assert got_x == expect
                 assert got_s == expect
 
@@ -608,7 +591,7 @@ def _projection_corpus(ella_obdd, ella_sdd):
 
 
 def test_selector_projection_matches_the_definitions(ella_obdd, ella_sdd):
-    # every encoding, under assumptions fixing all selectors, is satisfiable
+    # every encoding, with unit clauses fixing all selectors, is satisfiable
     # exactly when the selection meets its method's condition: one-step, an
     # AXp containing t; two-step, a weak AXp containing t whose removal of t
     # is not weak
@@ -625,9 +608,8 @@ def test_selector_projection_matches_the_definitions(ella_obdd, ella_sdd):
                         want = bool(s & bit) and axp[s]
                     else:
                         want = bool(s & bit) and weak[s] and not weak[s ^ bit]
-                    fixed = [vm.sel(i) if s >> (i - 1) & 1 else -vm.sel(i)
-                             for i in range(1, m + 1)]
-                    got = solve(cnf, assumptions=fixed).satisfiable
+                    selection = {i for i in range(1, m + 1) if s >> (i - 1) & 1}
+                    got = solve(_force_selection(cnf, vm, selection, m)).satisfiable
                     assert got == want, (type(clf).__name__, inst, t, method, s)
 
 

@@ -1,6 +1,7 @@
 """Weak predicates, deletion-based extraction, and the enumeration oracle."""
 
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +29,7 @@ from oracles import (
     weak_cxp_by_definition,
 )
 
+DATA = Path(__file__).parent / "data"
 ALL = frozenset({1, 2, 3, 4})
 
 
@@ -93,7 +95,7 @@ def test_bare_graph_compiles_one_circuit(ella_xpg, ella_instance):
     subsets = [frozenset(i + 1 for i in range(4) if bits[i]) for bits in product((0, 1), repeat=4)]
     answers = [[F.is_weak_axp(clf, inst, X) for X in subsets]
                for inst in (None, ella_instance, F.Instance((1, 1, 1, 1), 0))]
-    assert len(clf._circuits) == 1
+    assert len(clf._records) == 1
     assert answers[0] == answers[1] == answers[2]
 
 
@@ -264,16 +266,33 @@ def test_graph_without_a_zero_terminal_is_always_weak():
         F.find_cxp(clf, None, {1, 2})
 
 
-def test_mismatched_sdd_class_reads_the_diagram_it_names(ella_sdd):
-    # Ella's point is predicted 0; declared 1, the check runs on the negated
-    # diagram as consistency_under does, and the other way round for (1,0,1,1)
-    for values, declared in (((0, 1, 0, 1), 1), ((1, 0, 1, 1), 0)):
-        clf = F.SddClassifier(ella_sdd)
-        inst = F.Instance(values, declared)
-        assert clf.predict(values) != declared
-        weak = _reference_weak(clf, inst)
-        for X in _subsets(4):
-            assert F.is_weak_axp(clf, inst, X) == weak(X)
+def test_every_predicting_adapter_rejects_an_instance_it_does_not_predict(
+        ella_sdd, ella_obdd, ella_instance):
+    # checked once, when the adapter makes the instance's record; a
+    # rejected instance keeps nothing
+    ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
+    rejected = [
+        (None, "queries need an instance"),
+        (F.Instance((0, 1, 0), 0), "instance has 3 values, classifier has 4 features"),
+        (F.Instance((0, 2, 0, 1), 0), "instance value 2 of feature 2 outside"),
+        (F.Instance((0, 1, 0, 1), 1), "declares class 1 but the classifier predicts 0"),
+        (F.Instance((1, 0, 1, 1), 0), "declares class 0 but the classifier predicts 1"),
+    ]
+    queries = [
+        lambda clf, inst: F.is_weak_axp(clf, inst, {1, 3}),
+        lambda clf, inst: F.find_axp(clf, inst, ALL),
+        lambda clf, inst: F.find_cxp(clf, inst, ALL),
+        lambda clf, inst: F.build_encoding(F.FmpQuery(clf, inst, 3, "one-step")),
+        lambda clf, inst: F.build_encoding(F.FmpQuery(clf, inst, 3, "two-step")),
+    ]
+    for clf in (F.SddClassifier(ella_sdd), F.ObddClassifier(ella_obdd), F.DtClassifier(ella_dt)):
+        for inst, message in rejected:
+            for query in queries:
+                with pytest.raises(ClassifierError, match=message):
+                    query(clf, inst)
+                assert clf._records == {}, (type(clf).__name__, inst)
+        assert F.find_axp(clf, ella_instance, ALL) == {1, 3}
+        assert list(clf._records) == [ella_instance]
 
 
 # ------------------------------------------------------------ enumeration

@@ -176,7 +176,7 @@ def test_mismatched_instance_rejected(ella_sdd_clf):
     rejected = F.Instance((0, 1, 0, 1), 1)
     with pytest.raises(ClassifierError, match="predicts"):
         decide_membership(FmpQuery(ella_sdd_clf, rejected, 1))
-    assert rejected not in ella_sdd_clf._encodings
+    assert rejected not in ella_sdd_clf._records
 
 
 def test_unknown_method_rejected(ella_sdd_clf, ella_instance):
@@ -331,7 +331,7 @@ def test_a_deadline_during_negation_keeps_no_negated_diagram(ella_sdd, monkeypat
     with pytest.raises(SolverTimeout, match="negation"):
         decide_membership(FmpQuery(clf, accepted, 3, "two-step", time_limit_s=1.0))
     assert clf._negated is None
-    assert clf.encoding_store(accepted) == {}
+    assert accepted not in clf._records
     monkeypatch.undo()
     for method in ("two-step", "one-step"):
         assert _answer(clf, accepted, 3, method) == _answer(_fresh(clf), accepted, 3, method)
@@ -575,16 +575,16 @@ def test_batch_builds_each_instance_once_in_any_order(time_limit_s, monkeypatch)
     queries = _small_batch(["one-step", "two-step"], time_limit_s=time_limit_s)
     clf = queries[0].query.classifier
     built = []
-    build = type(clf)._build_xpg
+    build = type(clf)._source
 
-    def counting(self, instance):
+    def counting(self, instance, deadline):
         built.append(instance)
-        return build(self, instance)
+        return build(self, instance, deadline)
 
-    monkeypatch.setattr(type(clf), "_build_xpg", counting)
+    monkeypatch.setattr(type(clf), "_source", counting)
     batch_run(queries, io.StringIO())
     assert len(built) == len(set(built)) == len({q.query.instance for q in queries})
-    assert not clf._xpg_cache and not clf._circuits and not clf._encodings
+    assert not clf._records
 
 
 def test_batch_requires_queries():

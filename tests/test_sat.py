@@ -201,25 +201,6 @@ def test_agreement_with_dpll_beyond_table_range():
         assert solve(cnf).satisfiable == dpll_sat(n, cnf.clauses)
 
 
-def test_assumption_semantics():
-    rng = np.random.default_rng(77)
-    for _ in range(40):
-        n = int(rng.integers(4, 15))
-        cnf = _random_3cnf(rng, n, int(rng.integers(5, 4 * n)))
-        k = int(rng.integers(1, 4))
-        assumed = [
-            int((v + 1) * s)
-            for v, s in zip(
-                rng.choice(n, size=k, replace=False), rng.integers(0, 2, k) * 2 - 1
-            )
-        ]
-        with_assumptions = solve(cnf, assumptions=assumed)
-        as_units = CnfFormula(
-            num_vars=n, clauses=list(cnf.clauses) + [[a] for a in assumed]
-        )
-        assert with_assumptions.satisfiable == solve(as_units).satisfiable
-
-
 def test_zero_time_limit_raises():
     cnf = _php(5, 4)
     with pytest.raises(SolverTimeout):
@@ -403,39 +384,35 @@ def test_external_spawn_failure():
 # ------------------------------------------------------ malformed formulas
 
 MALFORMED = {
-    "past-num-vars": (1, [[2], [1]], (), 2),  # once read as -1: unsatisfiable
-    "zero": (2, [[0, 1]], (), 0),  # once read as the last variable
-    "past-code-table": (1, [[2]], (), 2),  # once an IndexError
-    "negative": (3, [[1, 2], [-4, 3]], (), -4),
-    "assumption": (2, [[1, 2]], (1, 3), 3),
+    "past-num-vars": (1, [[2], [1]], 2),  # once read as -1: unsatisfiable
+    "zero": (2, [[0, 1]], 0),  # once read as the last variable
+    "past-code-table": (1, [[2]], 2),  # once an IndexError
+    "negative": (3, [[1, 2], [-4, 3]], -4),
+    # once an assumption: a bad unit clause after good ones
+    "assumption": (2, [[1, 2], [1], [3]], 3),
 }
 
 
-@pytest.mark.parametrize(
-    "num_vars,clauses,assumptions,bad", MALFORMED.values(), ids=MALFORMED.keys()
-)
-def test_malformed_formula_is_a_solver_error(num_vars, clauses, assumptions, bad, stub_solver):
+@pytest.mark.parametrize("num_vars,clauses,bad", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_formula_is_a_solver_error(num_vars, clauses, bad, stub_solver):
     cnf = CnfFormula(num_vars=num_vars, clauses=clauses)
     message = re.escape(f"literal {bad} outside 1..{num_vars}")
     with pytest.raises(SolverError, match=message):
-        solve(cnf, assumptions=assumptions)
-    if not assumptions:
-        with pytest.raises(SolverError, match=message):
-            solve_external(cnf, stub_solver)
+        solve(cnf)
+    with pytest.raises(SolverError, match=message):
+        solve_external(cnf, stub_solver)
 
 
-@pytest.mark.parametrize(
-    "num_vars,clauses,assumptions,bad", MALFORMED.values(), ids=MALFORMED.keys()
-)
-def test_malformed_copy_is_a_solver_error(num_vars, clauses, assumptions, bad):
+@pytest.mark.parametrize("num_vars,clauses,bad", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_copy_is_a_solver_error(num_vars, clauses, bad):
     # the bad literal in a copy's base, and after a base already packed
     message = re.escape(f"literal {bad} outside 1..{num_vars}")
     with pytest.raises(SolverError, match=message):
-        solve(CnfFormula(num_vars, clauses).copy(), assumptions=assumptions)
+        solve(CnfFormula(num_vars, clauses).copy())
     base = CnfFormula(num_vars, [[1, -1], [-1]])
     assert solve(base.copy()).satisfiable
     assert base.packed is not None
     cnf = base.copy()
     cnf.clauses += clauses
     with pytest.raises(SolverError, match=message):
-        solve(cnf, assumptions=assumptions)
+        solve(cnf)
