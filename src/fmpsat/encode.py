@@ -15,15 +15,26 @@ or an SDD's nodes with its root as the output. Replica k reads the
 guard -s_k as TRUE; replica 0 keeps the output FALSE, and replica k
 ties it to s_k. Both lowerings make terms of at most two operands, and
 a circuit with a longer term is refused (``EncodingError``) once, before
-replica 0. Constants fold away, and a gate that reduces to one literal
-is that literal, with no variable. A gate's clauses include the product
-of its live terms, which each two-literal term doubles; a variable of
-its own costs such a term three clauses. So of a gate's k two-literal
-live terms the first k - 2, in term order, get one: the rule "a term
-gets a variable where that takes fewer clauses" in closed form.
-Replica k ≥ 1 re-evaluates only the gates with an operand it changed,
-and inside them keeps replica 0's value for each term whose operands
-are unchanged.
+replica 0.
+
+One pass, `_live_terms`, folds the circuit's constants once, before
+replica 0: each gate of the output's cone becomes TRUE or FALSE, or
+gets its live terms, with constant operands left out. Freeing a
+feature only turns guards TRUE, so a constant gate is the same
+constant in every replica and no live operand is ever FALSE. One
+emitter, `_emit_replica`, then makes every replica, 0 and k alike, by
+folding only live terms. A gate that reduces to one literal is that
+literal, with no variable. A gate's clauses include the product of its
+terms, which each two-literal term doubles; a variable of its own costs
+such a term three clauses. So of a gate's k two-literal terms the
+first k - 2, in term order, get one: the rule "a term gets a variable
+where that takes fewer clauses" in closed form. Replica k ≥ 1
+re-evaluates only the gates with an operand it changed, and inside them
+keeps replica 0's variable for each term whose operands are unchanged.
+The cone stays structural, so a gate that only constant-TRUE gates or
+dropped terms read still gets its variable and clauses, and equal
+literals inside a gate are not merged: removing either changes the
+bytes of every file that has them.
 
 Variable numbering is fixed for byte-stable output: the selector block
 comes first (variables 1..m), then one block per replica in ascending
@@ -42,7 +53,9 @@ length included, is written alike.
 Nothing in replica 0 depends on the target, so it is built once per
 (classifier, instance): each encoder takes an optional ``store``, a
 dict for one (diagram, instance) that the encoder fills once replica 0
-is complete, and with a filled one it skips the lowering and replica
+is complete: the cone, its readers and live terms (not the lowered
+gates), and replica 0's values, term variables, clauses and roles.
+With a filled one it skips the lowering, the folding pass and replica
 0. Each query then copies only what it appends to, replica 0's clause
 list and roles, adds its ``[s_t]`` unit and emits replica t (two-step)
 or 1..m (one-step), each on a copy of replica 0's values. The copied
@@ -133,7 +146,8 @@ class VarMap:
     """The role of each CNF variable of one encoding, and each replica's output.
 
     Variables are numbered by position: the selectors s_1..s_m are
-    variables 1..m, and each later one is made by `allocate`, in order.
+    variables 1..m, and the replica emitter numbers each later one in
+    order and appends its role.
     """
 
     def __init__(self, num_features: int):
@@ -156,12 +170,6 @@ class VarMap:
     def sel(self, i: int) -> int:
         """The selector s_i, variable i."""
         return i
-
-    def allocate(self, cnf: CnfFormula, replica: int, gate: int, term: int = -1) -> int:
-        """A fresh variable for the gate (``n_k_j``), or for one of its
-        terms (``e_k_j_i``), in the replica."""
-        self._roles.extend((replica, gate, term))
-        return cnf.new_var()
 
     def legend(self, num_vars: int) -> Iterator[str]:
         """One ``c map <var> <name>`` line per variable 1..num_vars, in
@@ -298,78 +306,65 @@ def _cone(gates, order: list[int], num_features: int):
     return cone, [tuple(r) for r in readers]
 
 
-def _fold(cnf: CnfFormula, vm: VarMap, replica: int, gate: int, terms, val, changed, term_vars):
-    """The value of the gate with these terms, whose operands ``val`` holds.
+def _live_terms(gates, cone: list[int], val: list) -> list:
+    """Fold the circuit's constants once: each cone gate's live terms, in
+    cone order.
 
-    A term with a FALSE operand is dropped and TRUE operands vanish; a
-    term left empty makes the gate TRUE, and a gate with no term left is
-    FALSE. A gate that reduces to one literal is that literal. Any other
-    gate gets a variable n and the clauses of n <-> OR of its terms:
-    one clause (term -> n) per term, and for n -> OR the product of the
-    terms, one clause per choice of one literal from each. Of the gate's
-    k live two-literal terms, the first k - 2 get a variable of their
-    own, which replica 0 records in ``term_vars`` (gate -> {term index:
-    variable}); replica k uses that variable for each such term whose
-    operands ``changed`` does not mark. Terms have at most two operands.
+    ``val`` holds replica 0's guards, and the pass writes TRUE or FALSE
+    into it for each gate that is constant: one with a term whose
+    operands are all TRUE, or with no term left once the terms with a
+    FALSE operand are dropped. A constant gate gets None; any other gets
+    its live terms, (term index, operand, operand or None), with TRUE
+    operands left out. Freeing a feature only turns guards TRUE, so a
+    constant gate is the same constant in every replica, and no live
+    operand is ever FALSE.
     """
-    lits = []  # each live term's literals
-    pairs = []  # (position in lits, term index) of the two-literal terms
-    kept = term_vars.get(gate) if replica else None
-    for i, term in enumerate(terms):
-        if len(term) == 2:
-            a, b = term
-            x = val[a]
-            y = val[b]
+    live = []
+    for j in cone:
+        terms = []
+        for i, term in enumerate(gates[j]):
+            a, b = term + (None,) * (2 - len(term))  # a missing operand is TRUE
+            x = _TRUE if a is None else val[a]
+            y = _TRUE if b is None else val[b]
             if x is _FALSE or y is _FALSE:
                 continue
             if x is _TRUE:
                 if y is _TRUE:
-                    return _TRUE
-                lits.append((y,))
+                    val[j] = _TRUE
+                    break
+                a, b = b, None
             elif y is _TRUE:
-                lits.append((x,))
-            elif kept and i in kept and not (changed[a] or changed[b]):
-                lits.append((kept[i],))
-            else:
-                pairs.append((len(lits), i))
-                lits.append((x, y))
-        elif term:
-            x = val[term[0]]
-            if x is _TRUE:
-                return _TRUE
-            if x is not _FALSE:
-                lits.append((x,))
+                b = None
+            terms.append((i, a, b))
         else:
-            return _TRUE
-    if not lits:
-        return _FALSE
-    if len(lits) == 1 and len(lits[0]) == 1:
-        return lits[0][0]
-    for p, i in pairs[:-2]:
-        e = vm.allocate(cnf, replica, gate, i)
-        clausify_eq_and(cnf, e, lits[p])
-        lits[p] = (e,)
-        if not replica:
-            term_vars.setdefault(gate, {})[i] = e
-    n = vm.allocate(cnf, replica, gate)
-    clauses = cnf.clauses
-    clauses += product_of((-n,), *lits)
-    clauses += [(n, -ops[0]) if len(ops) == 1 else (n, -ops[0], -ops[1]) for ops in lits]
-    return n
+            if not terms:
+                val[j] = _FALSE
+        live.append(tuple(terms) if val[j] is None else None)
+    return live
 
 
-def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term_vars) -> None:
-    """Evaluate the replica's gates into ``val``.
+def _emit_replica(cnf, vm, live, cone, readers, replica, val, term_vars) -> None:
+    """Evaluate the replica's live gates into ``val``, and append their
+    variables, roles and clauses.
 
-    Replica 0 evaluates every gate of the cone and records in
-    ``term_vars`` the terms that got a variable of their own. Replica k
-    starts from replica 0's values with the guard -s_k made TRUE, and
-    re-evaluates only the gates with an operand it changed; in them, a
-    term whose operands are all unchanged keeps replica 0's value: the
-    operands' values, which it shares, or the term's variable. A gate
-    that is constant in replica 0 is the same constant in every
-    replica, since freeing a feature only turns guards TRUE.
+    Replica 0 evaluates every live gate and records in ``term_vars``
+    (gate -> {term index: variable}) the terms that got a variable of
+    their own. Replica k starts from replica 0's values with the guard
+    -s_k made TRUE, and re-evaluates only the gates with an operand it
+    changed; in them, a term whose operands are both unchanged keeps
+    replica 0's variable, if it has one.
+
+    A gate folds its live terms: a term whose operands are all TRUE
+    makes it TRUE, other TRUE operands vanish, and a gate left with one
+    literal is that literal. Any other gate gets a variable n and the
+    clauses of n <-> OR of its terms: for n -> OR the product of the
+    terms, one clause per choice of a literal from each, then one clause
+    (term -> n) per term. Before those, the first k - 2 of its k
+    two-literal terms each get a variable e and the clauses of e <-> AND.
     """
+    clauses = cnf.clauses
+    roles = vm._roles
+    nv = cnf.num_vars
     changed = bytearray(len(val))
     todo = bytearray(len(cone))  # the positions in the cone to evaluate
     if replica:
@@ -381,23 +376,67 @@ def _emit_replica(cnf, vm, gates, cone, readers, replica, val, term_vars) -> Non
         todo[:] = b"\1" * len(cone)
     p = todo.find(1)
     while p >= 0:
-        j = cone[p]
-        old = val[j]  # None before replica 0 sets it
-        if old is not _TRUE and old is not _FALSE:
-            value = _fold(cnf, vm, replica, j, gates[j], val, changed, term_vars)
-            if value != old:
+        terms = live[p]
+        if terms is not None:
+            j = cone[p]
+            kept = term_vars.get(j) if replica else None
+            lits = []  # each term's literals
+            pairs = []  # (position in lits, term index) of the two-literal terms
+            value = _TRUE  # unless the loop runs to its end
+            for i, a, b in terms:
+                x = val[a]
+                if b is None:
+                    if x is _TRUE:
+                        break
+                    lits.append((x,))
+                    continue
+                y = val[b]
+                if x is _TRUE:
+                    if y is _TRUE:
+                        break
+                    lits.append((y,))
+                elif y is _TRUE:
+                    lits.append((x,))
+                elif kept and i in kept and not (changed[a] or changed[b]):
+                    lits.append((kept[i],))
+                else:
+                    pairs.append((len(lits), i))
+                    lits.append((x, y))
+            else:
+                if len(lits) == 1 and len(lits[0]) == 1:
+                    value = lits[0][0]
+                else:
+                    for q, i in pairs[:-2]:
+                        x, y = lits[q]
+                        nv += 1
+                        roles.extend((replica, j, i))
+                        clauses += ((-nv, x), (-nv, y), (nv, -x, -y))
+                        lits[q] = (nv,)
+                        if not replica:
+                            term_vars.setdefault(j, {})[i] = nv
+                    nv += 1
+                    roles.extend((replica, j, -1))
+                    clauses += product_of((-nv,), *lits)
+                    for ops in lits:
+                        if len(ops) == 1:
+                            clauses.append((nv, -ops[0]))
+                        else:
+                            clauses.append((nv, -ops[0], -ops[1]))
+                    value = nv
+            if value != val[j]:
                 val[j] = value
                 changed[j] = 1
                 for q in readers[j]:
                     todo[q] = 1
         p = todo.find(1, p + 1)
+    cnf.num_vars = nv
 
 
 def _replica0(gates, order, m: int, deadline) -> dict:
-    """The circuit's cone and readers, and replica 0 on them: its clauses
-    and roles, then the unit keeping its output FALSE (fixing the
-    selection keeps the class; the input checks rule out a TRUE output,
-    the instance's own class). None of it depends on the target."""
+    """The circuit's cone, readers and live terms, and replica 0 on them:
+    its clauses and roles, then the unit keeping its output FALSE (fixing
+    the selection keeps the class; the input checks rule out a TRUE
+    output, the instance's own class). None of it depends on the target."""
     if any(len(term) > 2 for terms in gates for term in terms):
         raise EncodingError("a lowered term has more than two operands")
     cone, readers = _cone(gates, order, m)
@@ -406,12 +445,13 @@ def _replica0(gates, order, m: int, deadline) -> dict:
     check_deadline(deadline, "encoding exceeded its time limit before replica 0")
     # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
     val = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]
+    live = _live_terms(gates, cone, val)
     term_vars: dict[int, dict[int, int]] = {}
-    _emit_replica(cnf, vm, gates, cone, readers, 0, val, term_vars)
+    _emit_replica(cnf, vm, live, cone, readers, 0, val, term_vars)
     output = vm.outputs[0] = val[cone[-1]]
     if output != _FALSE:
         cnf.add((-output,))
-    return {"gates": gates, "cone": cone, "readers": readers, "val": val,
+    return {"live": live, "cone": cone, "readers": readers, "val": val,
             "term_vars": term_vars, "cnf": cnf, "vm": vm}
 
 
@@ -430,13 +470,13 @@ def _encode(lower, m: int, target: int, replicas: Iterable[int], deadline, store
         store = {}
     if not store:
         store.update(_replica0(*lower(), m, deadline))
-    gates, cone, readers = store["gates"], store["cone"], store["readers"]
+    live, cone, readers = store["live"], store["cone"], store["readers"]
     cnf, vm = store["cnf"].copy(), store["vm"].copy()
     cnf.add((vm.sel(target),))
     for k in replicas:
         check_deadline(deadline, f"encoding exceeded its time limit before replica {k}")
         val = store["val"].copy()
-        _emit_replica(cnf, vm, gates, cone, readers, k, val, store["term_vars"])
+        _emit_replica(cnf, vm, live, cone, readers, k, val, store["term_vars"])
         output = vm.outputs[k] = val[cone[-1]]
         if output in (_TRUE, _FALSE):
             s = vm.sel(k)

@@ -201,20 +201,19 @@ class Obdd:
         self._check_ordered()
 
     def _check_ordered(self) -> None:
-        # collect the variable set below each node, children first; no
-        # node's variable may reappear beneath it
-        below: dict[int, frozenset[int]] = {}
+        # collect the features tested below each node as an int bitmask
+        # (bit i for feature i), children first; no node's feature may
+        # reappear beneath it
+        below = [0] * len(self.nodes)
         for j in self._reachable:
             node = self.nodes[j]
-            if isinstance(node, ObddTerminal):
-                below[j] = frozenset()
-            else:
+            if isinstance(node, ObddNode):
                 under = below[node.lo] | below[node.hi]
-                if node.var in under:
+                if under >> node.var & 1:
                     raise ClassifierError(
                         f"feature {node.var} repeats on a path through OBDD node {j}"
                     )
-                below[j] = under | {node.var}
+                below[j] = under | 1 << node.var
 
     def predict(self, point: Sequence[int]) -> int:
         if len(point) != self.num_features:

@@ -348,6 +348,18 @@ def test_encode_keeps_the_bytes_of_a_desk_one_step_file(capsys, tmp_path):
     assert digest == (DATA / "obdd-m60-q0-t48-onestep.sha256").read_text().strip()
 
 
+def test_encode_keeps_the_bytes_of_the_largest_desk_one_step_file(capsys, tmp_path):
+    # desk query obdd-m100-q0 with target 84 gives the largest one-step file
+    # of the desk: 72,184 variables and 336,415 clauses, pinned the same way
+    out_path = tmp_path / "m100.cnf"
+    code, _, _ = run(capsys, ["encode", "--obdd", str(DESK / "obdd-m100.obdd"),
+                              "--instance", str(DESK / "obdd-m100-q0.inst"), "--target", "84",
+                              "--method", "one-step", "--out", str(out_path)])
+    assert code == 0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == (DATA / "obdd-m100-q0-t84-onestep.sha256").read_text().strip()
+
+
 @pytest.mark.parametrize("method", ["one-step", "two-step"])
 def test_encode_keeps_the_bytes_of_the_desk_negated_sdd_files(capsys, tmp_path, method):
     # desk query sdd-m100-q0 is of class 1 with target 8, so both files

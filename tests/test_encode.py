@@ -613,6 +613,56 @@ def test_selector_projection_matches_the_definitions(ella_obdd, ella_sdd):
                     assert got == want, (type(clf).__name__, inst, t, method, s)
 
 
+# ---------------------------------------------------------- constant folding
+
+def _folding_corpus():
+    """(lowered circuit, m) of random OBDD and DT explanation graphs and
+    of Shannon and compiled SDDs, m <= 8, for an instance of each class."""
+    rng = np.random.default_rng(31)
+    for trial in range(4):
+        m = int(rng.integers(3, 9))
+        obdd = generate_random_obdd(m, 4 * m, seed=1500 + trial)
+        classifiers = (F.ObddClassifier(obdd), F.DtClassifier(random_dt(rng, m)),
+                       F.SddClassifier(obdd_to_shannon_sdd(obdd)),
+                       F.SddClassifier(compile_sdd(balanced_vtree(m), random_function(rng, m))))
+        for clf in classifiers:
+            instances = {}
+            while len(instances) < 2:
+                inst = random_instance(clf, rng)
+                instances.setdefault(inst.label, inst)
+            for inst in instances.values():
+                if isinstance(clf, F.SddClassifier):
+                    yield enc._lower_sdd(clf.diagram_for(inst), Instance(inst.values, 0)), m
+                else:
+                    yield enc._lower_xpg(clf.xpg_for(inst)), m
+
+
+def test_folded_constants_hold_in_every_replica_and_selection():
+    # a gate's value over all 2^m selections is one bitmask, bit s for the
+    # selection s: guard i is set where s leaves feature i free, and in
+    # replica k guard k is set everywhere
+    for (gates, order), m in _folding_corpus():
+        cone, _ = enc._cone(gates, order, m)
+        val = [None] * len(gates) + [-i for i in range(m, 0, -1)]
+        live = enc._live_terms(gates, cone, val)
+        every = (1 << (1 << m)) - 1
+        free = [sum(1 << s for s in range(1 << m) if not s >> i & 1) for i in range(m)]
+        for k in range(m + 1):
+            # operand -i reads guard i, as in the encoder's values
+            value = [0] * len(gates) + [every if i == k else free[i - 1] for i in range(m, 0, -1)]
+            for j in cone:
+                for term in gates[j]:
+                    conjunction = every
+                    for o in term:
+                        conjunction &= value[o]
+                    value[j] |= conjunction
+            for j, terms in zip(cone, live):
+                if terms is None:
+                    assert value[j] == (every if val[j] is enc._TRUE else 0), (k, j)
+                else:
+                    assert all(value[o] for _, a, b in terms for o in (a, b) if o is not None), (k, j)
+
+
 # ----------------------------------------------------------- byte stability
 
 # SHA-256 of write_dimacs(cnf, vm) for each (case, method) of _digest_corpus,

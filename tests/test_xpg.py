@@ -275,6 +275,16 @@ def test_obdd_repeated_variable_rejected():
         F.parse_obdd(text)
 
 
+def test_obdd_repeat_several_levels_below_names_the_upper_node():
+    # node 5 tests feature 1, and so does node 2 three levels beneath it
+    # (5 -> 4 -> 3 -> 2); the root, node 6, tests feature 4 above both
+    text = ("obdd 4 7\nT 0 0\nT 1 1\nN 2 1 0 1\nN 3 3 2 1\nN 4 2 3 0\n"
+            "N 5 1 4 1\nN 6 4 5 1\n")
+    with pytest.raises(ClassifierError,
+                       match="^feature 1 repeats on a path through OBDD node 5$"):
+        F.parse_obdd(text)
+
+
 def test_dt_file_round_trip_semantics(tmp_path):
     dt = _kappa_tree()
     text_lines = ["dt 4"]
