@@ -12,7 +12,9 @@ AXps: an SDD's decision nodes become ORs of (prime AND sub), a literal
 the instance satisfies TRUE and one it falsifies the guard of its
 feature; an explanation graph's nodes become their activation and the
 output the OR of its 0-terminals. Constants fold away and only the
-output's cone is kept. A weak-AXp test is one full bottom-up pass. The
+output's cone is kept. A weak-AXp test is one full bottom-up pass, and
+so is the check of a witness W: its pass runs on int bitmasks, one bit
+per selection, so it decides W and every W - {i} at once. The
 deletion scans of `find_axp` and `find_cxp` keep one value array live
 instead: freeing (AXp) or pinning (CXp) a feature moves every gate it
 changes the same way, so a step re-evaluates only the readers of
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import inf
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import sdd as sdd_mod
 from . import xpg as xpg_mod
@@ -183,6 +185,29 @@ class _Circuit:
                 raise ClassifierError(f"feature {i} outside 1..{m}")
             free[i - 1] = False
         return not self.evaluate(free)[self.output]
+
+    def outputs_without_each(self, features: Collection[int]) -> int:
+        """The output under 1 + |features| selections in one pass on int
+        bitmasks: bit 0 pins ``features`` and bit j also frees the j-th
+        smallest of them. A guard holds the selections that free it, TRUE
+        all of them, and a gate ORs ``val[a] & val[b]`` over its terms.
+        The features are range-checked in their own order, as in `is_weak`.
+        """
+        m = self.num_features
+        for i in features:
+            if not 1 <= i <= m:
+                raise ClassifierError(f"feature {i} outside 1..{m}")
+        ones = (2 << len(features)) - 1
+        val = [0] * len(self.base)
+        val[:self.false] = [ones] * self.false
+        for j, i in enumerate(sorted(features), start=1):
+            val[i] = 1 << j
+        for gate, terms in self.gates:
+            bits = 0
+            for a, b in terms:
+                bits |= val[a] & val[b]
+            val[gate] = bits
+        return val[self.output]
 
     def flips(self, val: list[bool], i: int, value: bool) -> bool:
         """Set guard i of the live array ``val`` to ``value``: does the

@@ -55,3 +55,17 @@ def random_xpg(rng, m, n):
             return xpg.XpGraph(nodes, edges, 0, m)
         except ClassifierError:
             continue  # the all-1 path ends at a 0-terminal
+
+
+def chain_xpg(m, droppable=()):
+    """A bare explanation graph that tests features 1..m in turn along its
+    1-edges, the last one ending at the 1-terminal. Feature k's 0-edge ends
+    at the 0-terminal, or at the 1-terminal when k is in ``droppable``; so
+    the one AXp is every feature outside ``droppable``."""
+    nodes = [xpg.XpgNonTerminal(k) for k in range(1, m + 1)]
+    nodes += [xpg.XpgTerminal(1), xpg.XpgTerminal(0)]
+    edges = []
+    for k in range(1, m + 1):
+        edges.append((k - 1, k, 1))
+        edges.append((k - 1, m if k in droppable else m + 1, 0))
+    return xpg.XpGraph(nodes, edges, 0, m)

@@ -21,7 +21,7 @@ from fmpsat.batch import (
     random_instance,
 )
 
-from random_graphs import random_dt, random_xpg
+from random_graphs import chain_xpg, random_dt, random_xpg
 from oracles import (
     enumerate_minimal,
     minimal_hitting_sets,
@@ -253,6 +253,58 @@ def test_scans_match_a_full_pass_deletion_scan():
                         scan(clf, inst, seed)
                 else:
                     assert scan(clf, inst, seed) == want, (type(clf).__name__, inst, seed)
+
+
+def _outputs_by_subset(clf, inst, features):
+    """What `_Circuit.outputs_without_each` should return, by one
+    `is_weak_axp` call per selection: bit 0 is set when ``features`` is not
+    weak, bit j when it is not weak without its j-th smallest feature."""
+    bits = int(not F.is_weak_axp(clf, inst, features))
+    for j, i in enumerate(sorted(features), start=1):
+        bits |= int(not F.is_weak_axp(clf, inst, features - {i})) << j
+    return bits
+
+
+def test_one_pass_decides_a_set_and_each_subset_that_drops_one_feature():
+    # every subset W of each classifier's features: W and every W - {i} in
+    # one bit-parallel pass, against a bool pass per selection
+    verdicts = set()
+    for clf, inst in _reference_corpus(8, 12):
+        circuit = clf.circuit_for(inst)
+        for W in _subsets(clf.num_features):
+            want = _outputs_by_subset(clf, inst, W)
+            assert circuit.outputs_without_each(W) == want, (type(clf).__name__, inst, W)
+            every_subset_fails = want >> 1 == (1 << len(W)) - 1
+            verdicts.add("not weak" if want & 1 else
+                         "minimal" if every_subset_fails else "not minimal")
+    assert verdicts == {"not weak", "minimal", "not minimal"}
+
+
+def test_one_pass_runs_past_64_bits():
+    # 101 selections: the chain's one AXp is every feature but the droppable
+    # ones, so exactly the bits of the droppable features are clear
+    full = frozenset(range(1, 101))
+    for droppable in ((), (3, 66), (70, 85, 100)):
+        clf = F.XpgClassifier(chain_xpg(100, droppable))
+        circuit = clf.circuit_for(None)
+        want = sum(1 << i for i in full if i not in droppable)
+        assert circuit.outputs_without_each(full) == want == _outputs_by_subset(clf, None, full)
+        assert F.find_axp(clf, None, full) == full - set(droppable)
+        W = full - {50}
+        assert circuit.outputs_without_each(W) == _outputs_by_subset(clf, None, W)
+
+
+def test_one_pass_on_constant_circuits():
+    # TRUE is the all-ones mask: a circuit whose output folds to TRUE is
+    # never weak, under any selection; one that folds to FALSE always is
+    always_true, always_false = explain_mod._Circuit(4), explain_mod._Circuit(4)
+    always_true.close(explain_mod._TRUE)
+    always_false.close(always_false.false)
+    for circuit, want in ((always_true, 0b1111), (always_false, 0)):
+        assert circuit.outputs_without_each({1, 2, 4}) == want
+        assert circuit.is_weak({1, 2, 4}) == (want == 0)
+    with pytest.raises(ClassifierError, match="feature 5 outside 1..4"):
+        circuit.outputs_without_each({1, 5})
 
 
 def test_graph_without_a_zero_terminal_is_always_weak():

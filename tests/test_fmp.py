@@ -15,6 +15,7 @@ import pytest
 import fmpsat as F
 from fmpsat import cli
 from fmpsat import errors as errors_mod
+from fmpsat import explain as explain_mod
 from fmpsat import fmp as fmp_mod
 from fmpsat.sat import kernel
 from fmpsat.sat import solver as solver_mod
@@ -29,9 +30,10 @@ from fmpsat.batch import (
 )
 from fmpsat.fmp import FmpQuery, decide_membership
 from fmpsat.sat import SatResult
-from random_graphs import random_dt
+from random_graphs import chain_xpg, random_dt
 
 DATA = Path(__file__).parent / "data"
+DESK = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk"
 
 
 def test_running_example_all_four_routes(ella_sdd_clf, ella_obdd_clf, ella_instance):
@@ -182,6 +184,133 @@ def test_mismatched_instance_rejected(ella_sdd_clf):
 def test_unknown_method_rejected(ella_sdd_clf, ella_instance):
     with pytest.raises(ClassifierError, match="unknown method"):
         decide_membership(FmpQuery(ella_sdd_clf, ella_instance, 1, "three-step"))
+
+
+# --------------------------------------------------- the witness check's pass
+
+def test_witness_check_errors_past_64_bits():
+    # a 100-feature chain whose one AXp is every feature but the droppable ones
+    full = frozenset(range(1, 101))
+    members = list(range(1, 101))
+    verify = fmp_mod._verify_witness
+    clf = F.XpgClassifier(chain_xpg(100))
+    verify(clf, None, full, 37, math.inf)
+    cases = [
+        (clf, full - {64}, 37, f"witness {sorted(full - {64})} is not a weak explanation"),
+        (clf, full - {37}, 37, f"witness {sorted(full - {37})} misses the target feature 37"),
+        (clf, full | {101}, 37, "feature 101 outside 1..100"),
+        (F.XpgClassifier(chain_xpg(100, (3, 66))), full, 37,
+         f"witness {members} is not minimal: 3 is droppable"),
+        (F.XpgClassifier(chain_xpg(100, (70, 85, 100))), full, 37,
+         f"witness {members} is not minimal: 70 is droppable"),
+    ]
+    for clf, witness, target, message in cases:
+        with pytest.raises((FmpsatError, ClassifierError)) as caught:
+            verify(clf, None, witness, target, math.inf)
+        assert str(caught.value) == message
+
+
+def _desk_classifier(name):
+    if name.startswith("sdd"):
+        vtree = F.parse_vtree((DESK / f"{name}.vtree").read_text())
+        return F.SddClassifier(F.parse_sdd((DESK / f"{name}.sdd").read_text(), vtree))
+    return F.ObddClassifier(F.parse_obdd((DESK / f"{name}.obdd").read_text()))
+
+
+def _desk_instance(query):
+    return F.parse_instance((DESK / f"{query}.inst").read_text())
+
+
+def test_a_yes_makes_three_full_passes_two_step_and_one_one_step(ella_sdd, ella_obdd,
+                                                                 ella_instance, monkeypatch):
+    # the witness check is one bit-parallel pass whatever the witness's
+    # size; the two-step seed check and the scan's entry pass are the others
+    passes = []
+    for name in ("evaluate", "outputs_without_each"):
+        def spy(circuit, *args, full_pass=getattr(explain_mod._Circuit, name)):
+            passes.append(full_pass.__name__)
+            return full_pass(circuit, *args)
+        monkeypatch.setattr(explain_mod._Circuit, name, spy)
+    two_step = ["evaluate", "evaluate", "outputs_without_each"]
+    for clf in (F.SddClassifier(ella_sdd), F.ObddClassifier(ella_obdd)):
+        for method, want in (("two-step", two_step), ("one-step", ["outputs_without_each"])):
+            passes.clear()
+            assert decide_membership(FmpQuery(clf, ella_instance, 3, method)).witness == {1, 3}
+            assert passes == want, (type(clf).__name__, method)
+    # desk query obdd-m60-q2: a 49-feature witness
+    clf, inst = _desk_classifier("obdd-m60"), _desk_instance("obdd-m60-q2")
+    passes.clear()
+    witness = decide_membership(FmpQuery(clf, inst, 37, "two-step")).witness
+    assert len(witness) == 49 and passes == two_step
+    # its one-step search takes seconds, so a crafted model selects the same
+    # witness and the query re-checks it
+    monkeypatch.setattr(fmp_mod, "solve", lambda cnf, deadline=math.inf: SatResult(
+        True, [False] + [i in witness for i in range(1, cnf.num_vars + 1)]))
+    passes.clear()
+    assert decide_membership(FmpQuery(clf, inst, 37, "one-step")).witness == witness
+    assert passes == ["outputs_without_each"]
+
+
+# Pinned outcomes of the nine two-step desk queries of perfbench/data/desk,
+# each on a fresh adapter under a 10 s limit: query -> (target, answer,
+# num_vars, num_clauses, counters, witness, two-step seed), the counters in
+# the order of DESK_COUNTERS.
+DESK_COUNTERS = ("decisions", "conflicts", "propagations", "restarts", "learned_clauses",
+                 "learned_literals")
+DESK_GOLDEN = {
+    "obdd-m100-q0": (84, "Yes", 2711, 11758, (67, 0, 12279, 0, 0, 0),
+        {5, 12, 20, 25, 29, 31, 32, 33, 42, 43, 44, 49, 51, 52, 53, 54, 56, 57, 61, 62,
+         72, 73, 75, 76, 78, 80, 82, 84, 85, 89, 92, 96, 98},
+        {5, 12, 20, 25, 29, 31, 32, 33, 42, 43, 44, 49, 51, 52, 53, 54, 56, 57, 61, 62,
+         72, 73, 75, 76, 78, 80, 82, 84, 85, 89, 92, 96, 98}),
+    "obdd-m100-q1": (31, "No", 1872, 8318, (26, 8, 13536, 0, 7, 31), None, None),
+    "obdd-m100-q2": (11, "No", 2477, 10899, (4571, 1612, 1529987, 10, 1611, 194624),
+        None, None),
+    "obdd-m60-q0": (48, "Yes", 1576, 6955, (43, 0, 7222, 0, 0, 0),
+        {3, 4, 7, 13, 16, 25, 30, 33, 35, 37, 38, 44, 46, 47, 48, 50, 55},
+        {3, 4, 7, 13, 16, 25, 30, 33, 35, 37, 38, 44, 46, 47, 48, 50, 55}),
+    "obdd-m60-q1": (40, "Yes", 1439, 6361, (135, 62, 43328, 0, 62, 2461),
+        {6, 8, 9, 11, 14, 15, 16, 19, 20, 21, 22, 23, 25, 26, 27, 28, 31, 33, 34, 37,
+         40, 42, 43, 44, 45, 46, 47, 50, 55, 56, 57, 59, 60},
+        {6, 8, 9, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28,
+         31, 32, 33, 34, 36, 37, 38, 40, 42, 43, 44, 45, 46, 47, 49, 50, 51, 52, 53, 54,
+         55, 56, 57, 58, 59, 60}),
+    "obdd-m60-q2": (37, "Yes", 1636, 7260, (264, 67, 58412, 0, 67, 4919),
+        {2, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+         27, 29, 30, 32, 33, 34, 35, 36, 37, 39, 40, 41, 42, 44, 45, 46, 47, 48, 49, 51,
+         52, 53, 55, 56, 57, 58, 59, 60},
+        {2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+         25, 27, 29, 30, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
+         48, 49, 51, 52, 53, 55, 56, 57, 58, 59, 60}),
+    "sdd-m100-q0": (8, "Yes", 932, 3079, (71, 0, 3307, 0, 0, 0),
+        {7, 8, 11, 17, 23, 24, 29, 32, 36, 41, 42, 44, 49, 51, 52, 54, 56, 57, 61, 73,
+         75, 79, 82, 84, 89, 92, 94, 96, 97},
+        {7, 8, 11, 17, 23, 24, 29, 32, 36, 41, 42, 44, 49, 51, 52, 54, 56, 57, 61, 73,
+         75, 79, 82, 84, 89, 92, 94, 96, 97}),
+    "sdd-m100-q1": (47, "No", 303, 690, (0, 1, 1, 0, 0, 0), None, None),
+    "sdd-m100-q2": (79, "Yes", 950, 3296, (192, 45, 18651, 0, 45, 774),
+        {9, 18, 19, 22, 25, 26, 27, 32, 34, 37, 38, 42, 43, 46, 49, 50, 51, 53, 54, 60,
+         61, 62, 63, 66, 68, 73, 75, 78, 79, 81, 82, 83, 88, 89, 90, 91, 92, 93, 95, 96,
+         97, 98, 99, 100},
+        {9, 18, 19, 20, 21, 22, 25, 26, 27, 32, 34, 37, 38, 40, 41, 42, 43, 46, 49, 50,
+         51, 53, 54, 55, 60, 61, 62, 63, 65, 66, 68, 73, 74, 75, 76, 78, 79, 81, 82, 83,
+         86, 87, 88, 89, 90, 91, 92, 93, 95, 96, 97, 98, 99, 100}),
+}
+
+
+def test_desk_queries_keep_their_outcomes():
+    # large witnesses, and the kernel's whole trajectory on the hard No q2
+    rows = [line.split() for line in (DESK / "queries.txt").read_text().splitlines()
+            if not line.startswith("c")]
+    assert sorted(name for name, *_ in rows) == sorted(DESK_GOLDEN)
+    for name, classifier, target, _ in rows:
+        query = FmpQuery(_desk_classifier(classifier), _desk_instance(name), int(target),
+                         "two-step", time_limit_s=10.0)
+        out = decide_membership(query)
+        got = (int(target), out.answer, out.num_vars, out.num_clauses,
+               tuple(out.stats[k] for k in DESK_COUNTERS), out.witness, out.two_step_seed)
+        assert got == DESK_GOLDEN[name], name
+        assert list(out.stats) == list(DESK_COUNTERS)
 
 
 # ------------------------------------------------- replica 0 kept per instance
