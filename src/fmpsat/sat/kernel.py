@@ -2,14 +2,17 @@
 
 Literals are stored as codes: variable v (0-based) appears positively
 as ``2*v`` and negatively as ``2*v + 1``; ``value[code]`` is True,
-False or None (unassigned). Each clause is a sequence of codes whose
-first two positions are its watched literals: a list for an input
-clause, an ``array('i')`` for a learned one, since on hard queries the
-learned clauses hold most of the search's memory.
+False or None (unassigned). Each clause, input or learned, is a list
+of codes whose first two positions are its watched literals.
 ``watches[code]`` lists the clauses watching that literal. It keeps
 its most recent watch last and is visited from the end, so watches are
 visited newest first; a clause that moves its watch elsewhere leaves
-the list, the others keep their order.
+the list, the others keep their order. A visited clause not satisfied
+by its other watch looks for a new one by its length: a two-literal
+clause has none to look at and is unit or in conflict, a three-literal
+clause tests its third literal, and only a longer one scans.
+`clean_clauses` likewise packs a two- or three-literal clause on
+distinct variables in one step, and any other literal by literal.
 
 Branching picks the free variable of highest activity, the lowest
 index among equals, from a binary heap of ``(-activity, variable)``
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from heapq import heapify, heappop, heappush
 from itertools import islice
 
@@ -139,28 +141,40 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
                     w -= 1
                     ws[w] = clause
                     continue
-                for k in range(2, len(clause)):
-                    q = clause[k]
+                # look for a literal not false to watch instead, by clause length
+                n = len(clause)
+                if n == 3:
+                    q = clause[2]
                     if value[q] is not False:
                         # move this watch onto q, which takes the slot of falsified
-                        clause[k] = falsified
+                        clause[2] = falsified
                         clause[clause[0] != falsified] = q
                         watches[q].append(clause)
-                        break
+                        continue
+                elif n > 3:
+                    for k in range(2, n):
+                        q = clause[k]
+                        if value[q] is not False:
+                            clause[k] = falsified
+                            clause[clause[0] != falsified] = q
+                            watches[q].append(clause)
+                            break
+                    if value[q] is not False:  # the scan moved the watch onto q
+                        continue
+                # every other literal is false: the clause is unit or in conflict
+                w -= 1
+                ws[w] = clause
+                if value[other] is None:
+                    ov = other >> 1
+                    value[other] = True
+                    value[other ^ 1] = False
+                    level[ov] = len(trail_lim)
+                    reason[ov] = clause
+                    trail.append(other)
                 else:
-                    w -= 1
-                    ws[w] = clause
-                    if value[other] is None:
-                        ov = other >> 1
-                        value[other] = True
-                        value[other ^ 1] = False
-                        level[ov] = len(trail_lim)
-                        reason[ov] = clause
-                        trail.append(other)
-                    else:
-                        confl = clause
-                        qhead = len(trail)
-                        break
+                    confl = clause
+                    qhead = len(trail)
+                    break
             props += len(ws) - i
             del ws[i:w]
             if confl is not None:
@@ -255,7 +269,6 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
                     break
             else:
                 # store the learned clause and watch its first two literals
-                learnt = array("i", learnt)
                 watches[code].append(learnt)
                 watches[learnt[1]].append(learnt)
                 value[code] = True
@@ -322,6 +335,25 @@ def clean_clauses(num_vars, clauses, deadline=math.inf):
         if now() > deadline:
             return UNKNOWN, None, None
         for clause in batch:
+            # a clause of two or three literals on distinct variables is packed
+            # in one step (the codes of two such literals, both >= 0, differ
+            # above bit 0); any other goes literal by literal
+            n = len(clause)
+            if n == 2:
+                a, b = clause
+                a = code_of[a]
+                b = code_of[b]
+                if a ^ b > 1:
+                    body.append([a, b])
+                    continue
+            elif n == 3:
+                a, b, c = clause
+                a = code_of[a]
+                b = code_of[b]
+                c = code_of[c]
+                if a ^ b > 1 and a ^ c > 1 and b ^ c > 1:
+                    body.append([a, b, c])
+                    continue
             codes: list[int] = []
             tautology = False
             for lit in clause:

@@ -313,6 +313,80 @@ def test_desk_queries_keep_their_outcomes():
         assert list(out.stats) == list(DESK_COUNTERS)
 
 
+# Pinned two-step sweeps of every target on one adapter of a small random
+# Shannon SDD: (features, node budget, seed) -> one row per target of
+# (answer, counters in DESK_COUNTERS order, witness, two-step seed). The
+# seed draws the diagram and the instance, of class 1 and 0 here.
+SDD_SWEEP_GOLDEN = {
+    (14, 80, 3): [
+        ("Yes", (9, 0, 278, 0, 0, 0), {1, 4, 6, 9, 14}, {1, 4, 6, 9, 14}),
+        ("Yes", (10, 0, 297, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
+        ("Yes", (11, 3, 497, 0, 3, 4), {1, 2, 3, 4, 6, 7, 10, 14}, {1, 2, 3, 4, 6, 7, 10, 14}),
+        ("Yes", (10, 0, 231, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
+        ("Yes", (9, 2, 538, 0, 2, 3), {1, 2, 4, 5, 6, 7, 13}, {1, 2, 4, 5, 6, 7, 13}),
+        ("Yes", (10, 0, 314, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
+        ("Yes", (9, 2, 537, 0, 2, 3), {1, 2, 4, 5, 6, 7, 13}, {1, 2, 4, 5, 6, 7, 8, 12, 13}),
+        ("Yes", (9, 5, 812, 0, 5, 15), {1, 2, 4, 5, 6, 8, 12, 13, 14},
+         {1, 2, 4, 5, 6, 8, 10, 12, 13, 14}),
+        ("Yes", (10, 0, 341, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
+        ("Yes", (17, 4, 506, 0, 4, 5), {1, 2, 4, 6, 7, 10, 11}, {1, 2, 3, 4, 6, 7, 10, 11}),
+        ("Yes", (9, 2, 312, 0, 2, 3), {1, 2, 4, 5, 6, 7, 11}, {1, 2, 4, 5, 6, 7, 11}),
+        ("Yes", (14, 5, 1009, 0, 5, 19), {1, 2, 4, 6, 10, 11, 12, 13},
+         {1, 2, 4, 5, 6, 10, 11, 12, 13, 14}),
+        ("Yes", (9, 2, 408, 0, 2, 3), {1, 2, 4, 5, 6, 7, 13}, {1, 2, 4, 5, 6, 7, 13}),
+        ("Yes", (9, 2, 356, 0, 2, 3), {1, 2, 4, 5, 6, 7, 14}, {1, 2, 4, 5, 6, 7, 14}),
+    ],
+    (18, 150, 8): [
+        ("Yes", (8, 0, 207, 0, 0, 0), {1, 4, 5, 6, 9, 12, 13, 14, 16, 17},
+         {1, 4, 5, 6, 9, 12, 13, 14, 16, 17}),
+        ("Yes", (6, 1, 453, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
+         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
+        ("Yes", (6, 1, 362, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
+         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
+        ("Yes", (7, 0, 211, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (7, 0, 197, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (7, 0, 262, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (6, 1, 409, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
+         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
+        ("Yes", (7, 0, 207, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (7, 0, 223, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (7, 0, 194, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("No", (5, 6, 301, 0, 5, 7), None, None),
+        ("Yes", (7, 0, 191, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (7, 0, 239, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (7, 0, 220, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("No", (8, 7, 859, 0, 6, 15), None, None),
+        ("Yes", (7, 0, 221, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (7, 0, 196, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
+         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
+        ("Yes", (6, 1, 364, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
+         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
+    ],
+}
+
+
+def test_small_sdd_sweeps_keep_their_outcomes():
+    for (m, nodes, seed), rows in SDD_SWEEP_GOLDEN.items():
+        clf = F.SddClassifier(obdd_to_shannon_sdd(generate_random_obdd(m, nodes, seed)))
+        inst = random_instance(clf, np.random.default_rng(seed))
+        assert len(rows) == m
+        for target, row in enumerate(rows, 1):
+            out = decide_membership(FmpQuery(clf, inst, target, "two-step"))
+            got = (out.answer, tuple(out.stats[k] for k in DESK_COUNTERS), out.witness,
+                   out.two_step_seed)
+            assert got == row, (m, nodes, seed, target)
+
+
 # ------------------------------------------------- replica 0 kept per instance
 
 def _fresh(clf):

@@ -1,5 +1,6 @@
 """Internal solver correctness and the external-solver adapter."""
 
+import math
 import re
 import sys
 import textwrap
@@ -201,6 +202,114 @@ def test_agreement_with_dpll_beyond_table_range():
         assert solve(cnf).satisfiable == dpll_sat(n, cnf.clauses)
 
 
+# a clause of 1-6 literals, most of two or three
+_MIXED_SIZES = (1, 2, 3, 4, 5, 6)
+_MIXED_WEIGHTS = (0.04, 0.3, 0.36, 0.1, 0.1, 0.1)
+
+
+def _mixed_clauses(rng, num_vars, num_clauses):
+    """Clauses of 1-6 literals drawn with replacement, so that repeated
+    literals and complementary pairs occur; lists and tuples mixed."""
+    clauses = []
+    for _ in range(num_clauses):
+        size = int(rng.choice(_MIXED_SIZES, p=_MIXED_WEIGHTS))
+        lits = (rng.integers(1, num_vars + 1, size) * rng.choice((-1, 1), size)).tolist()
+        clauses.append(lits if rng.integers(2) else tuple(lits))
+    return clauses
+
+
+def _code(lit):
+    """The kernel's code of a literal: 2*(v-1) for v, 2*(v-1)+1 for -v, -1 for 0."""
+    return 2 * lit - 2 if lit > 0 else -2 * lit - 1
+
+
+def _pack_per_literal(num_vars, clauses):
+    """`kernel.clean_clauses` written literal by literal, without its deadline."""
+    units, body = [], []
+    for clause in clauses:
+        codes = []
+        for code in map(_code, clause):
+            if code ^ 1 in codes:
+                break
+            if code not in codes:
+                codes.append(code)
+        else:
+            if not codes:
+                return kernel.UNSAT, None, None
+            if len(codes) == 1:
+                units.append(codes[0])
+            else:
+                body.append(codes)
+    return kernel.UNKNOWN, units, body
+
+
+def test_agreement_on_mixed_clauses():
+    # input clauses of every length from 1 to 6, with repeated literals and
+    # complementary pairs, which the 3-CNF tests above never draw: each call
+    # agrees with the truth table and searches as on the per-literal packing
+    rng = np.random.default_rng(1207)
+    kinds = set()
+    for _ in range(300):
+        n = int(rng.integers(3, 13))
+        clauses = _mixed_clauses(rng, n, int(rng.integers(2, 5 * n)))
+        for clause in clauses:
+            kinds.add(len(clause) if len(clause) < 4 else "long")
+            if len(set(clause)) < len(clause):
+                kinds.add("repeated")
+            if any(-lit in clause for lit in clause):
+                kinds.add("complementary")
+        result = solve(CnfFormula(n, clauses))
+        assert result.satisfiable == exhaustive_sat(n, clauses)
+        if result.satisfiable:
+            assert model_satisfies(clauses, result.model[1:])
+        status, units, body = _pack_per_literal(n, clauses)
+        expected = ((status, None, kernel._counters()) if body is None
+                    else kernel._search(n, body, units, math.inf))
+        assert kernel.search(n, clauses) == expected
+    assert kinds == {1, 2, 3, "long", "repeated", "complementary"}
+
+
+PACKING_CASES = {
+    "repeated-pair": (2, [(1, 1), [-2, -2]]),
+    "complementary-pair": (2, [(1, -1), [2, 1]]),
+    "repeated-in-three": (3, [(1, 2, 1), [-3, 2, -3]]),
+    "complementary-in-three": (3, [(1, 2, -2), [3, -1, 1], (2, 3, 1)]),
+    "zero": (2, [(0, 1), [1, 0, 2], (0, 0), [0, -1]]),
+    "empty": (2, [[1, 2], [], (2,)]),
+    "long": (4, [(1, 2, 3, 4), [4, -4, 1, 2], (1, 2, 3, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("num_vars,clauses", PACKING_CASES.values(), ids=PACKING_CASES.keys())
+def test_packing_matches_a_per_literal_reference(num_vars, clauses):
+    assert kernel.clean_clauses(num_vars, clauses) == _pack_per_literal(num_vars, clauses)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_random_packing_matches_a_per_literal_reference(data):
+    n = data.draw(st.integers(1, 6))
+    clause = st.lists(st.integers(-n, n), max_size=6)
+    clauses = data.draw(st.lists(clause | clause.map(tuple), max_size=12))
+    assert kernel.clean_clauses(n, clauses) == _pack_per_literal(n, clauses)
+
+
+def test_packing_stops_at_the_batch_after_a_deadline_passes(monkeypatch):
+    # the clock, read before each batch of 4 clauses, passes the deadline
+    # while the first batch is packed: the next batch is never packed
+    monkeypatch.setattr(kernel, "_POLL_CLAUSES", 4)
+    clauses = [(1, 2), [2, -3, 1], (3, 3), [-1, 2, 4, -4], (2, -1), [4]]
+    for cut, expected in ((4, _pack_per_literal(4, clauses[:4])),
+                          (6, (kernel.UNKNOWN, None, None))):
+        clock = iter([0.0])
+        monkeypatch.setattr(kernel, "time", SimpleNamespace(time=lambda: next(clock, 10.0)))
+        assert kernel.clean_clauses(4, clauses[:cut], deadline=5.0) == expected
+    # an empty clause in the first batch still makes the input UNSAT
+    clock = iter([0.0])
+    assert kernel.clean_clauses(4, [(1, 2), [], *clauses], deadline=5.0) == (
+        kernel.UNSAT, None, None)
+
+
 def test_zero_time_limit_raises():
     cnf = _php(5, 4)
     with pytest.raises(SolverTimeout):
@@ -256,6 +365,47 @@ def test_deadline_passing_during_propagation_returns_the_counters(monkeypatch):
     assert (status, model) == (kernel.UNKNOWN, None)
     assert stats == kernel._counters(propagations=stats["propagations"])
     assert 8 <= stats["propagations"] < 99
+
+
+# ---------------------------------------------------- pinned trajectories
+# Counters and models of searches with restarts and long learned clauses,
+# off the desk's formulas: a change that only speeds the kernel up keeps
+# all of them.
+
+def test_pigeonhole_7_into_6_keeps_its_trajectory():
+    result = solve(_php(7, 6))
+    assert not result.satisfiable
+    assert result.stats == kernel._counters(1167, 947, 244627, 6, 946, 13319)
+
+
+# near-threshold random 3-CNF from seed 17: (num_vars, counters in
+# `kernel._counters` order, model as a bit mask over variables 1.. or None)
+RANDOM_3CNF_GOLDEN = [
+    (55, (24, 12, 779, 0, 12, 61), 28279434709730472),
+    (50, (16, 6, 512, 0, 6, 27), 996582954819272),
+    (52, (75, 65, 4204, 0, 64, 306), None),
+    (42, (55, 46, 2362, 0, 45, 171), None),
+    (58, (111, 107, 7550, 1, 106, 518), None),
+    (46, (65, 52, 3015, 0, 52, 250), 49996872057857),
+    (55, (139, 125, 8841, 1, 124, 675), None),
+    (47, (13, 2, 225, 0, 2, 6), 75537976616512),
+    (60, (120, 98, 7172, 0, 97, 504), None),
+    (52, (110, 81, 5581, 0, 81, 500), 3501408367449678),
+    (40, (45, 45, 2599, 0, 44, 162), None),
+    (44, (58, 46, 2696, 0, 46, 221), 5174990117433),
+]
+
+
+def test_near_threshold_3cnf_batch_keeps_its_trajectories():
+    rng = np.random.default_rng(17)
+    got = []
+    for _ in RANDOM_3CNF_GOLDEN:
+        n = int(rng.integers(40, 61))
+        result = solve(_random_3cnf(rng, n, round(4.26 * n)))
+        mask = (sum(1 << i for i, x in enumerate(result.model[1:]) if x)
+                if result.satisfiable else None)
+        got.append((n, tuple(result.stats.values()), mask))
+    assert got == RANDOM_3CNF_GOLDEN
 
 
 # ------------------------------------------------------- external adapter
