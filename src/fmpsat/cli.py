@@ -97,10 +97,11 @@ def _load_classifier(args):
     instance = parse_instance(Path(args.instance).read_text()) if args.instance else None
     if instance is None and kind != "xpg":
         raise FmpsatError(f"--{kind} needs --instance")
-    clf.check_instance(instance)
-    # the instance matches the SDD, so the SDD is constant exactly when the
-    # diagram giving the instance class 0 has no model; a class-0 run negates nothing
-    if kind == "sdd" and not sdd_mod.is_consistent(clf.diagram_for(instance)):
+    if kind != "sdd":
+        clf.check_instance(instance)
+    elif not sdd_mod.is_consistent(clf.diagram_for(instance)):
+        # making the record checked the instance, so the SDD is constant exactly
+        # when the diagram giving the instance class 0 has no model
         raise FmpsatError("classifier is constant; explanation queries are undefined")
     return clf, instance
 

@@ -8,30 +8,29 @@ to minimal explanations containing the target; the two-step form keeps
 only replicas 0 and t, and its models are weak explanations from which
 a witness is extracted afterwards by deletion.
 
-Each query is first lowered to one circuit of OR gates over AND terms
-whose operands are other gates and guards -s_i ("feature i is not
-selected"): an explanation graph's nodes and the OR of its 0-terminals,
-or an SDD's nodes with its root as the output. Replica k reads the
-guard -s_k as TRUE; replica 0 keeps the output FALSE, and replica k
-ties it to s_k. Both lowerings make terms of at most two operands, and
-a circuit with a longer term is refused (``EncodingError``) once, before
-replica 0.
+Each query reads explain's `_Circuit`: OR gates over AND terms of at
+most two operands, other gates and guards -s_i ("feature i is not
+selected"); an explanation graph's nodes and the OR of its 0-terminals,
+or an SDD's nodes with its root as the output. It is made by the one
+lowering of each language and folded once by `explain._live_terms`:
+each gate of the output's structural cone becomes TRUE or FALSE, or
+gets its live terms, with constant operands left out. Freeing a feature
+only turns guards TRUE, so a constant gate is the same constant in
+every replica and no live operand is ever FALSE. An XpG encoder
+refuses a graph without a 0-terminal (``EncodingError``).
 
-One pass, `_live_terms`, folds the circuit's constants once, before
-replica 0: each gate of the output's cone becomes TRUE or FALSE, or
-gets its live terms, with constant operands left out. Freeing a
-feature only turns guards TRUE, so a constant gate is the same
-constant in every replica and no live operand is ever FALSE. One
-emitter, `_emit_replica`, then makes every replica, 0 and k alike, by
-folding only live terms. A gate that reduces to one literal is that
-literal, with no variable. A gate's clauses include the product of its
-terms, which each two-literal term doubles; a variable of its own costs
-such a term three clauses. So of a gate's k two-literal terms the
-first k - 2, in term order, get one: the rule "a term gets a variable
-where that takes fewer clauses" in closed form. Replica k ≥ 1
-re-evaluates only the gates with an operand it changed, and inside them
-keeps replica 0's variable for each term whose operands are unchanged.
-The cone stays structural, so a gate that only constant-TRUE gates or
+Replica k reads the guard -s_k as TRUE; replica 0 keeps the output
+FALSE, and replica k ties it to s_k. One emitter, `_emit_replica`,
+makes every replica, 0 and k alike, by folding only live terms. A gate
+that reduces to one literal is that literal, with no variable. A gate's
+clauses include the product of its terms, which each two-literal term
+doubles; a variable of its own costs such a term three clauses. So of
+a gate's k two-literal terms the first k - 2, in term order, get one:
+the rule "a term gets a variable where that takes fewer clauses" in
+closed form. Replica k ≥ 1 re-evaluates only the gates with an operand
+it changed, and inside them keeps replica 0's variable for each term
+whose operands are unchanged. The emitter reads the structural cone,
+not the checks' pruned view, so a gate that only constant-TRUE gates or
 dropped terms read still gets its variable and clauses, and equal
 literals inside a gate are not merged: removing either changes the
 bytes of every file that has them.
@@ -51,22 +50,23 @@ block's literals in order. A clause given as a list, a user's of any
 length included, is written alike.
 
 Nothing in replica 0 depends on the target, so it is built once per
-(classifier, instance): each encoder takes an optional ``store``, a
-dict for one (diagram, instance) that the encoder fills once replica 0
-is complete: the cone, its readers and live terms (not the lowered
-gates), and replica 0's values, term variables, clauses and roles.
-With a filled one it skips the lowering, the folding pass and replica
-0. Each query then copies only what it appends to, replica 0's clause
-list and roles, adds its ``[s_t]`` unit and emits replica t (two-step)
-or 1..m (one-step), each on a copy of replica 0's values. The copied
-formula keeps replica 0's as its base, so the solver checks and packs
-replica 0's clauses once as well (see `CnfFormula`). `build_encoding`
-passes the adapter's store for the instance, which both methods share
-and which lives until the adapter releases the instance.
+(classifier, instance): each encoder takes an optional ``circuit``, the
+adapter's for one (diagram, instance), whose instance the adapter has
+checked and which its weak-AXp checks read too. The encoder keeps
+replica 0 in the circuit's ``store`` once it is complete: its values,
+term variables, clauses and roles. Each query then copies only what it
+appends to, replica 0's clause list and roles, adds its ``[s_t]`` unit
+and emits replica t (two-step) or 1..m (one-step), each on a copy of
+replica 0's values. The copied formula keeps replica 0's as its base,
+so the solver checks and packs replica 0's clauses once as well (see
+`CnfFormula`). `build_encoding` passes the adapter's circuit for the
+instance, which both methods share and which lives until the adapter
+releases the instance. Without a circuit, an encoder checks an SDD's
+instance, lowers the diagram or graph itself and keeps nothing.
 
 Each encoder takes an optional ``deadline``, a ``time.time()`` value
 (``math.inf`` for none), and raises ``SolverTimeout`` if it has passed
-before a replica; a store is never left half filled.
+before a replica; a circuit's store is never left half filled.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EncodingError, check_deadline
-from .explain import Instance
-from .sdd import Sdd, SddDecision, SddLiteral, SddTrue, evaluate
+from .explain import _FALSE, _TRUE, Instance, _Circuit, _lower_sdd, _lower_xpg
+from .sdd import Sdd, evaluate
 from .xpg import XpGraph
 
 __all__ = [
@@ -94,10 +94,6 @@ __all__ = [
     "iter_dimacs",
     "write_dimacs",
 ]
-
-_TRUE = "T"
-_FALSE = "F"
-
 
 @dataclass
 class CnfFormula:
@@ -215,27 +211,20 @@ def clausify_eq_and(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
 
 
 # --------------------------------------------------------------------------
-# lowering: one circuit per query
+# encoding: replicas of the circuit
 # --------------------------------------------------------------------------
-#
-# A circuit is a list of gates. A gate is the OR of its terms, and a term
-# is the AND of its operands: operand o >= 0 is gate o, and o = -i is the
-# guard "feature i is not selected", -s_i. An empty term is TRUE and a
-# gate without terms is FALSE. The order lists gates with their operands
-# first and ends with the output.
 
 def _check_target(num_features: int, target: int) -> None:
     if not 1 <= target <= num_features:
         raise EncodingError(f"target feature {target} outside 1..{num_features}")
 
 
-def _lower_sdd(sdd: Sdd, instance: Instance):
-    """Gate j: node j stays consistent with the selected features fixed.
-
-    A decision node is the OR of its (prime AND sub) elements, a literal
-    the instance satisfies is TRUE and one it falsifies is -s_var. The
-    output is the root.
-    """
+def _sdd_circuit(sdd: Sdd, instance: Instance, circuit: _Circuit | None) -> _Circuit:
+    """The given circuit, or the diagram's own once the instance is a
+    boolean point of its arity at which it evaluates to the declared
+    class 0."""
+    if circuit is not None:
+        return circuit
     m = sdd.num_features
     if len(instance.values) != m:
         raise EncodingError(
@@ -249,98 +238,14 @@ def _lower_sdd(sdd: Sdd, instance: Instance):
         )
     if evaluate(sdd, instance.values):
         raise EncodingError("instance declares class 0 but the diagram evaluates to 1")
-    gates: list[Sequence[tuple[int, ...]]] = []
-    for node in sdd.nodes:
-        if isinstance(node, SddDecision):
-            gates.append(node.elements)
-        elif isinstance(node, SddLiteral):
-            satisfied = bool(instance.values[node.var - 1]) == node.positive
-            gates.append([()] if satisfied else [(-node.var,)])
-        else:
-            gates.append([()] if isinstance(node, SddTrue) else [])
-    return gates, list(range(sdd.root + 1))
+    return _Circuit(*_lower_sdd(sdd, instance.values), m)
 
 
-def _lower_xpg(xpg: XpGraph):
-    """Gate j: node j is reached from the root with the selected features fixed.
-
-    Gate j is the OR over its in-edges (p, label) of gate p, ANDed with
-    -s_var(p) when the label is 0; the root is TRUE. The output, one
-    gate past the nodes, is the OR of the 0-terminals.
-    """
-    zeros = xpg.zero_terminals()
-    if not zeros:
+def _xpg_circuit(xpg: XpGraph, circuit: _Circuit | None) -> _Circuit:
+    """The given circuit or the graph's own, if the graph has a 0-terminal."""
+    if not xpg.zero_terminals():
         raise EncodingError("graph has no 0-labeled terminal: the classifier is constant")
-    nodes = xpg.nodes
-    gates = [
-        [()] if j == xpg.root
-        else [(p,) if label else (p, -nodes[p].var) for p, label in xpg.in_edges(j)]
-        for j in range(len(nodes))
-    ]
-    gates.append([(z,) for z in zeros])
-    return gates, xpg._topo + [len(nodes)]
-
-
-# --------------------------------------------------------------------------
-# encoding: replicas of the circuit
-# --------------------------------------------------------------------------
-
-def _cone(gates, order: list[int], num_features: int):
-    """The gates of ``order`` that its last gate, the output, depends on,
-    and for each operand the positions in that list of the gates reading it."""
-    # indexed like a replica's values, so a guard -i marks an entry past the gates
-    needed = bytearray(len(gates) + num_features)
-    needed[order[-1]] = 1
-    for j in reversed(order):
-        if needed[j]:
-            for term in gates[j]:
-                for o in term:
-                    needed[o] = 1
-    cone = [j for j in order if needed[j]]
-    readers: list[list[int]] = [[] for _ in needed]
-    for p, j in enumerate(cone):
-        for term in gates[j]:
-            for o in term:
-                readers[o].append(p)
-    # kept with replica 0: tuples hold it in less memory, and () is shared
-    return cone, [tuple(r) for r in readers]
-
-
-def _live_terms(gates, cone: list[int], val: list) -> list:
-    """Fold the circuit's constants once: each cone gate's live terms, in
-    cone order.
-
-    ``val`` holds replica 0's guards, and the pass writes TRUE or FALSE
-    into it for each gate that is constant: one with a term whose
-    operands are all TRUE, or with no term left once the terms with a
-    FALSE operand are dropped. A constant gate gets None; any other gets
-    its live terms, (term index, operand, operand or None), with TRUE
-    operands left out. Freeing a feature only turns guards TRUE, so a
-    constant gate is the same constant in every replica, and no live
-    operand is ever FALSE.
-    """
-    live = []
-    for j in cone:
-        terms = []
-        for i, term in enumerate(gates[j]):
-            a, b = term + (None,) * (2 - len(term))  # a missing operand is TRUE
-            x = _TRUE if a is None else val[a]
-            y = _TRUE if b is None else val[b]
-            if x is _FALSE or y is _FALSE:
-                continue
-            if x is _TRUE:
-                if y is _TRUE:
-                    val[j] = _TRUE
-                    break
-                a, b = b, None
-            elif y is _TRUE:
-                b = None
-            terms.append((i, a, b))
-        else:
-            if not terms:
-                val[j] = _FALSE
-        live.append(tuple(terms) if val[j] is None else None)
-    return live
+    return _Circuit(*_lower_xpg(xpg), xpg.num_features) if circuit is None else circuit
 
 
 def _emit_replica(cnf, vm, live, cone, readers, replica, val, term_vars) -> None:
@@ -432,45 +337,41 @@ def _emit_replica(cnf, vm, live, cone, readers, replica, val, term_vars) -> None
     cnf.num_vars = nv
 
 
-def _replica0(gates, order, m: int, deadline) -> dict:
-    """The circuit's cone, readers and live terms, and replica 0 on them:
-    its clauses and roles, then the unit keeping its output FALSE (fixing
-    the selection keeps the class; the input checks rule out a TRUE
-    output, the instance's own class). None of it depends on the target."""
-    if any(len(term) > 2 for terms in gates for term in terms):
-        raise EncodingError("a lowered term has more than two operands")
-    cone, readers = _cone(gates, order, m)
+def _replica0(circuit: _Circuit, deadline) -> dict:
+    """Replica 0 on the circuit: its values, term variables, clauses and
+    roles, then the unit keeping its output FALSE (fixing the selection
+    keeps the class; the input checks rule out a TRUE output, the
+    instance's own class). None of it depends on the target."""
+    m = circuit.num_features
     cnf = CnfFormula(m)  # the selectors
     vm = VarMap(m)
     check_deadline(deadline, "encoding exceeded its time limit before replica 0")
-    # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
-    val = [None] * len(gates) + [-vm.sel(i) for i in range(m, 0, -1)]
-    live = _live_terms(gates, cone, val)
+    val = circuit.val.copy()
     term_vars: dict[int, dict[int, int]] = {}
-    _emit_replica(cnf, vm, live, cone, readers, 0, val, term_vars)
-    output = vm.outputs[0] = val[cone[-1]]
+    _emit_replica(cnf, vm, circuit.live, circuit.cone, circuit.cone_readers, 0, val, term_vars)
+    output = vm.outputs[0] = val[circuit.cone[-1]]
     if output != _FALSE:
         cnf.add((-output,))
-    return {"live": live, "cone": cone, "readers": readers, "val": val,
-            "term_vars": term_vars, "cnf": cnf, "vm": vm}
+    return {"val": val, "term_vars": term_vars, "cnf": cnf, "vm": vm}
 
 
-def _encode(lower, m: int, target: int, replicas: Iterable[int], deadline, store):
+def _encode(circuit, checked, m: int, target: int, replicas: Iterable[int], deadline):
     """Replica 0 keeps the output FALSE and selects the target; replica k
     ties the output to s_k.
 
-    ``store`` holds replica 0 of one (diagram, instance): an empty one
-    is filled from ``lower()`` once replica 0 is complete, and a filled
-    one skips the lowering, its input checks and replica 0. Every query
+    The circuit keeps replica 0 of its (diagram, instance) in its
+    ``store``. While that is empty, ``checked(circuit)`` checks the
+    input and, given None, makes the circuit, and the store is filled
+    once replica 0 is complete; a filled one skips both. Every query
     appends to copies of its clause list and roles, and evaluates each
     replica k on a copy of its values.
     """
     _check_target(m, target)
-    if store is None:
-        store = {}
-    if not store:
-        store.update(_replica0(*lower(), m, deadline))
-    live, cone, readers = store["live"], store["cone"], store["readers"]
+    if circuit is None or not circuit.store:
+        circuit = checked(circuit)
+        circuit.store.update(_replica0(circuit, deadline))
+    store = circuit.store
+    live, cone, readers = circuit.live, circuit.cone, circuit.cone_readers
     cnf, vm = store["cnf"].copy(), store["vm"].copy()
     cnf.add((vm.sel(target),))
     for k in replicas:
@@ -487,28 +388,30 @@ def _encode(lower, m: int, target: int, replicas: Iterable[int], deadline, store
     return cnf, vm
 
 
-def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, store=None):
+def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, circuit=None):
     """Replicas 0..m; every model decodes to an AXp containing the target."""
     m = sdd.num_features
-    return _encode(lambda: _lower_sdd(sdd, instance), m, target, range(1, m + 1), deadline, store)
+    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c), m, target, range(1, m + 1),
+                   deadline)
 
 
-def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, store=None):
+def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, circuit=None):
     """Replicas 0 and t; models are weak AXps whose every contained AXp
     includes the target."""
-    return _encode(lambda: _lower_sdd(sdd, instance), sdd.num_features, target, (target,),
-                   deadline, store)
+    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c), sdd.num_features, target,
+                   (target,), deadline)
 
 
-def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=inf, store=None):
+def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=inf, circuit=None):
     """Replicas 0..m over the graph's activation semantics."""
     m = xpg.num_features
-    return _encode(lambda: _lower_xpg(xpg), m, target, range(1, m + 1), deadline, store)
+    return _encode(circuit, lambda c: _xpg_circuit(xpg, c), m, target, range(1, m + 1), deadline)
 
 
-def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=inf, store=None):
+def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=inf, circuit=None):
     """Replicas 0 and t only."""
-    return _encode(lambda: _lower_xpg(xpg), xpg.num_features, target, (target,), deadline, store)
+    return _encode(circuit, lambda c: _xpg_circuit(xpg, c), xpg.num_features, target, (target,),
+                   deadline)
 
 
 # --------------------------------------------------------------------------

@@ -6,34 +6,40 @@ values pins the prediction; an AXp is a subset-minimal such set.
 Contrastive explanations are the complements: freeing Y admits a point
 with a different prediction.
 
-Each adapter compiles, once per instance, a monotone circuit over the
+Each adapter lowers, once per instance, a monotone circuit over the
 guards "feature i is free" whose output is FALSE exactly on the weak
 AXps: an SDD's decision nodes become ORs of (prime AND sub), a literal
 the instance satisfies TRUE and one it falsifies the guard of its
 feature; an explanation graph's nodes become their activation and the
-output the OR of its 0-terminals. Constants fold away and only the
-output's cone is kept. A weak-AXp test is one full bottom-up pass, and
-so is the check of a witness W: its pass runs on int bitmasks, one bit
-per selection, so it decides W and every W - {i} at once. The
-deletion scans of `find_axp` and `find_cxp` keep one value array live
-instead: freeing (AXp) or pinning (CXp) a feature moves every gate it
-changes the same way, so a step re-evaluates only the readers of
-changed operands, stops once the output flips, and undoes what it
-changed. The circuits are built here from the diagrams and graphs
-themselves, not from the CNF encoder's lowering, so one lowering fault
-cannot pass both an encoding and the check of its answer.
+output the OR of its 0-terminals. One pass folds its constants. The
+CNF encoder reads the output's structural cone; the checks here read a
+pruned view of the same live terms. A weak-AXp test is one full
+bottom-up pass, and so is the check of a witness W: its pass runs on
+int bitmasks, one bit per selection, so it decides W and every W - {i}
+at once. The deletion scans of `find_axp` and `find_cxp` keep one value
+array live instead: freeing (AXp) or pinning (CXp) a feature moves
+every gate it changes the same way, so a step re-evaluates only the
+readers of changed operands, stops once the output flips, and undoes
+what it changed.
+
+The witness check reads the circuit, not the CNF, so it catches a fault
+in the replica emitter, the solver or the decoding of a model, but not
+one in the lowering or the fold, which the encoder shares. The tests
+hold those to the reference evaluators (`sdd.consistency_under`,
+`xpg.evaluate_sigma`) and to the brute-force oracle below, which never
+reads the circuit; perfbench's oracle re-checks every witness it gets.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 from typing import Collection, Iterable, Sequence
 
 from . import sdd as sdd_mod
 from . import xpg as xpg_mod
-from .errors import ClassifierError, ParseError, check_deadline
+from .errors import ClassifierError, EncodingError, ParseError, check_deadline
 
 __all__ = [
     "Instance",
@@ -101,73 +107,191 @@ def serialize_instance(instance: Instance) -> str:
 
 
 # --------------------------------------------------------------------------
-# compiled weak-AXp circuits
+# one circuit per (classifier, instance)
 # --------------------------------------------------------------------------
 #
-# A value array holds TRUE at index 0, the guard "feature i is free" at
-# index i for i in 1..m, FALSE at m+1, and then the gates, each after
-# its operands. A gate is the OR of its terms and a term the AND of two
-# operands; a term of one operand names it twice.
+# A lowered circuit is a list of gates. A gate is the OR of its terms, and
+# a term the AND of at most two operands: operand o >= 0 is gate o, and
+# o = -i is the guard "feature i is free" (the encoder's -s_i). An empty
+# term is TRUE and a gate without terms is FALSE. The order lists gates
+# with their operands first and ends with the output.
 
-_TRUE = 0
+_TRUE = "T"
+_FALSE = "F"
+
+
+def _lower_sdd(sdd: sdd_mod.Sdd, values: Sequence[int]):
+    """Gate j: node j stays consistent with the selected features pinned.
+
+    A decision node is the OR of its (prime AND sub) elements, a literal
+    the instance satisfies is TRUE and one it falsifies the guard of its
+    feature. The output is the root. The values are not checked here:
+    the adapter's record or the public encoder has checked them.
+    """
+    gates: list[Sequence[tuple[int, ...]]] = []
+    for node in sdd.nodes:
+        if isinstance(node, sdd_mod.SddDecision):
+            gates.append(node.elements)
+        elif isinstance(node, sdd_mod.SddLiteral):
+            satisfied = bool(values[node.var - 1]) == node.positive
+            gates.append([()] if satisfied else [(-node.var,)])
+        else:
+            gates.append([()] if isinstance(node, sdd_mod.SddTrue) else [])
+    return gates, list(range(sdd.root + 1))
+
+
+def _lower_xpg(graph: xpg_mod.XpGraph):
+    """Gate j: node j is reached from the root with the selected features pinned.
+
+    Gate j is the OR over its in-edges (p, label) of gate p, ANDed with
+    the guard of p's feature when the label is 0; the root is TRUE. The
+    output, one gate past the nodes, is the OR of the 0-terminals, so a
+    graph without one is always weak.
+    """
+    nodes = graph.nodes
+    gates = [
+        [()] if j == graph.root
+        else [(p,) if label else (p, -nodes[p].var) for p, label in graph.in_edges(j)]
+        for j in range(len(nodes))
+    ]
+    gates.append([(z,) for z in graph.zero_terminals()])
+    return gates, graph._topo + [len(nodes)]
+
+
+def _cone(gates, order: list[int], num_features: int):
+    """The gates of ``order`` that its last gate, the output, depends on,
+    and for each operand the positions in that list of the gates reading it."""
+    # indexed like a replica's values, so a guard -i marks an entry past the gates
+    needed = bytearray(len(gates) + num_features)
+    needed[order[-1]] = 1
+    for j in reversed(order):
+        if needed[j]:
+            for term in gates[j]:
+                for o in term:
+                    needed[o] = 1
+    cone = [j for j in order if needed[j]]
+    readers: list[list[int]] = [[] for _ in needed]
+    for p, j in enumerate(cone):
+        for term in gates[j]:
+            for o in term:
+                readers[o].append(p)
+    # kept with the circuit: tuples hold it in less memory, and () is shared
+    return cone, [tuple(r) for r in readers]
+
+
+def _live_terms(gates, cone: list[int], val: list) -> list:
+    """Fold the circuit's constants once: each cone gate's live terms, in
+    cone order.
+
+    ``val`` holds the guards, and the pass writes TRUE or FALSE into it
+    for each gate that is constant: one with a term whose operands are
+    all TRUE, or with no term left once the terms with a FALSE operand
+    are dropped. A constant gate gets None; any other gets its live
+    terms, (term index, operand, operand or None), with TRUE operands
+    left out. Freeing a feature only turns guards TRUE, so a constant
+    gate is the same constant under every selection and in every
+    replica, and no live operand is ever FALSE.
+    """
+    live = []
+    for j in cone:
+        terms = []
+        for i, term in enumerate(gates[j]):
+            a, b = term + (None,) * (2 - len(term))  # a missing operand is TRUE
+            x = _TRUE if a is None else val[a]
+            y = _TRUE if b is None else val[b]
+            if x is _FALSE or y is _FALSE:
+                continue
+            if x is _TRUE:
+                if y is _TRUE:
+                    val[j] = _TRUE
+                    break
+                a, b = b, None
+            elif y is _TRUE:
+                b = None
+            terms.append((i, a, b))
+        else:
+            if not terms:
+                val[j] = _FALSE
+        live.append(tuple(terms) if val[j] is None else None)
+    return live
+
+
+# The checks' view indexes its values by operand: TRUE at 0, the guard of
+# feature i at i for i in 1..m, FALSE at m+1, and then the gates, each
+# after its operands. A view term of one operand names it twice.
+
+_TRUE_AT = 0
 
 
 class _Circuit:
-    """The weak-AXp test of one classifier and instance, as plain lists."""
+    """The weak-AXp circuit of one classifier and instance: its lowering,
+    folded once, whose output is FALSE exactly on the weak AXps.
 
-    def __init__(self, num_features: int):
+    The CNF encoder emits its replicas from the output's structural
+    cone: ``cone``, each operand's readers in it (``cone_readers``), the
+    guard and constant values ``val`` and each cone gate's ``live``
+    terms; it keeps replica 0 in ``store``. The checks evaluate a pruned
+    view of the same live terms, made by their first pass: a gate whose
+    only live term is one operand is that operand, and the cone is taken
+    again from the output, so they never evaluate a gate that folding
+    made redundant.
+    """
+
+    def __init__(self, gates, order: list[int], num_features: int):
+        if any(len(term) > 2 for terms in gates for term in terms):
+            raise EncodingError("a lowered term has more than two operands")
         self.num_features = num_features
-        self.false = num_features + 1
-        self.gates: list[tuple[int, tuple[tuple[int, int], ...]]] = []  # (gate, terms)
+        self.cone, self.cone_readers = _cone(gates, order, num_features)
+        # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
+        self.val = [None] * len(gates) + [-i for i in range(num_features, 0, -1)]
+        self.live = _live_terms(gates, self.cone, self.val)
+        self.store: dict = {}
+        self.gates: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None  # the view
 
-    def fold(self, terms) -> int:
-        """The operand that is the OR of these AND terms.
-
-        A term with a FALSE operand is dropped and TRUE operands vanish;
-        an empty term makes the OR TRUE, no term left makes it FALSE, and
-        a single operand is itself. Anything else becomes a new gate.
-        """
-        live = []
-        for term in terms:
-            if self.false in term:
+    def _prune(self) -> None:
+        """Make the checks' view: its gates, each as (gate, terms), its
+        output, and each operand's readers among the gates the output
+        depends on."""
+        m = self.num_features
+        false = self.false = m + 1
+        val = self.val
+        # each lowered operand's index in the view; operand -i is guard i
+        ref = [_TRUE_AT] * (len(val) - m) + list(range(m, 0, -1))
+        gates = []
+        for j, terms in zip(self.cone, self.live):
+            if terms is None:
+                ref[j] = _TRUE_AT if val[j] is _TRUE else false
                 continue
-            ops = [o for o in term if o != _TRUE]
-            if not ops:
-                return _TRUE
-            live.append((ops[0], ops[-1]))
-        if not live:
-            return self.false
-        if len(live) == 1 and live[0][0] == live[0][1]:
-            return live[0][0]
-        gate = self.false + 1 + len(self.gates)
-        self.gates.append((gate, tuple(live)))
-        return gate
-
-    def close(self, output: int) -> None:
-        """Keep only the gates the output depends on, and list each
-        operand's readers among them."""
-        self.output = output
-        size = self.false + 1 + len(self.gates)
+            mapped = tuple([(ref[a], ref[a] if b is None else ref[b]) for _, a, b in terms])
+            if len(mapped) == 1 and mapped[0][0] == mapped[0][1]:
+                ref[j] = mapped[0][0]
+            else:
+                ref[j] = gate = false + 1 + len(gates)
+                gates.append((gate, mapped))
+        output = self.output = ref[self.cone[-1]]
+        size = false + 1 + len(gates)
         needed = bytearray(size)
         needed[output] = 1
-        for gate, terms in reversed(self.gates):
+        for gate, terms in reversed(gates):
             if needed[gate]:
                 for a, b in terms:
                     needed[a] = needed[b] = 1
-        self.gates = [(gate, terms) for gate, terms in self.gates if needed[gate]]
+        self.gates = [(gate, terms) for gate, terms in gates if needed[gate]]
         # per operand o: (gate, other, terms) for each term of a gate that
         # ANDs o with other
-        self.readers: list[list[tuple[int, int, tuple]]] = [[] for _ in range(size)]
+        readers = self.readers = [[] for _ in range(size)]
         for gate, terms in self.gates:
             for a, b in terms:
-                self.readers[a].append((gate, b, terms))
+                readers[a].append((gate, b, terms))
                 if b != a:
-                    self.readers[b].append((gate, a, terms))
+                    readers[b].append((gate, a, terms))
         self.base = [False] * size
-        self.base[_TRUE] = True
+        self.base[_TRUE_AT] = True
 
     def evaluate(self, free: list[bool]) -> list[bool]:
         """One full bottom-up pass with guard i set to ``free[i - 1]``."""
+        if self.gates is None:
+            self._prune()
         val = self.base.copy()
         val[1:self.false] = free
         for gate, terms in self.gates:
@@ -197,6 +321,8 @@ class _Circuit:
         for i in features:
             if not 1 <= i <= m:
                 raise ClassifierError(f"feature {i} outside 1..{m}")
+        if self.gates is None:
+            self._prune()
         ones = (2 << len(features)) - 1
         val = [0] * len(self.base)
         val[:self.false] = [ones] * self.false
@@ -239,39 +365,6 @@ class _Circuit:
         return True
 
 
-def _compile_sdd(sdd: sdd_mod.Sdd, values: Sequence[int]) -> _Circuit:
-    """Node j stays consistent with the selected features pinned: a
-    decision node ORs its (prime AND sub) elements, a literal the
-    instance satisfies is TRUE and one it falsifies holds only while its
-    feature is free. The output is the root."""
-    circuit = _Circuit(sdd.num_features)
-    ref: list[int] = []
-    for node in sdd.nodes:
-        if isinstance(node, sdd_mod.SddDecision):
-            ref.append(circuit.fold([(ref[p], ref[s]) for p, s in node.elements]))
-        elif isinstance(node, sdd_mod.SddLiteral):
-            ref.append(_TRUE if bool(values[node.var - 1]) == node.positive else node.var)
-        else:
-            ref.append(_TRUE if isinstance(node, sdd_mod.SddTrue) else circuit.false)
-    circuit.close(ref[sdd.root])
-    return circuit
-
-
-def _compile_xpg(graph: xpg_mod.XpGraph) -> _Circuit:
-    """Node j is reached from the root with the selected features pinned:
-    the OR over its in-edges (p, label) of p, ANDed with p's guard when
-    the label is 0. The output is the OR of the 0-terminals."""
-    circuit = _Circuit(graph.num_features)
-    nodes = graph.nodes
-    ref = [circuit.false] * len(nodes)
-    for j in graph._topo:
-        ref[j] = _TRUE if j == graph.root else circuit.fold(
-            [(ref[p], _TRUE if label else nodes[p].var) for p, label in graph.in_edges(j)]
-        )
-    circuit.close(circuit.fold([(ref[z], _TRUE) for z in graph.zero_terminals()]))
-    return circuit
-
-
 # --------------------------------------------------------------------------
 # classifier adapters
 # --------------------------------------------------------------------------
@@ -279,12 +372,11 @@ def _compile_xpg(graph: xpg_mod.XpGraph) -> _Circuit:
 @dataclass(slots=True)
 class _Record:
     """What an adapter keeps for one instance: the diagram or graph its
-    queries read, the weak-AXp circuit compiled from it on first use,
-    and the store in which the CNF encoders keep replica 0."""
+    queries read, and the one circuit lowered from it on first use by
+    the CNF encoder or the weak-AXp checks."""
 
     source: object
     circuit: _Circuit | None = None
-    store: dict = field(default_factory=dict)
 
 
 class _Adapter:
@@ -327,14 +419,15 @@ class _Adapter:
         return record
 
     def circuit_for(self, instance: Instance | None) -> _Circuit:
+        """The instance's circuit, lowered from the record's diagram or
+        graph and folded on first use; the record has checked the instance."""
         record = self._record(instance)
         if record.circuit is None:
-            record.circuit = self._compile(record.source, instance)
+            source = record.source
+            lowered = (_lower_sdd(source, instance.values) if isinstance(source, sdd_mod.Sdd)
+                       else _lower_xpg(source))
+            record.circuit = _Circuit(*lowered, self.num_features)
         return record.circuit
-
-    def encoding_store(self, instance: Instance | None) -> dict:
-        """The store in which the encoders keep replica 0 for this instance."""
-        return self._record(instance).store
 
     def release(self, instance: Instance | None) -> None:
         """Drop the instance's record; an SDD's negated diagram stays."""
@@ -376,9 +469,6 @@ class SddClassifier(_Adapter):
     def _source(self, instance: Instance, deadline) -> sdd_mod.Sdd:
         return self.negated_sdd(deadline=deadline) if instance.label else self.sdd
 
-    def _compile(self, diagram: sdd_mod.Sdd, instance: Instance) -> _Circuit:
-        return _compile_sdd(diagram, instance.values)
-
     def diagram_for(self, instance: Instance, *, deadline=inf) -> sdd_mod.Sdd:
         """The diagram under which the instance has class 0."""
         return self._record(instance, deadline).source
@@ -389,9 +479,6 @@ class SddClassifier(_Adapter):
 
 class _XpgBackedClassifier(_Adapter):
     """Shared behaviour for classifiers explained through a built XpG."""
-
-    def _compile(self, graph: xpg_mod.XpGraph, instance: Instance | None) -> _Circuit:
-        return _compile_xpg(graph)
 
     def xpg_for(self, instance: Instance | None) -> xpg_mod.XpGraph:
         return self._record(instance).source
@@ -500,7 +587,7 @@ def _check_features(clf, features: Iterable[int]) -> frozenset[int]:
 def is_weak_axp(clf, instance: Instance | None, features: Iterable[int]) -> bool:
     """Does fixing `features` to the instance values pin the prediction?
 
-    The compiled circuit range-checks the features."""
+    The circuit's pass range-checks the features."""
     return clf.is_weak_axp(instance, features)
 
 
@@ -567,7 +654,7 @@ def _weak_axp_oracle(clf, instance: Instance | None):
     A classifier that predicts is tabled once over its whole domain, and
     X is weak when every completion of the fixed features keeps the
     class. A bare explanation graph cannot predict, so its oracle is
-    `xpg.evaluate_sigma`. Neither reads the compiled circuit.
+    `xpg.evaluate_sigma`. Neither reads the adapter's circuit.
     """
     m = clf.num_features
     if isinstance(clf, XpgClassifier):
@@ -613,7 +700,7 @@ def enumerate_axps_bruteforce(clf, instance: Instance | None) -> frozenset[froze
     """All AXps by scanning subsets in increasing cardinality.
 
     Each candidate is tested against the definition by the oracle above,
-    never by the compiled circuit whose answers it judges; supersets of
+    never by the adapter's circuit whose answers it judges; supersets of
     found explanations are pruned.
     """
     _guard_bruteforce(clf)

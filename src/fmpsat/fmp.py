@@ -67,13 +67,14 @@ class FmpOutcome:
 def build_encoding(query: FmpQuery, deadline: float = math.inf):
     """Produce (cnf, varmap, pre_negated) for the query's route.
 
-    Replica 0 is encoded once per (classifier, instance) and kept in the
-    store of the adapter's record for the instance, so the queries of a
-    relevancy sweep, one-step and two-step alike, each emit only their
-    target's replicas. The adapter checks the instance when it makes
-    that record. The SDD negation and the encoder raise ``SolverTimeout``
-    if the deadline (a ``time.time()`` value, ``math.inf`` for none)
-    passes during the one or before a replica of the other.
+    The encoders read the circuit of the adapter's record for the
+    instance, which the deletion scan and the witness check read too, and
+    keep replica 0 in it, so the queries of a relevancy sweep, one-step
+    and two-step alike, each emit only their target's replicas. The
+    adapter checks the instance when it makes that record. The SDD
+    negation and the encoder raise ``SolverTimeout`` if the deadline (a
+    ``time.time()`` value, ``math.inf`` for none) passes during the one
+    or before a replica of the other.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
@@ -84,13 +85,13 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
         diagram = clf.diagram_for(instance, deadline=deadline)
         encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
         cnf, vm = encoder(diagram, Instance(instance.values, 0), t, deadline=deadline,
-                          store=clf.encoding_store(instance))
+                          circuit=clf.circuit_for(instance))
         return cnf, vm, instance.label == 1
     if not isinstance(clf, (ObddClassifier, DtClassifier, XpgClassifier)):
         raise ClassifierError(f"unsupported classifier type {type(clf).__name__}")
     encoder = enc.encode_xpg_onestep if one_step else enc.encode_xpg_twostep
     cnf, vm = encoder(clf.xpg_for(instance), t, deadline=deadline,
-                      store=clf.encoding_store(instance))
+                      circuit=clf.circuit_for(instance))
     return cnf, vm, False
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import fmpsat as F
 from fmpsat import batch as batch_mod
+from fmpsat import encode as enc
 from fmpsat import sdd as sdd_mod
 from fmpsat.cli import main
 from fmpsat.batch import generate_random_obdd
@@ -249,6 +250,26 @@ def test_sdd_runs_negate_only_for_class_1(capsys, tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def test_an_sdd_command_evaluates_the_diagram_once(capsys, tmp_path, monkeypatch):
+    # the instance's class is checked when the adapter makes its record;
+    # the lowering and the encoder trust that check
+    calls = []
+    evaluate = sdd_mod.evaluate
+
+    def counting(sdd, point):
+        calls.append(point)
+        return evaluate(sdd, point)
+
+    monkeypatch.setattr(sdd_mod, "evaluate", counting)
+    monkeypatch.setattr(enc, "evaluate", counting)
+    for argv in (["axp", *ELLA_SDD], ["fmp", *ELLA_SDD, "--target", "3"],
+                 ["encode", *ELLA_SDD, "--target", "3", "--out", str(tmp_path / "q.cnf")]):
+        calls.clear()
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1, argv
 
 
 def test_import_leaves_numpy_unloaded():

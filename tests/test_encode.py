@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import fmpsat as F
 from fmpsat import encode as enc
 from fmpsat import errors as errors_mod
+from fmpsat import explain as explain_mod
 from fmpsat import sdd as sdd_mod
 from fmpsat.encode import (
     DIMACS_BLOCK_LINES,
@@ -632,9 +633,9 @@ def _folding_corpus():
                 instances.setdefault(inst.label, inst)
             for inst in instances.values():
                 if isinstance(clf, F.SddClassifier):
-                    yield enc._lower_sdd(clf.diagram_for(inst), Instance(inst.values, 0)), m
+                    yield explain_mod._lower_sdd(clf.diagram_for(inst), inst.values), m
                 else:
-                    yield enc._lower_xpg(clf.xpg_for(inst)), m
+                    yield explain_mod._lower_xpg(clf.xpg_for(inst)), m
 
 
 def test_folded_constants_hold_in_every_replica_and_selection():
@@ -642,9 +643,8 @@ def test_folded_constants_hold_in_every_replica_and_selection():
     # selection s: guard i is set where s leaves feature i free, and in
     # replica k guard k is set everywhere
     for (gates, order), m in _folding_corpus():
-        cone, _ = enc._cone(gates, order, m)
-        val = [None] * len(gates) + [-i for i in range(m, 0, -1)]
-        live = enc._live_terms(gates, cone, val)
+        circuit = explain_mod._Circuit(gates, order, m)
+        cone, val, live = circuit.cone, circuit.val, circuit.live
         every = (1 << (1 << m)) - 1
         free = [sum(1 << s for s in range(1 << m) if not s >> i & 1) for i in range(m)]
         for k in range(m + 1):
@@ -759,16 +759,13 @@ def test_lowered_terms_have_at_most_two_operands():
         for clf in classifiers:
             inst = random_instance(clf, rng)
             if isinstance(clf, F.SddClassifier):
-                gates, _ = enc._lower_sdd(clf.diagram_for(inst), Instance(inst.values, 0))
+                gates, _ = explain_mod._lower_sdd(clf.diagram_for(inst), inst.values)
             else:
-                gates, _ = enc._lower_xpg(clf.xpg_for(inst))
+                gates, _ = explain_mod._lower_xpg(clf.xpg_for(inst))
             assert max(len(term) for terms in gates for term in terms) <= 2
 
 
 def test_a_lowered_term_of_three_operands_is_refused():
     # gate 0 is the AND of the three guards, and the output
-    def lower():
-        return [[(-1, -2, -3)]], [0]
-
     with pytest.raises(EncodingError, match="more than two operands"):
-        enc._encode(lower, 3, 1, (1,), math.inf, None)
+        explain_mod._Circuit([[(-1, -2, -3)]], [0], 3)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import fmpsat as F
 from fmpsat import errors as errors_mod
 from fmpsat import explain as explain_mod
-from fmpsat.errors import ClassifierError, SolverTimeout
+from fmpsat import sdd as sdd_mod
+from fmpsat.errors import ClassifierError, EncodingError, SolverTimeout
 from fmpsat.xpg import XpGraph, XpgNonTerminal, XpgTerminal
 from fmpsat.batch import (
     generate_random_classifier,
@@ -22,6 +23,7 @@ from fmpsat.batch import (
 )
 
 from random_graphs import chain_xpg, random_dt, random_xpg
+from sdd_builder import balanced_vtree, compile_sdd, random_function
 from oracles import (
     enumerate_minimal,
     minimal_hitting_sets,
@@ -196,7 +198,8 @@ def _both_classes(clf, rng):
 
 
 def _reference_corpus(max_m, trials):
-    """(classifier, instance) pairs: random OBDDs, their Shannon SDDs and
+    """(classifier, instance) pairs: random OBDDs, their Shannon SDDs,
+    SDDs compiled over balanced vtrees (primes that are not literals) and
     random trees with instances of both classes, and random graphs that
     test a feature more than once on a path."""
     rng = np.random.default_rng(97)
@@ -205,6 +208,7 @@ def _reference_corpus(max_m, trials):
         m = 3 + trial % (max_m - 2)
         obdd = generate_random_obdd(m, 3 * m, seed=1700 + trial)
         for clf in (F.ObddClassifier(obdd), F.SddClassifier(obdd_to_shannon_sdd(obdd)),
+                    F.SddClassifier(compile_sdd(balanced_vtree(m), random_function(rng, m))),
                     F.DtClassifier(random_dt(rng, m))):
             cases += [(clf, inst) for inst in _both_classes(clf, rng)]
         cases.append((F.XpgClassifier(random_xpg(rng, m, 2 * m)), None))
@@ -215,15 +219,25 @@ def _subsets(m):
     return [frozenset(i for i in range(1, m + 1) if s >> (i - 1) & 1) for s in range(1 << m)]
 
 
+def _is_shannon(sdd):
+    """Whether every prime of the diagram is a literal."""
+    return all(isinstance(sdd.nodes[p], sdd_mod.SddLiteral)
+               for node in sdd.nodes if isinstance(node, sdd_mod.SddDecision)
+               for p, _ in node.elements)
+
+
 def test_compiled_check_matches_the_reference_evaluators():
     labels = set()
     for clf, inst in _reference_corpus(8, 12):
         weak = _reference_weak(clf, inst)
-        labels.add((type(clf).__name__, inst and inst.label))
+        kind = type(clf).__name__
+        if isinstance(clf, F.SddClassifier) and not _is_shannon(clf.sdd):
+            kind = "compiled SDD"
+        labels.add((kind, inst and inst.label))
         for X in _subsets(clf.num_features):
-            assert F.is_weak_axp(clf, inst, X) == weak(X), (type(clf).__name__, inst, X)
-    # every adapter was tried on both classes
-    assert {(k, c) for k in ("ObddClassifier", "SddClassifier", "DtClassifier")
+            assert F.is_weak_axp(clf, inst, X) == weak(X), (kind, inst, X)
+    # every adapter was tried on both classes, the SDD's on non-literal primes too
+    assert {(k, c) for k in ("ObddClassifier", "SddClassifier", "compiled SDD", "DtClassifier")
             for c in (0, 1)} <= labels
 
 
@@ -295,14 +309,25 @@ def test_one_pass_runs_past_64_bits():
 
 
 def test_one_pass_on_constant_circuits():
-    # TRUE is the all-ones mask: a circuit whose output folds to TRUE is
-    # never weak, under any selection; one that folds to FALSE always is
-    always_true, always_false = explain_mod._Circuit(4), explain_mod._Circuit(4)
-    always_true.close(explain_mod._TRUE)
-    always_false.close(always_false.false)
-    for circuit, want in ((always_true, 0b1111), (always_false, 0)):
-        assert circuit.outputs_without_each({1, 2, 4}) == want
-        assert circuit.is_weak({1, 2, 4}) == (want == 0)
+    # a TRUE-rooted and a FALSE-rooted diagram: each instance's class-0
+    # diagram is FALSE, so the circuit's output folds to FALSE, the
+    # all-zeros mask, and every selection is weak
+    vtree = balanced_vtree(4)
+    point = (0, 1, 0, 1)
+    true_sdd, false_sdd = (compile_sdd(vtree, {p: value for p in product((0, 1), repeat=4)})
+                           for value in (1, 0))
+    for sdd, label in ((true_sdd, 1), (false_sdd, 0)):
+        clf, inst = F.SddClassifier(sdd), F.Instance(point, label)
+        assert clf.circuit_for(inst).outputs_without_each({1, 2, 4}) == 0
+        assert F.is_weak_axp(clf, inst, frozenset())
+        assert F.find_axp(clf, inst, ALL) == frozenset()
+        with pytest.raises(ClassifierError, match="not a weak contrastive"):
+            F.find_cxp(clf, inst, ALL)
+    # TRUE is the all-ones mask: the TRUE diagram's own circuit, which no
+    # adapter makes since it predicts 1 everywhere, is never weak
+    circuit = explain_mod._Circuit(*explain_mod._lower_sdd(true_sdd, point), 4)
+    assert circuit.outputs_without_each({1, 2, 4}) == 0b1111
+    assert not circuit.is_weak({1, 2, 3, 4})
     with pytest.raises(ClassifierError, match="feature 5 outside 1..4"):
         circuit.outputs_without_each({1, 5})
 
@@ -316,6 +341,13 @@ def test_graph_without_a_zero_terminal_is_always_weak():
     assert F.find_axp(clf, None, {1, 2}) == frozenset()
     with pytest.raises(ClassifierError, match="not a weak contrastive"):
         F.find_cxp(clf, None, {1, 2})
+    # the encoders still refuse it, with or without the adapter's circuit
+    for method in ("one-step", "two-step"):
+        with pytest.raises(EncodingError, match="no 0-labeled terminal"):
+            F.build_encoding(F.FmpQuery(clf, None, 1, method))
+    for encode in (F.encode_xpg_onestep, F.encode_xpg_twostep):
+        with pytest.raises(EncodingError, match="no 0-labeled terminal"):
+            encode(graph, 1)
 
 
 def test_every_predicting_adapter_rejects_an_instance_it_does_not_predict(

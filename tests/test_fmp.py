@@ -14,6 +14,7 @@ import pytest
 
 import fmpsat as F
 from fmpsat import cli
+from fmpsat import encode as enc
 from fmpsat import errors as errors_mod
 from fmpsat import explain as explain_mod
 from fmpsat import fmp as fmp_mod
@@ -313,6 +314,29 @@ def test_desk_queries_keep_their_outcomes():
         assert list(out.stats) == list(DESK_COUNTERS)
 
 
+# The gates the weak-AXp checks evaluate on each desk query's circuit: its
+# folded live terms, with a gate whose only live term is one operand taken
+# as that operand, and the cone taken again from the output.
+DESK_CHECK_GATES = {
+    "obdd-m100-q0": 1222, "obdd-m100-q1": 1223, "obdd-m100-q2": 1258,
+    "obdd-m60-q0": 757, "obdd-m60-q1": 747, "obdd-m60-q2": 747,
+    "sdd-m100-q0": 309, "sdd-m100-q1": 127, "sdd-m100-q2": 624,
+}
+
+
+def test_desk_checks_run_on_the_pruned_circuit():
+    # smaller than the structural cone the encoder reads, whose live gates
+    # include those the checks take as one operand
+    rows = [line.split() for line in (DESK / "queries.txt").read_text().splitlines()
+            if not line.startswith("c")]
+    for name, classifier, _, _ in rows:
+        clf, inst = _desk_classifier(classifier), _desk_instance(name)
+        assert F.is_weak_axp(clf, inst, range(1, clf.num_features + 1))
+        circuit = clf.circuit_for(inst)
+        structural = sum(terms is not None for terms in circuit.live)
+        assert len(circuit.gates) == DESK_CHECK_GATES[name] < structural, name
+
+
 # Pinned two-step sweeps of every target on one adapter of a small random
 # Shannon SDD: (features, node budget, seed) -> one row per target of
 # (answer, counters in DESK_COUNTERS order, witness, two-step seed). The
@@ -387,6 +411,56 @@ def test_small_sdd_sweeps_keep_their_outcomes():
             assert got == row, (m, nodes, seed, target)
 
 
+# ------------------------------------------- one circuit per (classifier, instance)
+
+def _ella_adapters(ella_sdd, ella_obdd, ella_xpg, ella_instance):
+    """(adapter, instance, its lowering) for each adapter of Ella, the SDD's
+    for an instance of each class."""
+    ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
+    return [(F.SddClassifier(ella_sdd), ella_instance, "_lower_sdd"),
+            (F.SddClassifier(ella_sdd), F.Instance((1, 0, 1, 1), 1), "_lower_sdd"),
+            (F.ObddClassifier(ella_obdd), ella_instance, "_lower_xpg"),
+            (F.DtClassifier(ella_dt), ella_instance, "_lower_xpg"),
+            (F.XpgClassifier(ella_xpg), None, "_lower_xpg")]
+
+
+def test_one_lowering_per_record(ella_sdd, ella_obdd, ella_xpg, ella_instance, monkeypatch):
+    # the scan, a two-step and a one-step query and an `fmpsat encode`-style
+    # encoding all read the one circuit of the adapter's record
+    lowered = []
+    for name in ("_lower_sdd", "_lower_xpg"):
+        def spy(*args, lower=getattr(explain_mod, name)):
+            lowered.append(lower.__name__)
+            return lower(*args)
+        monkeypatch.setattr(explain_mod, name, spy)
+        monkeypatch.setattr(enc, name, spy)
+    for clf, inst, lowering in _ella_adapters(ella_sdd, ella_obdd, ella_xpg, ella_instance):
+        lowered.clear()
+        F.find_axp(clf, inst, range(1, 5))
+        for method in ("two-step", "one-step"):
+            assert decide_membership(FmpQuery(clf, inst, 3, method)).membership
+        F.build_encoding(FmpQuery(clf, inst, 3, "two-step"))
+        assert lowered == [lowering], (type(clf).__name__, inst)
+    # a second instance on the same adapter is a second record
+    clf = F.SddClassifier(ella_sdd)
+    lowered.clear()
+    for inst in (ella_instance, F.Instance((1, 0, 1, 1), 1), ella_instance):
+        decide_membership(FmpQuery(clf, inst, 3))
+    assert lowered == ["_lower_sdd", "_lower_sdd"]
+
+
+def test_a_checks_only_query_emits_no_replica_0(ella_sdd, ella_obdd, ella_xpg, ella_instance):
+    checks = [lambda clf, inst: F.find_axp(clf, inst, range(1, 5)),
+              lambda clf, inst: F.find_cxp(clf, inst, range(1, 5)),
+              lambda clf, inst: F.is_weak_axp(clf, inst, {1, 3})]
+    for clf, inst, _ in _ella_adapters(ella_sdd, ella_obdd, ella_xpg, ella_instance):
+        for check in checks:
+            fresh = _fresh(clf)
+            check(fresh, inst)
+            assert fresh.circuit_for(inst).gates is not None
+            assert fresh.circuit_for(inst).store == {}, (type(clf).__name__, inst)
+
+
 # ------------------------------------------------- replica 0 kept per instance
 
 def _fresh(clf):
@@ -441,7 +515,7 @@ def test_a_sweep_on_one_adapter_matches_a_fresh_adapter_per_query(ella_sdd, ella
         for t, method in ascending + interleaved:
             assert _answer(clf, inst, t, method) == cold[t, method], (
                 type(clf).__name__, inst, t, method)
-        assert clf.encoding_store(inst)  # the sweep filled it once
+        assert clf.circuit_for(inst).store  # the sweep filled it once
 
 
 def test_a_sweep_packs_replica_0_once(ella_sdd, ella_instance, monkeypatch):
@@ -470,7 +544,7 @@ def test_a_sweep_packs_replica_0_once(ella_sdd, ella_instance, monkeypatch):
         for method in ("two-step", "one-step"):
             for t in range(1, clf.num_features + 1):
                 decide_membership(FmpQuery(clf, inst, t, method))
-        replica0 = clf.encoding_store(inst)["cnf"].clauses
+        replica0 = clf.circuit_for(inst).store["cnf"].clauses
         assert replica0 and {packed[id(clause)] for clause in replica0} == {1}
         assert len(predicted) == isinstance(clf, F.SddClassifier)
 
@@ -492,7 +566,7 @@ def test_a_deadline_while_replica_0_is_packed_keeps_no_packing(ella_sdd, ella_in
     clf = F.SddClassifier(ella_sdd)
     with pytest.raises(SolverTimeout, match="solve exceeded its time limit"):
         decide_membership(FmpQuery(clf, ella_instance, 3, "two-step", time_limit_s=60.0))
-    base = clf.encoding_store(ella_instance)["cnf"]
+    base = clf.circuit_for(ella_instance).store["cnf"]
     clauses, result = calls[0]
     assert clauses is base.clauses and result == (kernel.UNKNOWN, None, None)
     assert base.packed is None
@@ -514,7 +588,7 @@ def test_a_deadline_before_replica_0_leaves_the_store_empty(ella_sdd, ella_obdd,
             now[0] = time.time() + 2.0  # past the query's deadline from the start
             with pytest.raises(SolverTimeout, match="before replica 0$"):
                 decide_membership(FmpQuery(clf, inst, 3, method, time_limit_s=1.0))
-            assert clf.encoding_store(inst) == {}
+            assert clf.circuit_for(inst).store == {}
         now[0] = 0.0
         for method in ("two-step", "one-step"):
             assert _answer(clf, inst, 3, method) == _answer(_fresh(clf), inst, 3, method)
