@@ -309,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # the cyclic parser is garbage before the pause
     try:
         with collector_paused():
             return args.func(args)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import Collection, Iterable, Sequence
 
@@ -158,9 +159,8 @@ def _lower_xpg(graph: xpg_mod.XpGraph):
     return gates, graph._topo + [len(nodes)]
 
 
-def _cone(gates, order: list[int], num_features: int):
-    """The gates of ``order`` that its last gate, the output, depends on,
-    and for each operand the positions in that list of the gates reading it."""
+def _cone(gates, order: list[int], num_features: int) -> list[int]:
+    """The gates of ``order`` that its last gate, the output, depends on."""
     # indexed like a replica's values, so a guard -i marks an entry past the gates
     needed = bytearray(len(gates) + num_features)
     needed[order[-1]] = 1
@@ -169,14 +169,18 @@ def _cone(gates, order: list[int], num_features: int):
             for term in gates[j]:
                 for o in term:
                     needed[o] = 1
-    cone = [j for j in order if needed[j]]
-    readers: list[list[int]] = [[] for _ in needed]
+    return [j for j in order if needed[j]]
+
+
+def _cone_readers(gates, cone: list[int], num_features: int) -> list[tuple[int, ...]]:
+    """For each operand, the positions in ``cone`` of the gates reading it."""
+    readers: list[list[int]] = [[] for _ in range(len(gates) + num_features)]
     for p, j in enumerate(cone):
         for term in gates[j]:
             for o in term:
                 readers[o].append(p)
     # kept with the circuit: tuples hold it in less memory, and () is shared
-    return cone, [tuple(r) for r in readers]
+    return [tuple(r) for r in readers]
 
 
 def _live_terms(gates, cone: list[int], val: list) -> list:
@@ -228,25 +232,34 @@ class _Circuit:
     folded once, whose output is FALSE exactly on the weak AXps.
 
     The CNF encoder emits its replicas from the output's structural
-    cone: ``cone``, each operand's readers in it (``cone_readers``), the
-    guard and constant values ``val`` and each cone gate's ``live``
-    terms; it keeps replica 0 in ``store``. The checks evaluate a pruned
-    view of the same live terms, made by their first pass: a gate whose
-    only live term is one operand is that operand, and the cone is taken
-    again from the output, so they never evaluate a gate that folding
-    made redundant.
+    cone: ``cone``, each operand's readers in it (``cone_readers``, made
+    on the encoder's first read, so a checks-only query never makes
+    them), the guard and constant values ``val`` and each cone gate's
+    ``live`` terms; it keeps replica 0 in ``store``. The checks evaluate
+    a pruned view of the same live terms, made by their first pass: a
+    gate whose only live term is one operand is that operand, and the
+    cone is taken again from the output, so they never evaluate a gate
+    that folding made redundant.
     """
 
     def __init__(self, gates, order: list[int], num_features: int):
         if any(len(term) > 2 for terms in gates for term in terms):
             raise EncodingError("a lowered term has more than two operands")
         self.num_features = num_features
-        self.cone, self.cone_readers = _cone(gates, order, num_features)
+        self._lowered = gates  # until the encoder's first read of cone_readers
+        self.cone = _cone(gates, order, num_features)
         # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
         self.val = [None] * len(gates) + [-i for i in range(num_features, 0, -1)]
         self.live = _live_terms(gates, self.cone, self.val)
         self.store: dict = {}
         self.gates: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None  # the view
+
+    @cached_property
+    def cone_readers(self) -> list[tuple[int, ...]]:
+        """Made from the lowering once, which is then let go."""
+        readers = _cone_readers(self._lowered, self.cone, self.num_features)
+        del self._lowered
+        return readers
 
     def _prune(self) -> None:
         """Make the checks' view: its gates, each as (gate, terms), its

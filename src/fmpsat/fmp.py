@@ -95,6 +95,11 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
     return cnf, vm, False
 
 
+# objects frozen before fmpsat was imported: CPython 3.12 starts with some of
+# its own (375 tuples on 3.12.1), which the pause may move like the rest
+_FROZEN_AT_IMPORT = gc.get_freeze_count()
+
+
 @contextmanager
 def collector_paused():
     """Pause CPython's cyclic garbage collector for the block, and leave
@@ -104,16 +109,35 @@ def collector_paused():
     lists, which the collector would walk again and again though none
     of them can be part of a reference cycle: the query path creates
     none, so reference counting frees all it drops and the pause leaves
-    no garbage behind. `cli.main` pauses around its subcommand; its
-    argparse parser, built before, is cyclic (about 440 objects per
-    call) and is freed once the collector resumes.
+    no garbage behind.
+
+    When the collector was enabled, the pause also keeps the first
+    young collection after it from walking the query's survivors (a
+    record's circuit and store: ~30k objects on an m=100 desk diagram).
+    At entry a collection of the two young generations frees the
+    caller's young cyclic garbage and moves what survives to the oldest
+    generation. At exit, unless the caller has frozen objects of their
+    own (more than were frozen when fmpsat was imported),
+    ``gc.freeze(); gc.unfreeze()`` moves everything young, which is now
+    only what the block (and any other thread meanwhile) made, to the
+    oldest generation unwalked.
+    Exit alone would leak: it would promote the caller's young garbage
+    too, where only a full collection, which promotion never schedules,
+    frees it. A caller that allocates cycles between queries would then
+    keep them all. `cli.main` drops its argparse parser, which is
+    cyclic, before it pauses, so the entry collection frees it.
     """
     enabled = gc.isenabled()
+    if enabled:
+        gc.collect(1)
     gc.disable()
     try:
         yield
     finally:
         if enabled:
+            if gc.get_freeze_count() in (0, _FROZEN_AT_IMPORT):
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

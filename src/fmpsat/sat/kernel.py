@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import islice, repeat
 
 SAT = 10
 UNSAT = 20
@@ -37,7 +37,8 @@ UNKNOWN = 0
 
 # the deadline is read after at most this many watch visits, and on every conflict
 _POLL_VISITS = 1 << 14
-# clean_clauses reads the deadline before each batch of this many clauses
+# a pass over the clauses (packing, copying, watching) reads the deadline
+# before each batch of this many
 _POLL_CLAUSES = 1 << 12
 
 
@@ -87,8 +88,8 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
     seen = [False] * n_vars
     trail: list[int] = []
     trail_lim: list[int] = []
-    queued: list[bool] = []
-    heap = _free_heap(value, activity, queued)
+    queued = [True] * n_vars
+    heap = list(zip(repeat(-0.0), range(n_vars)))  # every variable free at activity 0: a heap
     watches: list[list] = [[] for _ in range(2 * n_vars)]
 
     qhead = 0
@@ -116,10 +117,14 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
         elif value[code] is False:
             return UNSAT, None, _counters()
 
-    # watch the first two literals of every input clause
-    for clause in clauses:
-        watches[clause[0]].append(clause)
-        watches[clause[1]].append(clause)
+    # watch the first two literals of every input clause, reading the
+    # deadline between batches (the read at entry covers the first)
+    for start in range(0, len(clauses), _POLL_CLAUSES):
+        if start and now() > deadline:
+            return UNKNOWN, None, _counters()
+        for clause in clauses[start:start + _POLL_CLAUSES]:
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
 
     while True:
         # ------------------------------------------------------ propagate
@@ -295,7 +300,7 @@ def _search(n_vars, clauses, units, deadline):  # noqa: C901
         # -------------------------------------------------------- decide
         if len(trail) == n_vars:
             status = SAT
-            model = [1 if x else 0 for x in value[0::2]]
+            model = list(map(int, value[0::2]))
             break
         if len(heap) > 4 * n_vars:
             heap = _free_heap(value, activity, queued)
@@ -384,14 +389,21 @@ def search(num_vars, clauses, deadline=math.inf, prefix=((), ())):
     units, then those of ``clauses``, and works on
     fresh copies of its body before the clauses packed here, so it runs
     as on one packing of the whole list. The status is UNKNOWN when the
-    deadline (a ``time.time()`` value) passes, during clause packing or
-    during the search.
+    deadline (a ``time.time()`` value) passes, during clause packing,
+    while the prefix's body is copied, or during the search.
     """
+    now = time.time
     status, units, body = clean_clauses(num_vars, clauses, deadline)
     if body is None:
         return status, None, _counters()
     units0, body0 = prefix
-    return _search(num_vars, [*map(list.copy, body0), *body], [*units0, *units], deadline)
+    copies: list[list[int]] = []
+    for start in range(0, len(body0), _POLL_CLAUSES):
+        if now() > deadline:
+            return UNKNOWN, None, _counters()
+        copies += map(list.copy, body0[start:start + _POLL_CLAUSES])
+    copies += body
+    return _search(num_vars, copies, [*units0, *units], deadline)
 
 
 def model_satisfies(clauses, model) -> bool:

@@ -1,9 +1,12 @@
 """Membership decisions, witness extraction, generators, and batches."""
 
+import argparse
 import gc
+import hashlib
 import io
 import math
 import time
+import weakref
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -459,6 +462,21 @@ def test_a_checks_only_query_emits_no_replica_0(ella_sdd, ella_obdd, ella_xpg, e
             check(fresh, inst)
             assert fresh.circuit_for(inst).gates is not None
             assert fresh.circuit_for(inst).store == {}, (type(clf).__name__, inst)
+            assert "cone_readers" not in vars(fresh.circuit_for(inst))
+
+
+def test_the_cone_readers_are_made_on_the_first_encoding():
+    # a checks-only call leaves the encoder's readers unmade; the encoding
+    # that makes them later keeps the bytes of the pinned desk file
+    clf = F.ObddClassifier(F.parse_obdd((DESK / "obdd-m60.obdd").read_text()))
+    inst = F.parse_instance((DESK / "obdd-m60-q0.inst").read_text())
+    F.find_axp(clf, inst, range(1, 61))
+    circuit = clf.circuit_for(inst)
+    assert "cone_readers" not in vars(circuit)
+    cnf, vm, _ = F.build_encoding(FmpQuery(clf, inst, 48, "one-step"))
+    digest = hashlib.sha256("".join(enc.iter_dimacs(cnf, vm)).encode()).hexdigest()
+    assert digest == (DATA / "obdd-m60-q0-t48-onestep.sha256").read_text().strip()
+    assert "cone_readers" in vars(circuit) and not hasattr(circuit, "_lowered")
 
 
 # ------------------------------------------------- replica 0 kept per instance
@@ -691,6 +709,134 @@ def test_queries_leave_no_cyclic_garbage(ella_sdd, ella_obdd, ella_instance):
             gc.enable()
     assert unreachable == 0
     assert answers["Yes"] and answers["No"]
+
+
+def test_cli_subcommands_leave_no_cyclic_garbage(tmp_path, capsys, monkeypatch):
+    # the same for the subcommands, once their one cyclic structure, the
+    # argparse parser, is out of the way: built once before and kept
+    ella = ["--obdd", str(DATA / "ella.obdd"), "--instance", str(DATA / "ella.inst")]
+    sdd = ["--sdd", str(DATA / "ella.sdd"), "--vtree", str(DATA / "ella.vtree"),
+           "--instance", str(DATA / "ella.inst")]
+    argvs = [["fmp", *ella, "--target", "3"],
+             ["fmp", *sdd, "--target", "2", "--method", "one-step"],
+             ["fmp", *ella, "--target", "3", "--time-limit-s", "1e-9"],
+             ["encode", *ella, "--target", "3"],
+             ["encode", *sdd, "--target", "1", "--out", str(tmp_path / "query.cnf")],
+             ["axp", *sdd], ["cxp", *ella], ["enum", *sdd],
+             ["enum", "--xpg", str(DATA / "ella.xpg")]]
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        codes = [cli.main(argv) for argv in argvs]
+        unreachable = gc.collect()
+    finally:
+        if was:
+            gc.enable()
+    assert codes == [0, 1, 2, 0, 0, 0, 0, 0, 0]
+    assert unreachable == 0
+
+
+class _Cycle:
+    """An object that only the cyclic collector can free."""
+
+    def __init__(self):
+        self.me = self
+
+
+def _collector_on(test):
+    """Run ``test`` with the collector enabled, and leave it as it was."""
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        return test()
+    finally:
+        if not was:
+            gc.disable()
+
+
+def test_a_query_promotes_its_survivors_unwalked():
+    # the first young collection after a query would walk every object the
+    # query left alive (~30k here); the query leaves them in the oldest
+    # generation, and no young collection has run since it started
+    clf = F.ObddClassifier(F.parse_obdd((DESK / "obdd-m100.obdd").read_text()))
+    inst = F.parse_instance((DESK / "obdd-m100-q1.inst").read_text())
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    def query():
+        gc.callbacks.append(record)
+        try:
+            decide_membership(FmpQuery(clf, inst, 31))
+            circuit = clf.circuit_for(inst)
+            return any(o is circuit for o in gc.get_objects(2))
+        finally:
+            gc.callbacks.remove(record)
+
+    assert _collector_on(query)
+    assert 0 not in started, started
+
+
+def test_queries_reclaim_the_callers_young_garbage(ella_obdd_clf, ella_instance):
+    # promoting at exit alone would move the caller's young cycles to the
+    # oldest generation too, which promotion never schedules a collection
+    # of; the collection at entry frees them first
+    alive = weakref.WeakSet()
+
+    def queries():
+        for _ in range(2000):
+            alive.add(_Cycle())
+            decide_membership(FmpQuery(ella_obdd_clf, ella_instance, 3))
+
+    _collector_on(queries)
+    assert len(alive) <= 1
+
+
+def test_cli_calls_leave_no_parser(capsys):
+    argv = ["axp", "--obdd", str(DATA / "ella.obdd"), "--instance", str(DATA / "ella.inst")]
+
+    def calls():
+        gc.collect()  # parsers earlier tests left for a full collection
+        return {cli.main(argv) for _ in range(300)}
+
+    assert _collector_on(calls) == {0}
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, argparse.ArgumentParser) and o.prog.startswith("fmpsat")]
+
+
+def test_a_query_keeps_the_callers_frozen_objects(ella_obdd_clf, ella_instance):
+    def frozen_query():
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            decide_membership(FmpQuery(ella_obdd_clf, ella_instance, 3))
+            return frozen, gc.get_freeze_count()
+        finally:
+            gc.unfreeze()
+
+    frozen, after = _collector_on(frozen_query)
+    assert after == frozen > 0
+
+
+def test_a_query_leaves_a_disabled_collectors_generations_alone(ella_obdd_clf, ella_instance):
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        garbage = weakref.ref(_Cycle())
+        young = _Cycle()
+        older, frozen = gc.get_count()[1:], gc.get_freeze_count()
+        decide_membership(FmpQuery(ella_obdd_clf, ella_instance, 3))
+        assert garbage() is not None  # nothing collected
+        assert any(o is young for o in gc.get_objects(0))  # nothing promoted
+        assert (gc.get_count()[1:], gc.get_freeze_count()) == (older, frozen)
+    finally:
+        if was:
+            gc.enable()
 
 
 # Pinned outcomes of fixed-seed queries, keyed by the (kind, m, node budget,

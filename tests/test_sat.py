@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmpsat import errors as errors_mod
 from fmpsat.encode import CnfFormula
 from fmpsat.errors import (
     SolverError,
@@ -365,6 +366,73 @@ def test_deadline_passing_during_propagation_returns_the_counters(monkeypatch):
     assert (status, model) == (kernel.UNKNOWN, None)
     assert stats == kernel._counters(propagations=stats["propagations"])
     assert 8 <= stats["propagations"] < 99
+
+
+def _read_by_pass(monkeypatch, passes_at=None):
+    """Batches of 4 clauses, and a clock that names the function reading
+    it for each read; it passes the deadline 5.0 from the ``passes_at``-th
+    read on."""
+    monkeypatch.setattr(kernel, "_POLL_CLAUSES", 4)
+    reads = []
+
+    def clock():
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "check_deadline":
+            frame = frame.f_back
+        reads.append(frame.f_code.co_name)
+        return 10.0 if passes_at is not None and len(reads) >= passes_at else 0.0
+
+    monkeypatch.setattr(kernel, "time", SimpleNamespace(time=clock))
+    monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=clock))
+    return reads
+
+
+def _based_formula():
+    """A copy of a 24-clause base with 16 clauses appended; each clause has
+    two or three literals on distinct variables."""
+    rng = np.random.default_rng(5)
+    clauses = [tuple(int(v) * int(rng.choice((-1, 1)))
+                     for v in rng.choice(np.arange(1, 31), size=2 + k % 2, replace=False))
+               for k in range(40)]
+    base = CnfFormula(30, clauses[:24])
+    cnf = base.copy()
+    for clause in clauses[24:]:
+        cnf.add(clause)
+    return base, cnf
+
+
+# the reads before the search, a batch of 4 clauses per read in each pass: the
+# base's literal check, packing and private copy, then the appended clauses'
+# literal check and packing, the search's copy of the base's packing, and the
+# watches of all 40, whose first batch the search's read at entry covers
+FIRST_SOLVE_READS = (["solve"] + ["_check_literals"] * 6 + ["clean_clauses"] * 6
+                     + ["_packed_base"] * 6 + ["_check_literals"] * 4 + ["clean_clauses"] * 4
+                     + ["search"] * 6 + ["_search"] * 10)
+
+
+def test_every_pass_before_the_search_reads_the_deadline_per_batch(monkeypatch):
+    reads = _read_by_pass(monkeypatch)
+    base, cnf = _based_formula()
+    assert solve(cnf, deadline=5.0).satisfiable
+    assert reads[:len(FIRST_SOLVE_READS)] == FIRST_SOLVE_READS
+    # a second copy of the base reuses its checked packing and private copy
+    reads.clear()
+    again = base.copy()
+    again.clauses += cnf.clauses[24:]
+    assert solve(again, deadline=5.0).satisfiable
+    reused = FIRST_SOLVE_READS[:1] + FIRST_SOLVE_READS[19:]
+    assert reads[:len(reused)] == reused
+
+
+def test_a_deadline_passing_before_any_batch_stops_the_solve(monkeypatch):
+    # the base keeps its packing only once its private copy is complete
+    for passes_at in range(1, len(FIRST_SOLVE_READS) + 1):
+        reads = _read_by_pass(monkeypatch, passes_at)
+        base, cnf = _based_formula()
+        with pytest.raises(SolverTimeout):
+            solve(cnf, deadline=5.0)
+        assert len(reads) == passes_at
+        assert (base.packed is None) == (passes_at <= 19), passes_at
 
 
 # ---------------------------------------------------- pinned trajectories
