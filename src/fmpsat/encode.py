@@ -12,12 +12,13 @@ Each query reads explain's `_Circuit`: OR gates over AND terms of at
 most two operands, other gates and guards -s_i ("feature i is not
 selected"); an explanation graph's nodes and the OR of its 0-terminals,
 or an SDD's nodes with its root as the output. It is made by the one
-lowering of each language and folded once by `explain._live_terms`:
-each gate of the output's structural cone becomes TRUE or FALSE, or
-gets its live terms, with constant operands left out. Freeing a feature
-only turns guards TRUE, so a constant gate is the same constant in
-every replica and no live operand is ever FALSE. An XpG encoder
-refuses a graph without a 0-terminal (``EncodingError``).
+lowering of each language and folded once by `explain._fold`: each
+gate becomes TRUE or FALSE, or gets its live terms, with constant
+operands left out, and only the gates the output reads through live
+terms are kept. Freeing a feature only turns guards TRUE, so a constant
+gate is the same constant in every replica and no live operand is ever
+FALSE. An XpG encoder refuses a graph without a 0-terminal
+(``EncodingError``).
 
 Replica k reads the guard -s_k as TRUE; replica 0 keeps the output
 FALSE, and replica k ties it to s_k. One emitter, `_emit_replica`,
@@ -29,11 +30,12 @@ a gate's k two-literal terms the first k - 2, in term order, get one:
 the rule "a term gets a variable where that takes fewer clauses" in
 closed form. Replica k ≥ 1 re-evaluates only the gates with an operand
 it changed, and inside them keeps replica 0's variable for each term
-whose operands are unchanged. The emitter reads the structural cone,
-not the checks' pruned view, so a gate that only constant-TRUE gates or
-dropped terms read still gets its variable and clauses, and equal
-literals inside a gate are not merged: removing either changes the
-bytes of every file that has them.
+whose operands are unchanged. The emitter reads the same gate set as
+the weak-AXp checks, so replica 0 defines no gate that only constant
+gates or dropped terms read; a replica k ≥ 1 may still define a gate
+whose every reader freeing feature k makes TRUE. Equal literals inside
+a gate are not merged: that changes the bytes of every file that has
+them.
 
 Variable numbering is fixed for byte-stable output: the selector block
 comes first (variables 1..m), then one block per replica in ascending

@@ -11,16 +11,17 @@ guards "feature i is free" whose output is FALSE exactly on the weak
 AXps: an SDD's decision nodes become ORs of (prime AND sub), a literal
 the instance satisfies TRUE and one it falsifies the guard of its
 feature; an explanation graph's nodes become their activation and the
-output the OR of its 0-terminals. One pass folds its constants. The
-CNF encoder reads the output's structural cone; the checks here read a
-pruned view of the same live terms. A weak-AXp test is one full
-bottom-up pass, and so is the check of a witness W: its pass runs on
-int bitmasks, one bit per selection, so it decides W and every W - {i}
-at once. The deletion scans of `find_axp` and `find_cxp` keep one value
-array live instead: freeing (AXp) or pinning (CXp) a feature moves
-every gate it changes the same way, so a step re-evaluates only the
-readers of changed operands, stops once the output flips, and undoes
-what it changed.
+output the OR of its 0-terminals. One pass folds its constants and
+keeps the gates the output reads through live terms; the CNF encoder
+emits those gates, and the checks here read a view of the same ones in
+which a gate whose only live term is one operand is that operand. A
+weak-AXp test is one full bottom-up pass, and so is the check of a
+witness W: its pass runs on int bitmasks, one bit per selection, so it
+decides W and every W - {i} at once. The deletion scans of `find_axp`
+and `find_cxp` keep one value array live instead: freeing (AXp) or
+pinning (CXp) a feature moves every gate it changes the same way, so a
+step re-evaluates only the readers of changed operands, stops once the
+output flips, and undoes what it changed.
 
 The witness check reads the circuit, not the CNF, so it catches a fault
 in the replica emitter, the solver or the decoding of a model, but not
@@ -159,45 +160,26 @@ def _lower_xpg(graph: xpg_mod.XpGraph):
     return gates, graph._topo + [len(nodes)]
 
 
-def _cone(gates, order: list[int], num_features: int) -> list[int]:
-    """The gates of ``order`` that its last gate, the output, depends on."""
-    # indexed like a replica's values, so a guard -i marks an entry past the gates
-    needed = bytearray(len(gates) + num_features)
-    needed[order[-1]] = 1
-    for j in reversed(order):
-        if needed[j]:
-            for term in gates[j]:
-                for o in term:
-                    needed[o] = 1
-    return [j for j in order if needed[j]]
-
-
-def _cone_readers(gates, cone: list[int], num_features: int) -> list[tuple[int, ...]]:
-    """For each operand, the positions in ``cone`` of the gates reading it."""
-    readers: list[list[int]] = [[] for _ in range(len(gates) + num_features)]
-    for p, j in enumerate(cone):
-        for term in gates[j]:
-            for o in term:
-                readers[o].append(p)
-    # kept with the circuit: tuples hold it in less memory, and () is shared
-    return [tuple(r) for r in readers]
-
-
-def _live_terms(gates, cone: list[int], val: list) -> list:
-    """Fold the circuit's constants once: each cone gate's live terms, in
-    cone order.
+def _fold(gates, order: list[int], val: list) -> tuple[list[int], list]:
+    """Fold the circuit's constants once, then keep the gates the output reads.
 
     ``val`` holds the guards, and the pass writes TRUE or FALSE into it
-    for each gate that is constant: one with a term whose operands are
-    all TRUE, or with no term left once the terms with a FALSE operand
-    are dropped. A constant gate gets None; any other gets its live
-    terms, (term index, operand, operand or None), with TRUE operands
-    left out. Freeing a feature only turns guards TRUE, so a constant
-    gate is the same constant under every selection and in every
-    replica, and no live operand is ever FALSE.
+    for each gate of ``order`` that is constant: one with a term whose
+    operands are all TRUE, or with no term left once the terms with a
+    FALSE operand are dropped. Any other gate gets its live terms,
+    (term index, operand, operand or None), with TRUE operands left
+    out. Freeing a feature only turns guards TRUE, so a constant gate is
+    the same constant under every selection and in every replica, and no
+    live operand is ever FALSE.
+
+    A needed-pass from the output over the live terms then keeps, in
+    order, the gates the output reads, each with its live terms. No live
+    term reads a constant, so only the output can be one (its terms are
+    None), and a gate that only constant gates or dropped terms read is
+    left out.
     """
-    live = []
-    for j in cone:
+    folded: list = [None] * len(gates)
+    for j in order:
         terms = []
         for i, term in enumerate(gates[j]):
             a, b = term + (None,) * (2 - len(term))  # a missing operand is TRUE
@@ -216,8 +198,20 @@ def _live_terms(gates, cone: list[int], val: list) -> list:
         else:
             if not terms:
                 val[j] = _FALSE
-        live.append(tuple(terms) if val[j] is None else None)
-    return live
+        folded[j] = tuple(terms) if val[j] is None else None
+    # indexed like the values, so a guard -i marks an entry past the gates
+    needed = bytearray(len(val))
+    needed[order[-1]] = 1
+    cone = []
+    for j in reversed(order):
+        if needed[j]:
+            cone.append(j)
+            for _, a, b in folded[j] or ():
+                needed[a] = 1
+                if b is not None:
+                    needed[b] = 1
+    cone.reverse()
+    return cone, [folded[j] for j in cone]
 
 
 # The checks' view indexes its values by operand: TRUE at 0, the guard of
@@ -231,40 +225,43 @@ class _Circuit:
     """The weak-AXp circuit of one classifier and instance: its lowering,
     folded once, whose output is FALSE exactly on the weak AXps.
 
-    The CNF encoder emits its replicas from the output's structural
-    cone: ``cone``, each operand's readers in it (``cone_readers``, made
+    `_fold` gives the one gate set that the encoder and the checks read:
+    ``cone``, the gates the output reads through live terms, in
+    evaluation order, and each one's ``live`` terms, with the guard and
+    constant values in ``val``. The CNF encoder emits its replicas from
+    them and each operand's readers in the cone (``cone_readers``, made
     on the encoder's first read, so a checks-only query never makes
-    them), the guard and constant values ``val`` and each cone gate's
-    ``live`` terms; it keeps replica 0 in ``store``. The checks evaluate
-    a pruned view of the same live terms, made by their first pass: a
-    gate whose only live term is one operand is that operand, and the
-    cone is taken again from the output, so they never evaluate a gate
-    that folding made redundant.
+    them); it keeps replica 0 in ``store``. The checks evaluate a view of
+    the same gates, made by their first pass, in which a gate whose only
+    live term is one operand is that operand.
     """
 
     def __init__(self, gates, order: list[int], num_features: int):
         if any(len(term) > 2 for terms in gates for term in terms):
             raise EncodingError("a lowered term has more than two operands")
         self.num_features = num_features
-        self._lowered = gates  # until the encoder's first read of cone_readers
-        self.cone = _cone(gates, order, num_features)
         # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
         self.val = [None] * len(gates) + [-i for i in range(num_features, 0, -1)]
-        self.live = _live_terms(gates, self.cone, self.val)
+        self.cone, self.live = _fold(gates, order, self.val)
         self.store: dict = {}
         self.gates: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None  # the view
 
     @cached_property
     def cone_readers(self) -> list[tuple[int, ...]]:
-        """Made from the lowering once, which is then let go."""
-        readers = _cone_readers(self._lowered, self.cone, self.num_features)
-        del self._lowered
-        return readers
+        """For each operand, the positions in ``cone`` of the gates whose
+        live terms read it."""
+        readers: list[list[int]] = [[] for _ in self.val]
+        for p, terms in enumerate(self.live):
+            for _, a, b in terms or ():
+                readers[a].append(p)
+                if b is not None:
+                    readers[b].append(p)
+        # kept with the circuit: tuples hold it in less memory, and () is shared
+        return [tuple(r) for r in readers]
 
     def _prune(self) -> None:
         """Make the checks' view: its gates, each as (gate, terms), its
-        output, and each operand's readers among the gates the output
-        depends on."""
+        output, and each operand's readers among them."""
         m = self.num_features
         false = self.false = m + 1
         val = self.val
@@ -281,25 +278,19 @@ class _Circuit:
             else:
                 ref[j] = gate = false + 1 + len(gates)
                 gates.append((gate, mapped))
-        output = self.output = ref[self.cone[-1]]
+        self.output = ref[self.cone[-1]]
         size = false + 1 + len(gates)
-        needed = bytearray(size)
-        needed[output] = 1
-        for gate, terms in reversed(gates):
-            if needed[gate]:
-                for a, b in terms:
-                    needed[a] = needed[b] = 1
-        self.gates = [(gate, terms) for gate, terms in gates if needed[gate]]
         # per operand o: (gate, other, terms) for each term of a gate that
         # ANDs o with other
         readers = self.readers = [[] for _ in range(size)]
-        for gate, terms in self.gates:
+        for gate, terms in gates:
             for a, b in terms:
                 readers[a].append((gate, b, terms))
                 if b != a:
                     readers[b].append((gate, a, terms))
         self.base = [False] * size
         self.base[_TRUE_AT] = True
+        self.gates = gates
 
     def evaluate(self, free: list[bool]) -> list[bool]:
         """One full bottom-up pass with guard i set to ``free[i - 1]``."""

@@ -371,7 +371,7 @@ def test_encode_keeps_the_bytes_of_a_desk_one_step_file(capsys, tmp_path):
 
 def test_encode_keeps_the_bytes_of_the_largest_desk_one_step_file(capsys, tmp_path):
     # desk query obdd-m100-q0 with target 84 gives the largest one-step file
-    # of the desk: 72,184 variables and 336,415 clauses, pinned the same way
+    # of the desk: 71,884 variables and 334,872 clauses, pinned the same way
     out_path = tmp_path / "m100.cnf"
     code, _, _ = run(capsys, ["encode", "--obdd", str(DESK / "obdd-m100.obdd"),
                               "--instance", str(DESK / "obdd-m100-q0.inst"), "--target", "84",

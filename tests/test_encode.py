@@ -650,61 +650,143 @@ def test_folded_constants_hold_in_every_replica_and_selection():
         for k in range(m + 1):
             # operand -i reads guard i, as in the encoder's values
             value = [0] * len(gates) + [every if i == k else free[i - 1] for i in range(m, 0, -1)]
-            for j in cone:
+            for j in order:
                 for term in gates[j]:
                     conjunction = every
                     for o in term:
                         conjunction &= value[o]
                     value[j] |= conjunction
-            for j, terms in zip(cone, live):
-                if terms is None:
+            # every gate the fold made constant, read by the output or not
+            for j in order:
+                if val[j] is not None:
                     assert value[j] == (every if val[j] is enc._TRUE else 0), (k, j)
-                else:
+            for j, terms in zip(cone, live):
+                if terms is not None:
                     assert all(value[o] for _, a, b in terms for o in (a, b) if o is not None), (k, j)
+
+
+def _unread(cnf, vm, replicas):
+    """The gate and term variables of the given replicas that no later
+    definition and no output constraint reads.
+
+    A definition's clauses are the ones whose largest variable is the
+    one it defines, since its operands come before it; every other
+    variable of such a clause is read by it.
+    """
+    m = vm.num_features
+    read = {abs(o) for o in vm.outputs.values() if isinstance(o, int)}
+    for clause in cnf.clauses:
+        top = max(map(abs, clause))
+        read.update(abs(lit) for lit in clause if abs(lit) != top)
+    return [v for v in range(m + 1, cnf.num_vars + 1)
+            if vm._roles[3 * (v - m - 1)] in replicas and v not in read]
+
+
+def _definition_corpus(ella_sdd, ella_obdd, ella_instance):
+    """(name, adapter, instance, targets): Ella and random Shannon and
+    balanced-vtree SDDs, each with an instance of either class."""
+    for inst in (ella_instance, Instance((1, 0, 1, 1), 1)):
+        for clf in (F.SddClassifier(ella_sdd), F.ObddClassifier(ella_obdd)):
+            yield f"ella-{type(clf).__name__}-{inst.label}", clf, inst, range(1, 5)
+    rng = np.random.default_rng(41)
+    for trial in range(4):
+        m = int(rng.integers(5, 10))
+        obdd = generate_random_obdd(m, 4 * m, seed=1600 + trial)
+        for kind, sdd in (("shannon", obdd_to_shannon_sdd(obdd)),
+                          ("balanced", compile_sdd(balanced_vtree(m), random_function(rng, m)))):
+            clf = F.SddClassifier(sdd)
+            instances = {}
+            while len(instances) < 2:
+                inst = random_instance(clf, rng)
+                instances.setdefault(inst.label, inst)
+            for inst in instances.values():
+                yield f"{kind}-m{m}-{trial}-{inst.label}", clf, inst, range(1, m + 1)
+
+
+def _true_with_only_free(circuit, k):
+    """Each cone gate -> whether it is TRUE with feature k free and every
+    other feature pinned: the gates that replica k makes TRUE."""
+    val, true = circuit.val, {}
+
+    def holds(o):
+        if o is None or o < 0:
+            return o is None or -o == k
+        return val[o] is enc._TRUE if val[o] is not None else true[o]
+
+    for j, terms in zip(circuit.cone, circuit.live):
+        true[j] = holds(j) if terms is None else any(holds(a) and holds(b) for _, a, b in terms)
+    return true
+
+
+def test_every_definition_is_read(ella_sdd, ella_obdd, ella_instance):
+    # replica 0 defines only what the output reads; a replica k >= 1 may
+    # still define a gate whose every reader freeing feature k makes TRUE
+    for name, clf, inst, targets in _definition_corpus(ella_sdd, ella_obdd, ella_instance):
+        circuit = clf.circuit_for(inst)
+        for t in targets:
+            for method in ("two-step", "one-step"):
+                cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, method))
+                m = vm.num_features
+                for v in _unread(cnf, vm, range(m + 1)):
+                    k, j, i = vm._roles[3 * (v - m - 1):3 * (v - m)]
+                    assert k and i == -1, (name, t, method, v)
+                    true = _true_with_only_free(circuit, k)
+                    assert all(true[circuit.cone[p]] for p in circuit.cone_readers[j]), (
+                        name, t, method, v)
+    # on the desk's two-step formulas that leaves nothing unread
+    desk = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk"
+    vtree = F.parse_vtree((desk / "sdd-m100.vtree").read_text())
+    clf = F.SddClassifier(F.parse_sdd((desk / "sdd-m100.sdd").read_text(), vtree))
+    for query, t in (("sdd-m100-q0", 8), ("sdd-m100-q2", 79)):
+        inst = F.parse_instance((desk / f"{query}.inst").read_text())
+        cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, "two-step"))
+        assert _unread(cnf, vm, {0, t}) == [], query
 
 
 # ----------------------------------------------------------- byte stability
 
-# SHA-256 of write_dimacs(cnf, vm) for each (case, method) of _digest_corpus,
-# recorded with the general fold (terms of any length) that the two-operand
-# fold replaced; any change to variables, clause order or literals shows here
+# SHA-256 of write_dimacs(cnf, vm) for each (case, method) of _digest_corpus;
+# the OBDD and m = 20, 30 Shannon SDD entries were re-recorded when the
+# encoder stopped defining gates the output does not read, the others are
+# as the general fold (terms of any length) recorded them. Any change to
+# variables, clause order or literals shows here
 ENCODING_DIGESTS = {
-    ("obdd-m10-t7", "one-step"): "ff3bd31f49094897ee2b27dd70708461eb467aaddf76caab6823ed06162a94e3",
-    ("obdd-m10-t7", "two-step"): "12484e53dd2719ee2333cfff8f1e3728d333a3f600f5dcb4364303711b25280d",
-    ("obdd-m10-t9", "one-step"): "21a3b23acbca5a609a6aa1f819e4fe7b936dcd004e2c8ab98e9bf5e8f96220b3",
-    ("obdd-m10-t9", "two-step"): "91a62b6794f775facc78662b4904c41c6f4465862e3339fe5ad3e6b6f3fc5f5b",
-    ("obdd-m10-t10", "one-step"): "dd3ed17d45007881e5c27d4ca47933cf09bf47c5e86c18cbc934650dec7e8f23",
-    ("obdd-m10-t10", "two-step"): "4ed2fa49345fd5eb2e35557a17144a0d849cbb381016581271fe9b507a92c218",
-    ("obdd-m20-t1", "one-step"): "a9a2f596a05bde270a59010485059ce37dce7df0f8bc74e4a1fcf016e2fefcf4",
-    ("obdd-m20-t1", "two-step"): "6ae2929b440dc51a11dc32699c2407ecaa76718bc0e1a94a034dc1f5a07b5ea4",
-    ("obdd-m20-t5", "one-step"): "87eea60d704c0c31c0b2dcc9190c91ac6fa02a567f3cb8c031fd79101e044776",
-    ("obdd-m20-t5", "two-step"): "7f38d27e0e3c5cb59f62248e53ce3f274652aa66ef8ff6261f1e17e4617a2330",
-    ("obdd-m20-t14", "one-step"): "59e387c3c57cab86b5b010b388194421623295f0a4cf32c7faedddd0e6a1e474",
-    ("obdd-m20-t14", "two-step"): "918896ea2fe1ecfb2384827452f0e63cf9cd1489e5c6c1bf194089625967a716",
-    ("obdd-m30-t2", "one-step"): "d46dd2f4f4b905aad82d47a4c629c48b0d58d1567ded6689794b398d44cfd3d1",
-    ("obdd-m30-t2", "two-step"): "32354e08befa014e8829221119f1b142c644a4f53d9630d789b1ede8aa40d51a",
-    ("obdd-m30-t11", "one-step"): "0219a394acab2038d22f53db5ec1e5b644a529530e196f7b12686de7aef28efd",
-    ("obdd-m30-t11", "two-step"): "6ee59576c9a4db313a56cd8166e4ba563a3b87326e4c6542d9464015a1f6d4f6",
-    ("obdd-m30-t25", "one-step"): "c10c69e78d72fc41a18e5ba3aa2659f3c6fb9bee952523a1c10309c810fe9976",
-    ("obdd-m30-t25", "two-step"): "ea10efb1fb5666a5d537960feede5c02fa560d3a73bc513fa7646a3a1ee095c8",
+    ("obdd-m10-t7", "one-step"): "bd6be732cbcefad459e5f8d459b10294a9330a27e17ac1f9771cfb5f69d3f3d6",
+    ("obdd-m10-t7", "two-step"): "50e853be9611eaddad0b00280e8a152333dc430c671711236856a492d995ac8a",
+    ("obdd-m10-t9", "one-step"): "adf5053020ec8be5b72dd3b012e6f62c8a8fd7f8f37d0921ff83c2b6abc3751a",
+    ("obdd-m10-t9", "two-step"): "3135469f4a87e9748ef85b61a5090ec463eb43bced03aff4efa9509a1c898655",
+    ("obdd-m10-t10", "one-step"): "43eb43802c6a9bb8155a3a7e5ae64a43591f7506b9c457394e202fa667e670ef",
+    ("obdd-m10-t10", "two-step"): "377346a5dfad794df687b3550d3ab89d77d464db62d425bb3d64fb1d13bc7827",
+    ("obdd-m20-t1", "one-step"): "5b0b05a47a53f06097ace4adf43853d98d11149a7683edd8b62c0737c2c5ea7e",
+    ("obdd-m20-t1", "two-step"): "3c512696aa38a3c3c4be8f040504a4118064b590faf97514e561a6dfd1d85830",
+    ("obdd-m20-t5", "one-step"): "322e7800ae84619d0fd10650c1be6486e0c7f2f8ead3e0c933528159aca8acf4",
+    ("obdd-m20-t5", "two-step"): "add41a2d90a1e2bc25cb4b90395021b68f81f2fd6178eba2340bf67c69a80756",
+    ("obdd-m20-t14", "one-step"): "7b0d9a87136b4fb015384111f731724263ef3bef6f0c526041e965d8a8cf111d",
+    ("obdd-m20-t14", "two-step"): "89942d7171d635c8b1454c686942b33ca9fad0726977339f3ea49ed6e360462a",
+    ("obdd-m30-t2", "one-step"): "2a79c006df40e2bff5f4164c13b3138f888f7a0407af0ae5273fbf1228c5e067",
+    ("obdd-m30-t2", "two-step"): "b6a5804d7f990e2dea92c26643e01e7e1e8a7b8142fd05c496f970509bee60ed",
+    ("obdd-m30-t11", "one-step"): "5ab4f79cf7fb521be5828e76242a1c7b67fe35397c0f2f1b994a0c3700e25b07",
+    ("obdd-m30-t11", "two-step"): "c458c15ca72914c1e78881ccdd1a2c63f2a9eeee9137d689489b3407de266daf",
+    ("obdd-m30-t25", "one-step"): "5dc38a43f5207a4951737ee72a5e3d7754edd7120f12b8c48e995408fb2505d8",
+    ("obdd-m30-t25", "two-step"): "33e85a83986dc215cb5011258af2c9725ab3e233fedc472c063b0af112eed9d4",
     ("shannon-sdd-m10-t4", "one-step"): "5f29faf93392c13e6395cf2c154326709b0c74e7a7c798aabb77051e7135dc24",
     ("shannon-sdd-m10-t4", "two-step"): "8048535fc49f0a0980f0282eb451ccb541548ec837e683ccb16e988768f17d1c",
     ("shannon-sdd-m10-t6", "one-step"): "37f46c8b94062012fddc7d0fbf0a66b02ba9a50858653b63369e464889e2a2b2",
     ("shannon-sdd-m10-t6", "two-step"): "ee77845c8786318773b694c2c4f411fbec462add49f2e44a15eeec34665684ae",
     ("shannon-sdd-m10-t9", "one-step"): "52693d8c752f2d7707b0a84292b36a1242e6b6d632379a45a6bdf7cf7260f3b6",
     ("shannon-sdd-m10-t9", "two-step"): "8d2ec75d367025c11a2fb568013f9c8cf22f0089aa7d57ece1a35a7003b11593",
-    ("shannon-sdd-m20-t1", "one-step"): "f231144595f39128dacdeb1c9b4cb4fc447e14f12be93053883ad81d9db87a6f",
-    ("shannon-sdd-m20-t1", "two-step"): "7ab3a3fdafb95320003bd40197b6ddcff2f99326155e5c498f7a35873b510cb1",
-    ("shannon-sdd-m20-t4", "one-step"): "96799856a87dea789c4757ca254dd620feb7ec565492c2eda31e9147ccbad7b1",
-    ("shannon-sdd-m20-t4", "two-step"): "4751ab098deb02aa0dd1d0a1c1227e03117ac8db67ef1517c8140a325be0e4bd",
-    ("shannon-sdd-m20-t7", "one-step"): "313893fa99f98a01d2b158224e997de8cc086717bc808a35f4c60dce508a900d",
-    ("shannon-sdd-m20-t7", "two-step"): "5fc7c1d72c8dfed3178dd963c6ec7671752a50fdb9f012a6c75dca59ef5fe716",
-    ("shannon-sdd-m30-t2", "one-step"): "81c34ccad940a2a4c6e199055d6f7c31f40cc3e2cbf6d6b688b3daded4a5981b",
-    ("shannon-sdd-m30-t2", "two-step"): "54dc1d8f8e0b1d5dca1a54625d26097c24941427d10dcd9c691b719cc5bb9314",
-    ("shannon-sdd-m30-t3", "one-step"): "1573486c2d80bddbb8a74eaf06126b9c233d4ea39c89c884da531c21a75f2d21",
-    ("shannon-sdd-m30-t3", "two-step"): "cc2cef231cdde7f65f0d0426f4f69093713f70a0b2b62f6d6e714bcdc48b0f66",
-    ("shannon-sdd-m30-t23", "one-step"): "d0e416277a3f22cd33a73fd328d64de4ef10caa47ac13de8827b85f239c53ce3",
-    ("shannon-sdd-m30-t23", "two-step"): "9e5e93fd018ffd460f60c528853dcea9f3d082b4f85734ba8cccd769a4ef3360",
+    ("shannon-sdd-m20-t1", "one-step"): "59fba04eebfc47d3f6409973d5b44389e0784aaa207552c4f42fee234030b79d",
+    ("shannon-sdd-m20-t1", "two-step"): "77fa5dc845e3eb56990f2df82c8f22110a16a44459275626b5f62932a4babd2e",
+    ("shannon-sdd-m20-t4", "one-step"): "ad3cd430cb10a4701fed24713a849633ae0630c270112ba9da23b959220ba229",
+    ("shannon-sdd-m20-t4", "two-step"): "eb06d0e6a395bd2af93788188c24d54ff93318b5c2d3bf06bb8affc3bb78bcfc",
+    ("shannon-sdd-m20-t7", "one-step"): "623f68c1e1f189ec3d9d1f00b1d20b354220750e6ab0b662bd593799f4fda8c6",
+    ("shannon-sdd-m20-t7", "two-step"): "0a43612ee104776e548134d5bcb096bfa8eb9dca186915c5d7d6745bb8613106",
+    ("shannon-sdd-m30-t2", "one-step"): "0e72334c4e28fa068be52d5d1e9263b49c08f51053702d98253a0ff0de5bebfd",
+    ("shannon-sdd-m30-t2", "two-step"): "b1726ce1b3c4a140e973af3d2bc86283fdfe2873d1edddb2b3a0f21965234817",
+    ("shannon-sdd-m30-t3", "one-step"): "a3f5dcb9b6c09915dffc98e83badfd77d09f30b8f657438477f7763da62424d8",
+    ("shannon-sdd-m30-t3", "two-step"): "39ea4846b4178046dbf073512709efea907c28a18de35f72687a3ca18fe54606",
+    ("shannon-sdd-m30-t23", "one-step"): "d26e50a86e0f6fff1aec7f1135d74cea09526773071570d1c4853e141698006d",
+    ("shannon-sdd-m30-t23", "two-step"): "1e8e40df6043445eddfd358f7144259d34acd14d9402089a6858d5391e128138",
     ("dt-m8-t1", "one-step"): "122ad002b16b277b1eb0cde4e29e4e275f4e145a37f4c672063f59e4b728af90",
     ("dt-m8-t1", "two-step"): "211293036a7669818ddb52b6842e5a6cfba3464068fd5460aa3e7413cfa78bf0",
     ("dt-m8-t4", "one-step"): "cad190cd172e3d2306c18a84d91abc848cfc6255563dfd6ea1ef98668d70c1a5",
