@@ -12,30 +12,32 @@ Each query reads explain's `_Circuit`: OR gates over AND terms of at
 most two operands, other gates and guards -s_i ("feature i is not
 selected"); an explanation graph's nodes and the OR of its 0-terminals,
 or an SDD's nodes with its root as the output. It is made by the one
-lowering of each language and folded once by `explain._fold`: each
-gate becomes TRUE or FALSE, or gets its live terms, with constant
-operands left out, and only the gates the output reads through live
-terms are kept. Freeing a feature only turns guards TRUE, so a constant
-gate is the same constant in every replica and no live operand is ever
-FALSE. An XpG encoder refuses a graph without a 0-terminal
-(``EncodingError``).
+lowering of each language and shaped once by `explain._fold`: a gate
+becomes TRUE or FALSE, or gets its live terms, with constant operands
+left out; a gate whose only live term is one operand is that operand;
+and only the gates the output reads through live terms are kept.
+Freeing a feature only turns guards TRUE, so a constant gate is the
+same constant in every replica and no live operand is ever FALSE. The
+circuit numbers its values in slots: TRUE at 0, the guard -s_i at i,
+FALSE at m + 1, then the gates. An XpG encoder refuses a graph without
+a 0-terminal (``EncodingError``).
 
-Replica k reads the guard -s_k as TRUE; replica 0 keeps the output
+Replica k sets slot k, the guard -s_k, TRUE; replica 0 keeps the output
 FALSE, and replica k ties it to s_k. One emitter, `_emit_replica`,
 makes every replica, 0 and k alike, by folding only live terms. A gate
-that reduces to one literal is that literal, with no variable. A gate's
-clauses include the product of its terms, which each two-literal term
-doubles; a variable of its own costs such a term three clauses. So of
-a gate's k two-literal terms the first k - 2, in term order, get one:
-the rule "a term gets a variable where that takes fewer clauses" in
-closed form. Replica k ≥ 1 re-evaluates only the gates with an operand
-it changed, and inside them keeps replica 0's variable for each term
-whose operands are unchanged. The emitter reads the same gate set as
-the weak-AXp checks, so replica 0 defines no gate that only constant
-gates or dropped terms read; a replica k ≥ 1 may still define a gate
-whose every reader freeing feature k makes TRUE. Equal literals inside
-a gate are not merged: that changes the bytes of every file that has
-them.
+that reduces to one literal in a replica is that literal, with no
+variable. A gate's clauses include the product of its terms, which
+each two-literal term doubles; a variable of its own costs such a term
+three clauses. So of a gate's k two-literal terms the first k - 2, in
+term order, get one: the rule "a term gets a variable where that takes
+fewer clauses" in closed form. Replica k ≥ 1 re-evaluates only the
+gates with an operand it changed, and inside them keeps replica 0's
+variable for each term whose operands are unchanged. The emitter reads
+the gates the weak-AXp checks read, so replica 0 defines no gate that
+only constant gates or dropped terms read; a replica k ≥ 1 may still
+define a gate whose every reader freeing feature k makes TRUE. Equal
+literals inside a gate are not merged: that changes the bytes of every
+file that has them.
 
 Variable numbering is fixed for byte-stable output: the selector block
 comes first (variables 1..m), then one block per replica in ascending
@@ -80,7 +82,7 @@ from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EncodingError, check_deadline
-from .explain import _FALSE, _TRUE, Instance, _Circuit, _lower_sdd, _lower_xpg
+from .explain import Instance, _Circuit, _lower_sdd, _lower_xpg
 from .sdd import Sdd, evaluate
 from .xpg import XpGraph
 
@@ -96,6 +98,11 @@ __all__ = [
     "iter_dimacs",
     "write_dimacs",
 ]
+
+# a constant gate's value in a replica; every other value is a literal
+_TRUE = "T"
+_FALSE = "F"
+
 
 @dataclass
 class CnfFormula:
@@ -250,18 +257,19 @@ def _xpg_circuit(xpg: XpGraph, circuit: _Circuit | None) -> _Circuit:
     return _Circuit(*_lower_xpg(xpg), xpg.num_features) if circuit is None else circuit
 
 
-def _emit_replica(cnf, vm, live, cone, readers, replica, val, term_vars) -> None:
-    """Evaluate the replica's live gates into ``val``, and append their
-    variables, roles and clauses.
+def _emit_replica(cnf, vm, circuit: _Circuit, replica: int, val: list, term_vars: dict) -> None:
+    """Evaluate the replica's gates into ``val``, indexed by the
+    circuit's slots, and append their variables, roles and clauses.
 
-    Replica 0 evaluates every live gate and records in ``term_vars``
-    (gate -> {term index: variable}) the terms that got a variable of
-    their own. Replica k starts from replica 0's values with the guard
-    -s_k made TRUE, and re-evaluates only the gates with an operand it
-    changed; in them, a term whose operands are both unchanged keeps
-    replica 0's variable, if it has one.
+    Replica 0 evaluates every gate and records in ``term_vars``
+    (lowered gate -> {position among its live terms: variable}) the
+    terms that got a variable of their own. Replica k starts from
+    replica 0's values with the guard -s_k, slot k, made TRUE, and
+    re-evaluates only the readers of the slots it changes; in them, a
+    term whose operands are both unchanged keeps replica 0's variable,
+    if it has one.
 
-    A gate folds its live terms: a term whose operands are all TRUE
+    A gate folds its live terms: a term whose operands are both TRUE
     makes it TRUE, other TRUE operands vanish, and a gate left with one
     literal is that literal. Any other gate gets a variable n and the
     clauses of n <-> OR of its terms: for n -> OR the product of the
@@ -272,68 +280,66 @@ def _emit_replica(cnf, vm, live, cone, readers, replica, val, term_vars) -> None
     clauses = cnf.clauses
     roles = vm._roles
     nv = cnf.num_vars
+    ids, terms_of = circuit.ids, circuit.terms
+    first = circuit.num_features + 2  # the first gate's slot
     changed = bytearray(len(val))
-    todo = bytearray(len(cone))  # the positions in the cone to evaluate
+    todo = bytearray(len(val))  # the slots to evaluate
     if replica:
-        val[-replica] = _TRUE
-        changed[-replica] = 1
-        for p in readers[-replica]:
-            todo[p] = 1
+        readers = circuit.readers
+        val[replica] = _TRUE
+        changed[replica] = 1
+        for q, _ in readers[replica]:
+            todo[q] = 1
     else:
-        todo[:] = b"\1" * len(cone)
+        todo[first:] = b"\1" * len(ids)
     p = todo.find(1)
     while p >= 0:
-        terms = live[p]
-        if terms is not None:
-            j = cone[p]
-            kept = term_vars.get(j) if replica else None
-            lits = []  # each term's literals
-            pairs = []  # (position in lits, term index) of the two-literal terms
-            value = _TRUE  # unless the loop runs to its end
-            for i, a, b in terms:
-                x = val[a]
-                if b is None:
-                    if x is _TRUE:
-                        break
-                    lits.append((x,))
-                    continue
-                y = val[b]
-                if x is _TRUE:
-                    if y is _TRUE:
-                        break
-                    lits.append((y,))
-                elif y is _TRUE:
-                    lits.append((x,))
-                elif kept and i in kept and not (changed[a] or changed[b]):
-                    lits.append((kept[i],))
-                else:
-                    pairs.append((len(lits), i))
-                    lits.append((x, y))
+        g = p - first
+        j = ids[g]
+        kept = term_vars.get(j) if replica else None
+        lits = []  # one entry per live term, its literals, until the gate is TRUE
+        pairs = []  # the positions in lits of the two-literal terms
+        value = _TRUE  # unless the loop runs to its end
+        for a, b in terms_of[g]:
+            x = val[a]
+            y = val[b]
+            if x is _TRUE:
+                if y is _TRUE:
+                    break
+                lits.append((y,))
+            elif y is _TRUE:
+                lits.append((x,))
+            elif kept and len(lits) in kept and not (changed[a] or changed[b]):
+                lits.append((kept[len(lits)],))
             else:
-                if len(lits) == 1 and len(lits[0]) == 1:
-                    value = lits[0][0]
-                else:
-                    for q, i in pairs[:-2]:
-                        x, y = lits[q]
-                        nv += 1
-                        roles.extend((replica, j, i))
-                        clauses += ((-nv, x), (-nv, y), (nv, -x, -y))
-                        lits[q] = (nv,)
-                        if not replica:
-                            term_vars.setdefault(j, {})[i] = nv
+                pairs.append(len(lits))
+                lits.append((x, y))
+        else:
+            if len(lits) == 1 and len(lits[0]) == 1:
+                value = lits[0][0]
+            else:
+                for q in pairs[:-2]:
+                    x, y = lits[q]
                     nv += 1
-                    roles.extend((replica, j, -1))
-                    clauses += product_of((-nv,), *lits)
-                    for ops in lits:
-                        if len(ops) == 1:
-                            clauses.append((nv, -ops[0]))
-                        else:
-                            clauses.append((nv, -ops[0], -ops[1]))
-                    value = nv
-            if value != val[j]:
-                val[j] = value
-                changed[j] = 1
-                for q in readers[j]:
+                    roles.extend((replica, j, circuit.term_ids[g][q]))
+                    clauses += ((-nv, x), (-nv, y), (nv, -x, -y))
+                    lits[q] = (nv,)
+                    if not replica:
+                        term_vars.setdefault(j, {})[q] = nv
+                nv += 1
+                roles.extend((replica, j, -1))
+                clauses += product_of((-nv,), *lits)
+                for ops in lits:
+                    if len(ops) == 1:
+                        clauses.append((nv, -ops[0]))
+                    else:
+                        clauses.append((nv, -ops[0], -ops[1]))
+                value = nv
+        if value != val[p]:
+            val[p] = value
+            changed[p] = 1
+            if replica:  # replica 0 evaluates every gate anyway
+                for q, _ in readers[p]:
                     todo[q] = 1
         p = todo.find(1, p + 1)
     cnf.num_vars = nv
@@ -348,10 +354,11 @@ def _replica0(circuit: _Circuit, deadline) -> dict:
     cnf = CnfFormula(m)  # the selectors
     vm = VarMap(m)
     check_deadline(deadline, "encoding exceeded its time limit before replica 0")
-    val = circuit.val.copy()
+    # TRUE, the guards -s_1 .. -s_m, FALSE, and the gates
+    val = [_TRUE, *range(-1, -m - 1, -1), _FALSE] + [None] * len(circuit.ids)
     term_vars: dict[int, dict[int, int]] = {}
-    _emit_replica(cnf, vm, circuit.live, circuit.cone, circuit.cone_readers, 0, val, term_vars)
-    output = vm.outputs[0] = val[circuit.cone[-1]]
+    _emit_replica(cnf, vm, circuit, 0, val, term_vars)
+    output = vm.outputs[0] = val[circuit.output]
     if output != _FALSE:
         cnf.add((-output,))
     return {"val": val, "term_vars": term_vars, "cnf": cnf, "vm": vm}
@@ -373,14 +380,13 @@ def _encode(circuit, checked, m: int, target: int, replicas: Iterable[int], dead
         circuit = checked(circuit)
         circuit.store.update(_replica0(circuit, deadline))
     store = circuit.store
-    live, cone, readers = circuit.live, circuit.cone, circuit.cone_readers
     cnf, vm = store["cnf"].copy(), store["vm"].copy()
     cnf.add((vm.sel(target),))
     for k in replicas:
         check_deadline(deadline, f"encoding exceeded its time limit before replica {k}")
         val = store["val"].copy()
-        _emit_replica(cnf, vm, live, cone, readers, k, val, store["term_vars"])
-        output = vm.outputs[k] = val[cone[-1]]
+        _emit_replica(cnf, vm, circuit, k, val, store["term_vars"])
+        output = vm.outputs[k] = val[circuit.output]
         if output in (_TRUE, _FALSE):
             s = vm.sel(k)
             cnf.add((s if output == _TRUE else -s,))

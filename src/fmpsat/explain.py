@@ -11,17 +11,17 @@ guards "feature i is free" whose output is FALSE exactly on the weak
 AXps: an SDD's decision nodes become ORs of (prime AND sub), a literal
 the instance satisfies TRUE and one it falsifies the guard of its
 feature; an explanation graph's nodes become their activation and the
-output the OR of its 0-terminals. One pass folds its constants and
-keeps the gates the output reads through live terms; the CNF encoder
-emits those gates, and the checks here read a view of the same ones in
-which a gate whose only live term is one operand is that operand. A
-weak-AXp test is one full bottom-up pass, and so is the check of a
-witness W: its pass runs on int bitmasks, one bit per selection, so it
-decides W and every W - {i} at once. The deletion scans of `find_axp`
-and `find_cxp` keep one value array live instead: freeing (AXp) or
-pinning (CXp) a feature moves every gate it changes the same way, so a
-step re-evaluates only the readers of changed operands, stops once the
-output flips, and undoes what it changed.
+output the OR of its 0-terminals. One pass folds its constants, takes
+a gate whose only live term is one operand as that operand, and
+numbers the gates the output reads; the CNF encoder and the checks
+here read those same gates. A weak-AXp test is one full bottom-up
+pass, and so is the check of a witness W: its pass runs on int
+bitmasks, one bit per selection, so it decides W and every W - {i} at
+once. The deletion scans of `find_axp` and `find_cxp` keep one value
+array live instead: freeing (AXp) or pinning (CXp) a feature moves
+every gate it changes the same way, so a step re-evaluates only the
+readers of changed operands, stops once the output flips, and undoes
+what it changed.
 
 The witness check reads the circuit, not the CNF, so it catches a fault
 in the replica emitter, the solver or the decoding of a model, but not
@@ -118,9 +118,6 @@ def serialize_instance(instance: Instance) -> str:
 # term is TRUE and a gate without terms is FALSE. The order lists gates
 # with their operands first and ends with the output.
 
-_TRUE = "T"
-_FALSE = "F"
-
 
 def _lower_sdd(sdd: sdd_mod.Sdd, values: Sequence[int]):
     """Gate j: node j stays consistent with the selected features pinned.
@@ -160,145 +157,124 @@ def _lower_xpg(graph: xpg_mod.XpGraph):
     return gates, graph._topo + [len(nodes)]
 
 
-def _fold(gates, order: list[int], val: list) -> tuple[list[int], list]:
-    """Fold the circuit's constants once, then keep the gates the output reads.
+def _fold(gates, order: list[int], m: int):
+    """Shape the lowered circuit once: fold its constants, take a gate
+    whose only live term is one operand as that operand, and number the
+    gates the output reads in the slots of `_Circuit`.
 
-    ``val`` holds the guards, and the pass writes TRUE or FALSE into it
-    for each gate of ``order`` that is constant: one with a term whose
-    operands are all TRUE, or with no term left once the terms with a
-    FALSE operand are dropped. Any other gate gets its live terms,
-    (term index, operand, operand or None), with TRUE operands left
-    out. Freeing a feature only turns guards TRUE, so a constant gate is
-    the same constant under every selection and in every replica, and no
-    live operand is ever FALSE.
+    A term with a FALSE operand is dropped and its TRUE operands are
+    left out, so a gate with a term whose operands are all TRUE is TRUE
+    and one with no term left is FALSE. Freeing a feature only turns
+    guards TRUE, so a constant gate is the same constant under every
+    selection and in every replica, and no live operand is ever FALSE. A
+    gate whose only live term is one operand is that operand; so is the
+    output, which may also be a constant. Every other gate takes the
+    next slot as it is folded. A needed-pass from the output then drops
+    the gates it does not read through live terms, and closes up the
+    slots after the first one dropped.
 
-    A needed-pass from the output over the live terms then keeps, in
-    order, the gates the output reads, each with its live terms. No live
-    term reads a constant, so only the output can be one (its terms are
-    None), and a gate that only constant gates or dropped terms read is
-    left out.
+    Returns each kept gate's lowered id, its live terms as slot pairs,
+    with a one-operand term paired with TRUE, their lowered term
+    indices, and the output's slot.
     """
-    folded: list = [None] * len(gates)
+    first = m + 2
+    false = m + 1
+    # each lowered operand's slot, a gate's set once it is folded: TRUE 0,
+    # FALSE m + 1, guard -i at i
+    slot = [0] * len(gates) + list(range(m, 0, -1))
+    ids = []
+    terms = []
+    term_ids = []
     for j in order:
-        terms = []
+        pairs = []
+        indices = []
         for i, term in enumerate(gates[j]):
-            a, b = term + (None,) * (2 - len(term))  # a missing operand is TRUE
-            x = _TRUE if a is None else val[a]
-            y = _TRUE if b is None else val[b]
-            if x is _FALSE or y is _FALSE:
+            if len(term) == 2:
+                x = slot[term[0]]
+                y = slot[term[1]]
+            else:  # a missing operand is TRUE
+                x = slot[term[0]] if term else 0
+                y = 0
+            if x == false or y == false:
                 continue
-            if x is _TRUE:
-                if y is _TRUE:
-                    val[j] = _TRUE
+            if not x:  # TRUE
+                if not y:
+                    slot[j] = 0
                     break
-                a, b = b, None
-            elif y is _TRUE:
-                b = None
-            terms.append((i, a, b))
+                x, y = y, x
+            pairs.append((x, y))
+            indices.append(i)
         else:
-            if not terms:
-                val[j] = _FALSE
-        folded[j] = tuple(terms) if val[j] is None else None
-    # indexed like the values, so a guard -i marks an entry past the gates
-    needed = bytearray(len(val))
-    needed[order[-1]] = 1
-    cone = []
-    for j in reversed(order):
-        if needed[j]:
-            cone.append(j)
-            for _, a, b in folded[j] or ():
-                needed[a] = 1
-                if b is not None:
-                    needed[b] = 1
-    cone.reverse()
-    return cone, [folded[j] for j in cone]
-
-
-# The checks' view indexes its values by operand: TRUE at 0, the guard of
-# feature i at i for i in 1..m, FALSE at m+1, and then the gates, each
-# after its operands. A view term of one operand names it twice.
-
-_TRUE_AT = 0
+            if not pairs:
+                slot[j] = false
+            elif len(pairs) == 1 and not pairs[0][1]:
+                slot[j] = pairs[0][0]
+            else:
+                slot[j] = first + len(terms)
+                ids.append(j)
+                terms.append(tuple(pairs))
+                term_ids.append(tuple(indices))
+    output = slot[order[-1]]
+    needed = bytearray(first + len(terms))
+    needed[output] = 1
+    for s in range(len(needed) - 1, first - 1, -1):
+        if needed[s]:
+            for a, b in terms[s - first]:
+                needed[a] = needed[b] = 1
+    dead = needed.find(0, first)
+    if dead >= 0:
+        moved = list(range(len(needed)))  # each slot's new slot
+        g = dead - first  # the next position to fill
+        for p in range(g, len(terms)):
+            if needed[first + p]:
+                moved[first + p] = first + g
+                ids[g] = ids[p]
+                terms[g] = tuple([(moved[a], moved[b]) for a, b in terms[p]])
+                term_ids[g] = term_ids[p]
+                g += 1
+        del ids[g:], terms[g:], term_ids[g:]
+        output = moved[output]
+    return ids, terms, term_ids, output
 
 
 class _Circuit:
     """The weak-AXp circuit of one classifier and instance: its lowering,
-    folded once, whose output is FALSE exactly on the weak AXps.
+    shaped once by `_fold`, whose output is FALSE exactly on the weak AXps.
 
-    `_fold` gives the one gate set that the encoder and the checks read:
-    ``cone``, the gates the output reads through live terms, in
-    evaluation order, and each one's ``live`` terms, with the guard and
-    constant values in ``val``. The CNF encoder emits its replicas from
-    them and each operand's readers in the cone (``cone_readers``, made
-    on the encoder's first read, so a checks-only query never makes
-    them); it keeps replica 0 in ``store``. The checks evaluate a view of
-    the same gates, made by their first pass, in which a gate whose only
-    live term is one operand is that operand.
+    Its values live in slots: TRUE at 0, the guard of feature i at i,
+    FALSE at m + 1, and the kept gates from m + 2 on, in evaluation
+    order. The CNF encoder and the checks here read the same arrays,
+    one entry per kept gate: its lowered id (``ids``), its live terms as
+    slot pairs (``terms``) and their lowered term indices
+    (``term_ids``); the output is at slot ``output``. Each slot's
+    ``readers``, made on the first deletion scan or encoding, so that a
+    weak-AXp test or a witness check never makes them, list (reader
+    slot, other operand) per term that reads it. The encoder keeps
+    replica 0 in ``store``.
     """
 
     def __init__(self, gates, order: list[int], num_features: int):
-        if any(len(term) > 2 for terms in gates for term in terms):
+        if max(map(len, itertools.chain.from_iterable(gates)), default=0) > 2:
             raise EncodingError("a lowered term has more than two operands")
         self.num_features = num_features
-        # a value per gate, then the guards -s_m .. -s_1, so operand -i reads guard i
-        self.val = [None] * len(gates) + [-i for i in range(num_features, 0, -1)]
-        self.cone, self.live = _fold(gates, order, self.val)
+        self.ids, self.terms, self.term_ids, self.output = _fold(gates, order, num_features)
         self.store: dict = {}
-        self.gates: list[tuple[int, tuple[tuple[int, int], ...]]] | None = None  # the view
 
     @cached_property
-    def cone_readers(self) -> list[tuple[int, ...]]:
-        """For each operand, the positions in ``cone`` of the gates whose
-        live terms read it."""
-        readers: list[list[int]] = [[] for _ in self.val]
-        for p, terms in enumerate(self.live):
-            for _, a, b in terms or ():
-                readers[a].append(p)
-                if b is not None:
-                    readers[b].append(p)
-        # kept with the circuit: tuples hold it in less memory, and () is shared
-        return [tuple(r) for r in readers]
-
-    def _prune(self) -> None:
-        """Make the checks' view: its gates, each as (gate, terms), its
-        output, and each operand's readers among them."""
-        m = self.num_features
-        false = self.false = m + 1
-        val = self.val
-        # each lowered operand's index in the view; operand -i is guard i
-        ref = [_TRUE_AT] * (len(val) - m) + list(range(m, 0, -1))
-        gates = []
-        for j, terms in zip(self.cone, self.live):
-            if terms is None:
-                ref[j] = _TRUE_AT if val[j] is _TRUE else false
-                continue
-            mapped = tuple([(ref[a], ref[a] if b is None else ref[b]) for _, a, b in terms])
-            if len(mapped) == 1 and mapped[0][0] == mapped[0][1]:
-                ref[j] = mapped[0][0]
-            else:
-                ref[j] = gate = false + 1 + len(gates)
-                gates.append((gate, mapped))
-        self.output = ref[self.cone[-1]]
-        size = false + 1 + len(gates)
-        # per operand o: (gate, other, terms) for each term of a gate that
-        # ANDs o with other
-        readers = self.readers = [[] for _ in range(size)]
-        for gate, terms in gates:
+    def readers(self) -> list[list[tuple[int, int]]]:
+        readers: list[list[tuple[int, int]]] = [
+            [] for _ in range(self.num_features + 2 + len(self.terms))]
+        for gate, terms in enumerate(self.terms, self.num_features + 2):
             for a, b in terms:
-                readers[a].append((gate, b, terms))
-                if b != a:
-                    readers[b].append((gate, a, terms))
-        self.base = [False] * size
-        self.base[_TRUE_AT] = True
-        self.gates = gates
+                readers[a].append((gate, b))
+                if b:  # nothing reads TRUE's readers: it never changes
+                    readers[b].append((gate, a))
+        return readers
 
     def evaluate(self, free: list[bool]) -> list[bool]:
         """One full bottom-up pass with guard i set to ``free[i - 1]``."""
-        if self.gates is None:
-            self._prune()
-        val = self.base.copy()
-        val[1:self.false] = free
-        for gate, terms in self.gates:
+        val = [True] + free + [False] * (1 + len(self.terms))
+        for gate, terms in enumerate(self.terms, self.num_features + 2):
             for a, b in terms:
                 if val[a] and val[b]:
                     val[gate] = True
@@ -325,14 +301,11 @@ class _Circuit:
         for i in features:
             if not 1 <= i <= m:
                 raise ClassifierError(f"feature {i} outside 1..{m}")
-        if self.gates is None:
-            self._prune()
         ones = (2 << len(features)) - 1
-        val = [0] * len(self.base)
-        val[:self.false] = [ones] * self.false
+        val = [ones] * (m + 1) + [0] * (1 + len(self.terms))
         for j, i in enumerate(sorted(features), start=1):
             val[i] = 1 << j
-        for gate, terms in self.gates:
+        for gate, terms in enumerate(self.terms, m + 2):
             bits = 0
             for a, b in terms:
                 bits |= val[a] & val[b]
@@ -351,13 +324,17 @@ class _Circuit:
         no term is left TRUE. The pass stops once the output changes.
         """
         out = self.output
+        readers = self.readers
+        terms = self.terms
+        first = self.num_features + 2
         val[i] = value
         changed = [i]
         for o in changed:  # grows as gates change
-            for gate, other, terms in self.readers[o]:
+            for gate, other in readers[o]:
                 if val[gate] == value:
                     continue
-                if val[other] if value else not any(val[a] and val[b] for a, b in terms):
+                if (val[other] if value
+                        else not any(val[a] and val[b] for a, b in terms[gate - first])):
                     val[gate] = value
                     changed.append(gate)
             if val[out] == value:

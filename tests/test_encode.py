@@ -188,10 +188,10 @@ def test_deadline_is_read_before_each_replica(ella_xpg, ella_sdd, ella_instance,
     now = [0.0]
     emit = enc._emit_replica
 
-    def spy(cnf, vm, gates, cone, readers, replica, *rest):
-        emitted.append(replica)
+    def spy(*args):
+        emitted.append(args)
         now[0] = 2.0  # the clock passes the deadline while the replica is emitted
-        return emit(cnf, vm, gates, cone, readers, replica, *rest)
+        return emit(*args)
 
     monkeypatch.setattr(enc, "_emit_replica", spy)
     monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=lambda: now[0]))
@@ -203,7 +203,7 @@ def test_deadline_is_read_before_each_replica(ella_xpg, ella_sdd, ella_instance,
         now[0] = 0.0
         with pytest.raises(SolverTimeout, match="time limit before replica [13]$"):
             encode()
-        assert emitted == [0]
+        assert len(emitted) == 1  # replica 0, and the deadline stopped the next
         # a deadline that has passed already stops the encoder before replica 0
         emitted.clear()
         with pytest.raises(SolverTimeout, match="time limit before replica 0$"):
@@ -644,25 +644,41 @@ def test_folded_constants_hold_in_every_replica_and_selection():
     # replica k guard k is set everywhere
     for (gates, order), m in _folding_corpus():
         circuit = explain_mod._Circuit(gates, order, m)
-        cone, val, live = circuit.cone, circuit.val, circuit.live
+        first = m + 2  # TRUE at slot 0, guard i at i, FALSE at m + 1
         every = (1 << (1 << m)) - 1
         free = [sum(1 << s for s in range(1 << m) if not s >> i & 1) for i in range(m)]
+        for terms in circuit.terms:
+            # a gate of one operand is that operand, and no live operand is FALSE
+            assert len(terms) > 1 or 0 not in terms[0]
+            assert all(0 <= o < first + len(circuit.terms) and o != m + 1
+                       for pair in terms for o in pair)
         for k in range(m + 1):
-            # operand -i reads guard i, as in the encoder's values
-            value = [0] * len(gates) + [every if i == k else free[i - 1] for i in range(m, 0, -1)]
+            guards = [every if i == k else free[i - 1] for i in range(1, m + 1)]
+            # operand -i reads guard i, as in the lowering
+            value = [0] * len(gates) + guards[::-1]
             for j in order:
                 for term in gates[j]:
                     conjunction = every
                     for o in term:
                         conjunction &= value[o]
                     value[j] |= conjunction
-            # every gate the fold made constant, read by the output or not
-            for j in order:
-                if val[j] is not None:
-                    assert value[j] == (every if val[j] is enc._TRUE else 0), (k, j)
-            for j, terms in zip(cone, live):
-                if terms is not None:
-                    assert all(value[o] for _, a, b in terms for o in (a, b) if o is not None), (k, j)
+            slots = [every, *guards, 0] + [0] * len(circuit.terms)
+            for g, terms in enumerate(circuit.terms):
+                for a, b in terms:
+                    assert slots[a] and slots[b], (k, circuit.ids[g])
+                    slots[first + g] |= slots[a] & slots[b]
+                assert slots[first + g] == value[circuit.ids[g]], (k, circuit.ids[g])
+            assert slots[circuit.output] == value[order[-1]], k
+            if k == 0:
+                weak = [not value[order[-1]] >> s & 1 for s in range(1 << m)]
+        # the checks read the same slots: selection s is weak when its bit is clear
+        for s in range(1 << m):
+            selection = [i for i in range(1, m + 1) if s >> (i - 1) & 1]
+            assert circuit.is_weak(selection) == weak[s], s
+            bits = circuit.outputs_without_each(selection)
+            assert (not bits & 1) == weak[s], s
+            for j, i in enumerate(selection, start=1):
+                assert (not bits >> j & 1) == weak[s & ~(1 << (i - 1))], (s, i)
 
 
 def _unread(cnf, vm, replicas):
@@ -703,21 +719,6 @@ def _definition_corpus(ella_sdd, ella_obdd, ella_instance):
                 yield f"{kind}-m{m}-{trial}-{inst.label}", clf, inst, range(1, m + 1)
 
 
-def _true_with_only_free(circuit, k):
-    """Each cone gate -> whether it is TRUE with feature k free and every
-    other feature pinned: the gates that replica k makes TRUE."""
-    val, true = circuit.val, {}
-
-    def holds(o):
-        if o is None or o < 0:
-            return o is None or -o == k
-        return val[o] is enc._TRUE if val[o] is not None else true[o]
-
-    for j, terms in zip(circuit.cone, circuit.live):
-        true[j] = holds(j) if terms is None else any(holds(a) and holds(b) for _, a, b in terms)
-    return true
-
-
 def test_every_definition_is_read(ella_sdd, ella_obdd, ella_instance):
     # replica 0 defines only what the output reads; a replica k >= 1 may
     # still define a gate whose every reader freeing feature k makes TRUE
@@ -730,9 +731,10 @@ def test_every_definition_is_read(ella_sdd, ella_obdd, ella_instance):
                 for v in _unread(cnf, vm, range(m + 1)):
                     k, j, i = vm._roles[3 * (v - m - 1):3 * (v - m)]
                     assert k and i == -1, (name, t, method, v)
-                    true = _true_with_only_free(circuit, k)
-                    assert all(true[circuit.cone[p]] for p in circuit.cone_readers[j]), (
-                        name, t, method, v)
+                    # every reader is TRUE with feature k free and the others pinned
+                    true = circuit.evaluate([f == k for f in range(1, m + 1)])
+                    slot = m + 2 + circuit.ids.index(j)
+                    assert all(true[r] for r, _ in circuit.readers[slot]), (name, t, method, v)
     # on the desk's two-step formulas that leaves nothing unread
     desk = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk"
     vtree = F.parse_vtree((desk / "sdd-m100.vtree").read_text())

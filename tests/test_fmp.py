@@ -21,6 +21,7 @@ from fmpsat import encode as enc
 from fmpsat import errors as errors_mod
 from fmpsat import explain as explain_mod
 from fmpsat import fmp as fmp_mod
+from fmpsat import xpg as xpg_mod
 from fmpsat.sat import kernel
 from fmpsat.sat import solver as solver_mod
 from fmpsat.errors import ClassifierError, FmpsatError, SolverTimeout
@@ -317,9 +318,10 @@ def test_desk_queries_keep_their_outcomes():
         assert list(out.stats) == list(DESK_COUNTERS)
 
 
-# The gates the weak-AXp checks evaluate on each desk query's circuit: the
-# gates its output reads through folded live terms, with a gate whose only
-# live term is one operand taken as that operand.
+# The gates of each desk query's circuit, which both the weak-AXp checks
+# and the encoder walk: the gates its output reads through folded live
+# terms, with a gate whose only live term is one operand taken as that
+# operand.
 DESK_CHECK_GATES = {
     "obdd-m100-q0": 1222, "obdd-m100-q1": 1223, "obdd-m100-q2": 1258,
     "obdd-m60-q0": 757, "obdd-m60-q1": 747, "obdd-m60-q2": 747,
@@ -328,16 +330,17 @@ DESK_CHECK_GATES = {
 
 
 def test_desk_checks_run_on_the_pruned_circuit():
-    # fewer than the encoder's gates, the same set, which include those the
-    # checks take as one operand
+    # replica 0 evaluates every gate once, into one value per slot
     rows = [line.split() for line in (DESK / "queries.txt").read_text().splitlines()
             if not line.startswith("c")]
-    for name, classifier, _, _ in rows:
+    for name, classifier, target, _ in rows:
         clf, inst = _desk_classifier(classifier), _desk_instance(name)
         assert F.is_weak_axp(clf, inst, range(1, clf.num_features + 1))
         circuit = clf.circuit_for(inst)
-        emitted = sum(terms is not None for terms in circuit.live)
-        assert len(circuit.gates) == DESK_CHECK_GATES[name] < emitted, name
+        assert len(circuit.terms) == DESK_CHECK_GATES[name], name
+        F.build_encoding(FmpQuery(clf, inst, int(target), "two-step"))
+        walked = circuit.store["val"][clf.num_features + 2:]
+        assert len(walked) == DESK_CHECK_GATES[name] and None not in walked, name
 
 
 # Pinned two-step sweeps of every target on one adapter of a small random
@@ -453,30 +456,71 @@ def test_one_lowering_per_record(ella_sdd, ella_obdd, ella_xpg, ella_instance, m
 
 
 def test_a_checks_only_query_emits_no_replica_0(ella_sdd, ella_obdd, ella_xpg, ella_instance):
-    checks = [lambda clf, inst: F.find_axp(clf, inst, range(1, 5)),
-              lambda clf, inst: F.find_cxp(clf, inst, range(1, 5)),
-              lambda clf, inst: F.is_weak_axp(clf, inst, {1, 3})]
+    # a weak-AXp test and a witness check read the gates alone; a deletion
+    # scan makes the readers too
+    checks = [(lambda clf, inst: F.is_weak_axp(clf, inst, {1, 3}), False),
+              (lambda clf, inst: clf.circuit_for(inst).outputs_without_each({1, 3}), False),
+              (lambda clf, inst: F.find_axp(clf, inst, range(1, 5)), True),
+              (lambda clf, inst: F.find_cxp(clf, inst, range(1, 5)), True)]
     for clf, inst, _ in _ella_adapters(ella_sdd, ella_obdd, ella_xpg, ella_instance):
-        for check in checks:
+        for check, scans in checks:
             fresh = _fresh(clf)
             check(fresh, inst)
-            assert fresh.circuit_for(inst).gates is not None
-            assert fresh.circuit_for(inst).store == {}, (type(clf).__name__, inst)
-            assert "cone_readers" not in vars(fresh.circuit_for(inst))
+            circuit = fresh.circuit_for(inst)
+            assert circuit.store == {}, (type(clf).__name__, inst)
+            assert ("readers" in vars(circuit)) == scans, (type(clf).__name__, inst)
 
 
-def test_the_cone_readers_are_made_on_the_first_encoding():
-    # a checks-only call leaves the encoder's readers unmade; the encoding
-    # that makes them later keeps the bytes of the pinned desk file
+def test_the_readers_are_made_on_the_first_scan_or_encoding():
+    # the checks that need no readers leave them unmade; the encoding that
+    # makes them later keeps the bytes of the pinned desk file
     clf = F.ObddClassifier(F.parse_obdd((DESK / "obdd-m60.obdd").read_text()))
     inst = F.parse_instance((DESK / "obdd-m60-q0.inst").read_text())
-    F.find_axp(clf, inst, range(1, 61))
+    axp = F.find_axp(_fresh(clf), inst, range(1, 61))
+    assert F.is_weak_axp(clf, inst, axp)
+    fmp_mod._verify_witness(clf, inst, axp, min(axp), math.inf)
     circuit = clf.circuit_for(inst)
-    assert "cone_readers" not in vars(circuit)
+    assert "readers" not in vars(circuit)
     cnf, vm, _ = F.build_encoding(FmpQuery(clf, inst, 48, "one-step"))
     digest = hashlib.sha256("".join(enc.iter_dimacs(cnf, vm)).encode()).hexdigest()
     assert digest == (DATA / "obdd-m60-q0-t48-onestep.sha256").read_text().strip()
-    assert "cone_readers" in vars(circuit) and not hasattr(circuit, "_lowered")
+    assert "readers" in vars(circuit)
+
+
+def test_outputs_that_fold_to_a_guard_or_a_constant():
+    # the OBDD of x1 on two features folds, for either class, through its
+    # XpG or its Shannon SDD to guard 1; a bare graph whose one 0-terminal
+    # hangs off the root by a 0-edge folds to the root's guard; a constant
+    # diagram folds to FALSE. None of them keeps a gate.
+    obdd = F.Obdd([xpg_mod.ObddTerminal(0), xpg_mod.ObddTerminal(1), xpg_mod.ObddNode(1, 0, 1)],
+                  2, 2)
+    points = [F.Instance((v, w), v) for v in (0, 1) for w in (0, 1)]
+    cases = [(clf, inst)
+             for clf in (F.ObddClassifier(obdd), F.SddClassifier(obdd_to_shannon_sdd(obdd)))
+             for inst in points]
+    graph = F.XpGraph([xpg_mod.XpgNonTerminal(2), xpg_mod.XpgTerminal(1), xpg_mod.XpgTerminal(0)],
+                      [(0, 1, 1), (0, 2, 0)], 0, 3)
+    cases.append((F.XpgClassifier(graph), None))
+    vtree = F.parse_vtree("vtree 3\nL 0 1\nL 2 2\nI 1 0 2\n")
+    cases.append((F.SddClassifier(F.parse_sdd("sdd 1\nF 0\n", vtree)), F.Instance((0, 1), 0)))
+    outputs = []
+    for clf, inst in cases:
+        name = (type(clf).__name__, inst)
+        m = clf.num_features
+        circuit = clf.circuit_for(inst)
+        assert circuit.terms == [], name
+        outputs.append(circuit.output)
+        axps = F.enumerate_axps_bruteforce(clf, inst)
+        cxps = F.enumerate_cxps_bruteforce(clf, inst)
+        for t in range(1, m + 1):
+            for method in ("one-step", "two-step"):
+                out = decide_membership(FmpQuery(clf, inst, t, method))
+                assert out.membership == any(t in axp for axp in axps), (name, t, method)
+                assert out.witness is None or out.witness in axps, (name, t, method)
+        assert F.find_axp(clf, inst, range(1, m + 1)) in axps, name
+        if cxps:
+            assert F.find_cxp(clf, inst, range(1, m + 1)) in cxps, name
+    assert outputs == [1] * 8 + [2, 3]
 
 
 # ------------------------------------------------- replica 0 kept per instance
