@@ -165,21 +165,12 @@ def cmd_fmp(args) -> int:
     return EXIT_NO
 
 
-def cmd_axp(args) -> int:
+def cmd_explain(args) -> int:
     clf, instance = _load_classifier(args)
     names = _load_names(args, clf.num_features)
-    explanation = find_axp(clf, instance, range(1, clf.num_features + 1))
-    print(f"AXP {_fmt_features(explanation)}")
-    if names:
-        print(f"names: {_describe(explanation, names)}", file=sys.stderr)
-    return EXIT_YES
-
-
-def cmd_cxp(args) -> int:
-    clf, instance = _load_classifier(args)
-    names = _load_names(args, clf.num_features)
-    explanation = find_cxp(clf, instance, range(1, clf.num_features + 1))
-    print(f"CXP {_fmt_features(explanation)}")
+    find = find_axp if args.command == "axp" else find_cxp
+    explanation = find(clf, instance, range(1, clf.num_features + 1))
+    print(f"{args.command.upper()} {_fmt_features(explanation)}")
     if names:
         print(f"names: {_describe(explanation, names)}", file=sys.stderr)
     return EXIT_YES
@@ -267,13 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, required=True, help="feature index, 1-based")
     p.set_defaults(func=cmd_fmp)
 
-    p = sub.add_parser("axp", help="one abductive explanation by deletion")
-    _add_classifier_args(p)
-    p.set_defaults(func=cmd_axp)
-
-    p = sub.add_parser("cxp", help="one contrastive explanation by deletion")
-    _add_classifier_args(p)
-    p.set_defaults(func=cmd_cxp)
+    for command, kind in (("axp", "abductive"), ("cxp", "contrastive")):
+        p = sub.add_parser(command, help=f"one {kind} explanation by deletion")
+        _add_classifier_args(p)
+        p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("enum", help="brute-force enumeration of all explanations (small m)")
     _add_classifier_args(p)

@@ -89,8 +89,6 @@ from .xpg import XpGraph
 __all__ = [
     "CnfFormula",
     "VarMap",
-    "clausify_eq_or",
-    "clausify_eq_and",
     "encode_sdd_onestep",
     "encode_sdd_twostep",
     "encode_xpg_onestep",
@@ -195,31 +193,6 @@ class VarMap:
 
 
 # --------------------------------------------------------------------------
-# clausification helpers
-# --------------------------------------------------------------------------
-
-def clausify_eq_or(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
-    """var <-> (l1 or ... or ln), both directions."""
-    lits = list(literals)
-    if not lits:
-        raise EncodingError("equivalence with an empty disjunction")
-    add = cnf.clauses.append
-    add((-var, *lits))
-    for lit in lits:
-        add((var, -lit))
-
-
-def clausify_eq_and(cnf: CnfFormula, var: int, literals: Sequence[int]) -> None:
-    """var <-> (l1 and ... and ln), both directions."""
-    if not literals:
-        raise EncodingError("equivalence with an empty conjunction")
-    add = cnf.clauses.append
-    for lit in literals:
-        add((-var, lit))
-    add((var, *[-lit for lit in literals]))
-
-
-# --------------------------------------------------------------------------
 # encoding: replicas of the circuit
 # --------------------------------------------------------------------------
 
@@ -247,14 +220,14 @@ def _sdd_circuit(sdd: Sdd, instance: Instance, circuit: _Circuit | None) -> _Cir
         )
     if evaluate(sdd, instance.values):
         raise EncodingError("instance declares class 0 but the diagram evaluates to 1")
-    return _Circuit(*_lower_sdd(sdd, instance.values), m)
+    return _Circuit(*_lower_sdd(sdd, instance.values), m, sdd)
 
 
 def _xpg_circuit(xpg: XpGraph, circuit: _Circuit | None) -> _Circuit:
     """The given circuit or the graph's own, if the graph has a 0-terminal."""
     if not xpg.zero_terminals():
         raise EncodingError("graph has no 0-labeled terminal: the classifier is constant")
-    return _Circuit(*_lower_xpg(xpg), xpg.num_features) if circuit is None else circuit
+    return _Circuit(*_lower_xpg(xpg), xpg.num_features, xpg) if circuit is None else circuit
 
 
 def _emit_replica(cnf, vm, circuit: _Circuit, replica: int, val: list, term_vars: dict) -> None:
@@ -387,12 +360,12 @@ def _encode(circuit, checked, m: int, target: int, replicas: Iterable[int], dead
         val = store["val"].copy()
         _emit_replica(cnf, vm, circuit, k, val, store["term_vars"])
         output = vm.outputs[k] = val[circuit.output]
+        s = vm.sel(k)
         if output in (_TRUE, _FALSE):
-            s = vm.sel(k)
             cnf.add((s if output == _TRUE else -s,))
         else:
             # a selected feature must be necessary: freeing it flips the class
-            clausify_eq_or(cnf, vm.sel(k), [output])
+            cnf.clauses += ((-s, output), (s, -output))
     return cnf, vm
 
 

@@ -6,12 +6,14 @@ values pins the prediction; an AXp is a subset-minimal such set.
 Contrastive explanations are the complements: freeing Y admits a point
 with a different prediction.
 
-Each adapter lowers, once per instance, a monotone circuit over the
-guards "feature i is free" whose output is FALSE exactly on the weak
-AXps: an SDD's decision nodes become ORs of (prime AND sub), a literal
-the instance satisfies TRUE and one it falsifies the guard of its
-feature; an explanation graph's nodes become their activation and the
-output the OR of its 0-terminals. One pass folds its constants, takes
+Each adapter keeps one record per instance, its circuit, made in one
+step once the instance is checked: the adapter builds the instance's
+diagram or graph and lowers it into a monotone circuit over the guards
+"feature i is free" whose output is FALSE exactly on the weak AXps: an
+SDD's decision nodes become ORs of (prime AND sub), a literal the
+instance satisfies TRUE and one it falsifies the guard of its feature;
+an explanation graph's nodes become their activation and the output
+the OR of its 0-terminals. One pass folds its constants, takes
 a gate whose only live term is one operand as that operand, and
 numbers the gates the output reads; the CNF encoder and the checks
 here read those same gates. A weak-AXp test is one full bottom-up
@@ -125,7 +127,7 @@ def _lower_sdd(sdd: sdd_mod.Sdd, values: Sequence[int]):
     A decision node is the OR of its (prime AND sub) elements, a literal
     the instance satisfies is TRUE and one it falsifies the guard of its
     feature. The output is the root. The values are not checked here:
-    the adapter's record or the public encoder has checked them.
+    `_Adapter.circuit_for` or the public encoder has checked them.
     """
     gates: list[Sequence[tuple[int, ...]]] = []
     for node in sdd.nodes:
@@ -240,6 +242,8 @@ def _fold(gates, order: list[int], m: int):
 class _Circuit:
     """The weak-AXp circuit of one classifier and instance: its lowering,
     shaped once by `_fold`, whose output is FALSE exactly on the weak AXps.
+    An adapter's circuit is its record for the instance, and ``source``
+    keeps the diagram or graph it was lowered from.
 
     Its values live in slots: TRUE at 0, the guard of feature i at i,
     FALSE at m + 1, and the kept gates from m + 2 on, in evaluation
@@ -253,9 +257,10 @@ class _Circuit:
     replica 0 in ``store``.
     """
 
-    def __init__(self, gates, order: list[int], num_features: int):
+    def __init__(self, gates, order: list[int], num_features: int, source=None):
         if max(map(len, itertools.chain.from_iterable(gates)), default=0) > 2:
             raise EncodingError("a lowered term has more than two operands")
+        self.source = source
         self.num_features = num_features
         self.ids, self.terms, self.term_ids, self.output = _fold(gates, order, num_features)
         self.store: dict = {}
@@ -350,24 +355,15 @@ class _Circuit:
 # classifier adapters
 # --------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class _Record:
-    """What an adapter keeps for one instance: the diagram or graph its
-    queries read, and the one circuit lowered from it on first use by
-    the CNF encoder or the weak-AXp checks."""
-
-    source: object
-    circuit: _Circuit | None = None
-
-
 class _Adapter:
     """One record per key, the instance itself unless `_key` says
-    otherwise, made once the key passes `check_instance` and its source
-    is built, so a rejected instance, or a deadline passing while the
-    source is built, keeps nothing."""
+    otherwise: the key's circuit, with the diagram or graph it is
+    lowered from as its ``source``. `circuit_for` makes it in one step
+    once the key passes `check_instance`, so a rejected instance, or a
+    deadline passing while the source is built, keeps nothing."""
 
     def __init__(self):
-        self._records: dict[Instance | None, _Record] = {}
+        self._records: dict[Instance | None, _Circuit] = {}
 
     def _key(self, instance: Instance | None) -> Instance | None:
         return instance
@@ -391,24 +387,18 @@ class _Adapter:
                 f"instance declares class {instance.label} but the classifier predicts {predicted}"
             )
 
-    def _record(self, instance: Instance | None, deadline=inf) -> _Record:
+    def circuit_for(self, instance: Instance | None, deadline=inf) -> _Circuit:
+        """The instance's record: its source built, lowered and folded on
+        first use. Only an SDD's negation reads the deadline."""
         key = self._key(instance)
-        record = self._records.get(key)
-        if record is None:
+        circuit = self._records.get(key)
+        if circuit is None:
             self.check_instance(key)
-            record = self._records[key] = _Record(self._source(key, deadline))
-        return record
-
-    def circuit_for(self, instance: Instance | None) -> _Circuit:
-        """The instance's circuit, lowered from the record's diagram or
-        graph and folded on first use; the record has checked the instance."""
-        record = self._record(instance)
-        if record.circuit is None:
-            source = record.source
-            lowered = (_lower_sdd(source, instance.values) if isinstance(source, sdd_mod.Sdd)
+            source = self._source(key, deadline)
+            lowered = (_lower_sdd(source, key.values) if isinstance(source, sdd_mod.Sdd)
                        else _lower_xpg(source))
-            record.circuit = _Circuit(*lowered, self.num_features)
-        return record.circuit
+            circuit = self._records[key] = _Circuit(*lowered, self.num_features, source)
+        return circuit
 
     def release(self, instance: Instance | None) -> None:
         """Drop the instance's record; an SDD's negated diagram stays."""
@@ -418,10 +408,10 @@ class _Adapter:
 class SddClassifier(_Adapter):
     """SDD-backed binary classifier (classes 0 and 1).
 
-    An instance's record reads the diagram under which it has class 0:
-    the diagram itself, or for instances predicted 1 a lazily built
-    negation, cached for every such instance. Either way the pinned
-    diagram must be inconsistent.
+    An instance's circuit is lowered from the diagram under which it has
+    class 0: the diagram itself, or for instances predicted 1 a lazily
+    built negation, cached for every such instance. Either way the
+    pinned diagram must be inconsistent.
     """
 
     def __init__(self, sdd: sdd_mod.Sdd):
@@ -440,19 +430,18 @@ class SddClassifier(_Adapter):
     def predict(self, point: Sequence[int]) -> int:
         return int(sdd_mod.evaluate(self.sdd, point))
 
-    def negated_sdd(self, *, deadline=inf) -> sdd_mod.Sdd:
-        """The negated diagram, built on first use; only a finished
-        negation is kept."""
+    def _source(self, instance: Instance, deadline) -> sdd_mod.Sdd:
+        """The diagram under which the instance has class 0; only a
+        finished negation is kept."""
+        if not instance.label:
+            return self.sdd
         if self._negated is None:
             self._negated = sdd_mod.negate(self.sdd, deadline=deadline)
         return self._negated
 
-    def _source(self, instance: Instance, deadline) -> sdd_mod.Sdd:
-        return self.negated_sdd(deadline=deadline) if instance.label else self.sdd
-
-    def diagram_for(self, instance: Instance, *, deadline=inf) -> sdd_mod.Sdd:
+    def diagram_for(self, instance: Instance) -> sdd_mod.Sdd:
         """The diagram under which the instance has class 0."""
-        return self._record(instance, deadline).source
+        return self.circuit_for(instance).source
 
     def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
@@ -462,7 +451,7 @@ class _XpgBackedClassifier(_Adapter):
     """Shared behaviour for classifiers explained through a built XpG."""
 
     def xpg_for(self, instance: Instance | None) -> xpg_mod.XpGraph:
-        return self._record(instance).source
+        return self.circuit_for(instance).source
 
     def is_weak_axp(self, instance: Instance | None, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
@@ -513,7 +502,7 @@ class XpgClassifier(_XpgBackedClassifier):
 
     The instance is baked into the graph's labels, so explanation
     queries need no point values, `predict` is unavailable, and every
-    instance a caller passes names the one record, keyed None; only the
+    instance a caller passes names the one circuit, keyed None; only the
     command line, which reads an instance file beside the graph, checks
     that instance's arity.
     """

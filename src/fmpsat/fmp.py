@@ -67,8 +67,9 @@ class FmpOutcome:
 def build_encoding(query: FmpQuery, deadline: float = math.inf):
     """Produce (cnf, varmap, pre_negated) for the query's route.
 
-    The encoders read the circuit of the adapter's record for the
-    instance, which the deletion scan and the witness check read too, and
+    The encoders read the adapter's record for the instance, its one
+    circuit, which the deletion scan and the witness check read too,
+    with the diagram or graph it was lowered from as its ``source``; they
     keep replica 0 in it, so the queries of a relevancy sweep, one-step
     and two-step alike, each emit only their target's replicas. The
     adapter checks the instance when it makes that record. The SDD
@@ -82,16 +83,16 @@ def build_encoding(query: FmpQuery, deadline: float = math.inf):
     one_step = query.method == "one-step"
     if isinstance(clf, SddClassifier):
         enc._check_target(clf.num_features, t)  # before the diagram may be negated
-        diagram = clf.diagram_for(instance, deadline=deadline)
+        circuit = clf.circuit_for(instance, deadline)
         encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
-        cnf, vm = encoder(diagram, Instance(instance.values, 0), t, deadline=deadline,
-                          circuit=clf.circuit_for(instance))
+        cnf, vm = encoder(circuit.source, Instance(instance.values, 0), t, deadline=deadline,
+                          circuit=circuit)
         return cnf, vm, instance.label == 1
     if not isinstance(clf, (ObddClassifier, DtClassifier, XpgClassifier)):
         raise ClassifierError(f"unsupported classifier type {type(clf).__name__}")
+    circuit = clf.circuit_for(instance)
     encoder = enc.encode_xpg_onestep if one_step else enc.encode_xpg_twostep
-    cnf, vm = encoder(clf.xpg_for(instance), t, deadline=deadline,
-                      circuit=clf.circuit_for(instance))
+    cnf, vm = encoder(circuit.source, t, deadline=deadline, circuit=circuit)
     return cnf, vm, False
 
 
@@ -113,7 +114,7 @@ def collector_paused():
 
     When the collector was enabled, the pause also keeps the first
     young collection after it from walking the query's survivors (a
-    record's circuit and store: ~30k objects on an m=100 desk diagram).
+    record, its circuit and store: ~30k objects on an m=100 desk diagram).
     At entry a collection of the two young generations frees the
     caller's young cyclic garbage and moves what survives to the oldest
     generation. At exit, unless the caller has frozen objects of their

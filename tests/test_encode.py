@@ -22,8 +22,6 @@ from fmpsat import sdd as sdd_mod
 from fmpsat.encode import (
     DIMACS_BLOCK_LINES,
     CnfFormula,
-    clausify_eq_and,
-    clausify_eq_or,
     encode_sdd_onestep,
     encode_sdd_twostep,
     encode_xpg_onestep,
@@ -47,25 +45,7 @@ from sdd_builder import balanced_vtree, compile_sdd, random_function
 DATA = Path(__file__).parent / "data"
 
 
-# ---------------------------------------------------------- clausification
-
-def test_eq_or_single_literal():
-    cnf = CnfFormula(num_vars=2)
-    clausify_eq_or(cnf, 1, [2])
-    assert cnf.clauses == [(-1, 2), (1, -2)]
-
-
-def test_eq_and_two_literals():
-    cnf = CnfFormula(num_vars=3)
-    clausify_eq_and(cnf, 1, [2, 3])
-    assert cnf.clauses == [(-1, 2), (-1, 3), (1, -2, -3)]
-
-
-def test_eq_or_empty_rejected():
-    cnf = CnfFormula(num_vars=1)
-    with pytest.raises(EncodingError, match="empty"):
-        clausify_eq_or(cnf, 1, [])
-
+# ------------------------------------------------------------- clause sets
 
 def test_add_empty_clause_rejected():
     cnf = CnfFormula(num_vars=1)

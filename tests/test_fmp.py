@@ -453,6 +453,17 @@ def test_one_lowering_per_record(ella_sdd, ella_obdd, ella_xpg, ella_instance, m
     for inst in (ella_instance, F.Instance((1, 0, 1, 1), 1), ella_instance):
         decide_membership(FmpQuery(clf, inst, 3))
     assert lowered == ["_lower_sdd", "_lower_sdd"]
+    # asking for the diagram or graph alone makes the whole record: it lowers
+    # once, its circuit carries that same object, and a query lowers nothing
+    for clf, inst, lowering in _ella_adapters(ella_sdd, ella_obdd, ella_xpg, ella_instance):
+        name = (type(clf).__name__, inst)
+        lowered.clear()
+        source = (clf.diagram_for(inst) if isinstance(clf, F.SddClassifier)
+                  else clf.xpg_for(inst))
+        assert lowered == [lowering], name
+        assert clf.circuit_for(inst).source is source, name
+        assert decide_membership(FmpQuery(clf, inst, 3)).membership
+        assert lowered == [lowering], name
 
 
 def test_a_checks_only_query_emits_no_replica_0(ella_sdd, ella_obdd, ella_xpg, ella_instance):
