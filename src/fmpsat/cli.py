@@ -79,15 +79,9 @@ def _load_classifier(args):
         vtree = sdd_mod.parse_vtree(Path(args.vtree).read_text())
         clf = SddClassifier(sdd_mod.parse_sdd(Path(args.sdd).read_text(), vtree))
     elif kind == "obdd":
-        obdd = xpg_mod.parse_obdd(Path(args.obdd).read_text())
-        if len(obdd.reachable_labels()) < 2:
-            raise FmpsatError("classifier is constant; explanation queries are undefined")
-        clf = ObddClassifier(obdd)
+        clf = ObddClassifier(xpg_mod.parse_obdd(Path(args.obdd).read_text()))
     elif kind == "dt":
-        dt = xpg_mod.parse_dt(Path(args.dt).read_text())
-        if len(dt.leaf_labels()) < 2:
-            raise FmpsatError("classifier is constant; explanation queries are undefined")
-        clf = DtClassifier(dt)
+        clf = DtClassifier(xpg_mod.parse_dt(Path(args.dt).read_text()))
     else:
         graph = xpg_mod.parse_xpg(Path(args.xpg).read_text())
         if not graph.zero_terminals():
@@ -95,13 +89,15 @@ def _load_classifier(args):
         clf = XpgClassifier(graph)
 
     instance = parse_instance(Path(args.instance).read_text()) if args.instance else None
-    if instance is None and kind != "xpg":
-        raise FmpsatError(f"--{kind} needs --instance")
-    if kind != "sdd":
+    if kind == "xpg":  # the graph's one record is keyed None: check the file's arity here
         clf.check_instance(instance)
-    elif not sdd_mod.is_consistent(clf.diagram_for(instance)):
-        # making the record checked the instance, so the SDD is constant exactly
-        # when the diagram giving the instance class 0 has no model
+    elif instance is None:
+        raise FmpsatError(f"--{kind} needs --instance")
+    # making the record checks the instance, and an OBDD or DT builder
+    # refuses a constant classifier; an SDD is constant exactly when the
+    # diagram giving the instance class 0 has no model
+    source = clf.circuit_for(instance).source
+    if kind == "sdd" and not sdd_mod.is_consistent(source):
         raise FmpsatError("classifier is constant; explanation queries are undefined")
     return clf, instance
 

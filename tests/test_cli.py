@@ -1,6 +1,5 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -15,8 +14,9 @@ from fmpsat import sdd as sdd_mod
 from fmpsat.cli import main
 from fmpsat.batch import generate_random_obdd
 
+import pins
+
 DATA = Path(__file__).parent / "data"
-DESK = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk"
 
 ELLA_SDD = [
     "--sdd", str(DATA / "ella.sdd"),
@@ -272,6 +272,25 @@ def test_an_sdd_command_evaluates_the_diagram_once(capsys, tmp_path, monkeypatch
         assert len(calls) == 1, argv
 
 
+def test_an_obdd_command_checks_the_instance_once(capsys, tmp_path, monkeypatch):
+    # loading makes the adapter's record, which checks the instance; the
+    # query and the encoding read that record
+    calls = []
+    check = F.ObddClassifier.check_instance
+
+    def counting(self, instance):
+        calls.append(instance)
+        return check(self, instance)
+
+    monkeypatch.setattr(F.ObddClassifier, "check_instance", counting)
+    for argv in (["axp", *ELLA_OBDD], ["fmp", *ELLA_OBDD, "--target", "3"],
+                 ["encode", *ELLA_OBDD, "--target", "3", "--out", str(tmp_path / "q.cnf")]):
+        calls.clear()
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1, argv
+
+
 def test_import_leaves_numpy_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
@@ -325,15 +344,10 @@ def test_enum_guard_trips(capsys, tmp_path):
 
 # ----------------------------------------------------------------- encode
 
-def test_encode_golden(capsys, tmp_path):
-    out_path = tmp_path / "out.cnf"
-    code, _, _ = run(
-        capsys,
-        ["encode", *ELLA_OBDD, "--target", "3", "--method", "one-step",
-         "--out", str(out_path)],
-    )
-    assert code == 0
-    assert out_path.read_text() == (DATA / "ella_xpg_onestep_t3.cnf").read_text()
+@pytest.mark.pins("ella-dimacs")
+def test_encode_golden():
+    got = pins.ella_dimacs()
+    assert got == {name: (DATA / name).read_text() for name in got}
 
 
 def test_encode_streams_the_goldens_to_file_and_stdout(capsys, tmp_path):
@@ -345,8 +359,9 @@ def test_encode_streams_the_goldens_to_file_and_stdout(capsys, tmp_path):
         (["--sdd", str(DATA / "ella.sdd"), "--vtree", str(DATA / "ella.vtree"),
           "--instance", str(negated), "--method", "two-step"], "ella_sdd_negated_twostep_t3.cnf"),
     ]
+    goldens = pins.ella_dimacs()
     for args, golden in cases:
-        expected = (DATA / golden).read_bytes()
+        expected = goldens[golden].encode()
         out_path = tmp_path / golden
         code, out, _ = run(capsys, ["encode", *args, "--target", "3", "--out", str(out_path)])
         assert code == 0 and out == ""
@@ -356,45 +371,31 @@ def test_encode_streams_the_goldens_to_file_and_stdout(capsys, tmp_path):
         assert out.encode() == expected
 
 
-def test_encode_keeps_the_bytes_of_a_desk_one_step_file(capsys, tmp_path):
-    # the 132k-clause one-step file of the benchmark's desk query obdd-m60-q0,
-    # pinned by a SHA-256 digest of its bytes; the CI job checks the same
-    # digest through the installed script
-    out_path = tmp_path / "m60.cnf"
-    code, _, _ = run(capsys, ["encode", "--obdd", str(DESK / "obdd-m60.obdd"),
-                              "--instance", str(DESK / "obdd-m60-q0.inst"), "--target", "48",
-                              "--method", "one-step", "--out", str(out_path)])
-    assert code == 0
-    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == (DATA / "obdd-m60-q0-t48-onestep.sha256").read_text().strip()
+# the desk-dimacs family, one test per file as the files were added; the CI
+# job checks the same digests through the installed script
+
+def _keeps_its_bytes(*keys):
+    assert pins.desk_dimacs(*keys) == {key: pins.load()["desk-dimacs"][key] for key in keys}
 
 
-def test_encode_keeps_the_bytes_of_the_largest_desk_one_step_file(capsys, tmp_path):
+@pytest.mark.pins("desk-dimacs", "obdd-m60-q0-t48-onestep")
+def test_encode_keeps_the_bytes_of_a_desk_one_step_file():
+    # the 132k-clause one-step file of the benchmark's desk query obdd-m60-q0
+    _keeps_its_bytes("obdd-m60-q0-t48-onestep")
+
+
+@pytest.mark.pins("desk-dimacs", "obdd-m100-q0-t84-onestep")
+def test_encode_keeps_the_bytes_of_the_largest_desk_one_step_file():
     # desk query obdd-m100-q0 with target 84 gives the largest one-step file
-    # of the desk: 71,884 variables and 334,872 clauses, pinned the same way
-    out_path = tmp_path / "m100.cnf"
-    code, _, _ = run(capsys, ["encode", "--obdd", str(DESK / "obdd-m100.obdd"),
-                              "--instance", str(DESK / "obdd-m100-q0.inst"), "--target", "84",
-                              "--method", "one-step", "--out", str(out_path)])
-    assert code == 0
-    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    assert digest == (DATA / "obdd-m100-q0-t84-onestep.sha256").read_text().strip()
+    _keeps_its_bytes("obdd-m100-q0-t84-onestep")
 
 
+@pytest.mark.pins("desk-dimacs", "sdd-m100-q0-t8-onestep", "sdd-m100-q0-t8-twostep")
 @pytest.mark.parametrize("method", ["one-step", "two-step"])
-def test_encode_keeps_the_bytes_of_the_desk_negated_sdd_files(capsys, tmp_path, method):
+def test_encode_keeps_the_bytes_of_the_desk_negated_sdd_files(method):
     # desk query sdd-m100-q0 is of class 1 with target 8, so both files
-    # encode the negated diagram; each is pinned by a SHA-256 digest of its
-    # bytes, which the CI job checks through the installed script too
-    out_path = tmp_path / "sdd-m100.cnf"
-    code, _, _ = run(capsys, ["encode", "--sdd", str(DESK / "sdd-m100.sdd"),
-                              "--vtree", str(DESK / "sdd-m100.vtree"),
-                              "--instance", str(DESK / "sdd-m100-q0.inst"), "--target", "8",
-                              "--method", method, "--out", str(out_path)])
-    assert code == 0
-    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
-    step = method.replace("-", "")
-    assert digest == (DATA / f"sdd-m100-q0-t8-{step}.sha256").read_text().strip()
+    # encode the negated diagram
+    _keeps_its_bytes(f"sdd-m100-q0-t8-{method.replace('-', '')}")
 
 
 def test_encode_twostep_smaller(capsys, tmp_path):
@@ -425,6 +426,12 @@ def test_bench_deterministic(capsys, tmp_path):
         for line in text.splitlines()
     ]
     assert scrub(first) == scrub(second)
+
+
+@pytest.mark.pins("bench-seed7")
+def test_bench_keeps_its_seed7_answers():
+    # the CI job's bench runs, every column but the timings
+    assert pins.bench_seed7() == pins.load()["bench-seed7"]
 
 
 def test_bench_paired_rows_and_method_agreement(capsys):

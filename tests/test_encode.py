@@ -1,7 +1,6 @@
 """CNF construction: clausification, the worked running example, and
 exhaustive faithfulness checks against the diagram predicates."""
 
-import hashlib
 import math
 import re
 import tracemalloc
@@ -32,13 +31,13 @@ from fmpsat.encode import (
 from fmpsat.errors import EncodingError, SolverTimeout
 from fmpsat.explain import Instance
 from fmpsat.batch import (
-    generate_random_classifier,
     generate_random_obdd,
     obdd_to_shannon_sdd,
     random_instance,
 )
 from fmpsat.sat import solve
 
+import pins
 from random_graphs import random_dt, random_xpg
 from sdd_builder import balanced_vtree, compile_sdd, random_function
 
@@ -65,8 +64,9 @@ def test_dimacs_single_clause():
 
 
 def test_dimacs_golden_file(ella_xpg):
+    # the graph file encodes as the command line encodes its OBDD
     cnf, vm = encode_xpg_onestep(ella_xpg, 3)
-    assert write_dimacs(cnf, vm) == (DATA / "ella_xpg_onestep_t3.cnf").read_text()
+    assert write_dimacs(cnf, vm) == pins.ella_dimacs()["ella_xpg_onestep_t3.cnf"]
 
 
 def test_dimacs_golden_negated_sdd(ella_sdd_clf):
@@ -74,7 +74,7 @@ def test_dimacs_golden_negated_sdd(ella_sdd_clf):
     query = F.FmpQuery(ella_sdd_clf, Instance((1, 0, 1, 1), 1), 3, method="two-step")
     cnf, vm, pre_negated = F.build_encoding(query)
     assert pre_negated
-    assert write_dimacs(cnf, vm) == (DATA / "ella_sdd_negated_twostep_t3.cnf").read_text()
+    assert write_dimacs(cnf, vm) == pins.ella_dimacs()["ella_sdd_negated_twostep_t3.cnf"]
 
 
 @pytest.fixture(scope="module")
@@ -727,86 +727,9 @@ def test_every_definition_is_read(ella_sdd, ella_obdd, ella_instance):
 
 # ----------------------------------------------------------- byte stability
 
-# SHA-256 of write_dimacs(cnf, vm) for each (case, method) of _digest_corpus;
-# the OBDD and m = 20, 30 Shannon SDD entries were re-recorded when the
-# encoder stopped defining gates the output does not read, the others are
-# as the general fold (terms of any length) recorded them. Any change to
-# variables, clause order or literals shows here
-ENCODING_DIGESTS = {
-    ("obdd-m10-t7", "one-step"): "bd6be732cbcefad459e5f8d459b10294a9330a27e17ac1f9771cfb5f69d3f3d6",
-    ("obdd-m10-t7", "two-step"): "50e853be9611eaddad0b00280e8a152333dc430c671711236856a492d995ac8a",
-    ("obdd-m10-t9", "one-step"): "adf5053020ec8be5b72dd3b012e6f62c8a8fd7f8f37d0921ff83c2b6abc3751a",
-    ("obdd-m10-t9", "two-step"): "3135469f4a87e9748ef85b61a5090ec463eb43bced03aff4efa9509a1c898655",
-    ("obdd-m10-t10", "one-step"): "43eb43802c6a9bb8155a3a7e5ae64a43591f7506b9c457394e202fa667e670ef",
-    ("obdd-m10-t10", "two-step"): "377346a5dfad794df687b3550d3ab89d77d464db62d425bb3d64fb1d13bc7827",
-    ("obdd-m20-t1", "one-step"): "5b0b05a47a53f06097ace4adf43853d98d11149a7683edd8b62c0737c2c5ea7e",
-    ("obdd-m20-t1", "two-step"): "3c512696aa38a3c3c4be8f040504a4118064b590faf97514e561a6dfd1d85830",
-    ("obdd-m20-t5", "one-step"): "322e7800ae84619d0fd10650c1be6486e0c7f2f8ead3e0c933528159aca8acf4",
-    ("obdd-m20-t5", "two-step"): "add41a2d90a1e2bc25cb4b90395021b68f81f2fd6178eba2340bf67c69a80756",
-    ("obdd-m20-t14", "one-step"): "7b0d9a87136b4fb015384111f731724263ef3bef6f0c526041e965d8a8cf111d",
-    ("obdd-m20-t14", "two-step"): "89942d7171d635c8b1454c686942b33ca9fad0726977339f3ea49ed6e360462a",
-    ("obdd-m30-t2", "one-step"): "2a79c006df40e2bff5f4164c13b3138f888f7a0407af0ae5273fbf1228c5e067",
-    ("obdd-m30-t2", "two-step"): "b6a5804d7f990e2dea92c26643e01e7e1e8a7b8142fd05c496f970509bee60ed",
-    ("obdd-m30-t11", "one-step"): "5ab4f79cf7fb521be5828e76242a1c7b67fe35397c0f2f1b994a0c3700e25b07",
-    ("obdd-m30-t11", "two-step"): "c458c15ca72914c1e78881ccdd1a2c63f2a9eeee9137d689489b3407de266daf",
-    ("obdd-m30-t25", "one-step"): "5dc38a43f5207a4951737ee72a5e3d7754edd7120f12b8c48e995408fb2505d8",
-    ("obdd-m30-t25", "two-step"): "33e85a83986dc215cb5011258af2c9725ab3e233fedc472c063b0af112eed9d4",
-    ("shannon-sdd-m10-t4", "one-step"): "5f29faf93392c13e6395cf2c154326709b0c74e7a7c798aabb77051e7135dc24",
-    ("shannon-sdd-m10-t4", "two-step"): "8048535fc49f0a0980f0282eb451ccb541548ec837e683ccb16e988768f17d1c",
-    ("shannon-sdd-m10-t6", "one-step"): "37f46c8b94062012fddc7d0fbf0a66b02ba9a50858653b63369e464889e2a2b2",
-    ("shannon-sdd-m10-t6", "two-step"): "ee77845c8786318773b694c2c4f411fbec462add49f2e44a15eeec34665684ae",
-    ("shannon-sdd-m10-t9", "one-step"): "52693d8c752f2d7707b0a84292b36a1242e6b6d632379a45a6bdf7cf7260f3b6",
-    ("shannon-sdd-m10-t9", "two-step"): "8d2ec75d367025c11a2fb568013f9c8cf22f0089aa7d57ece1a35a7003b11593",
-    ("shannon-sdd-m20-t1", "one-step"): "59fba04eebfc47d3f6409973d5b44389e0784aaa207552c4f42fee234030b79d",
-    ("shannon-sdd-m20-t1", "two-step"): "77fa5dc845e3eb56990f2df82c8f22110a16a44459275626b5f62932a4babd2e",
-    ("shannon-sdd-m20-t4", "one-step"): "ad3cd430cb10a4701fed24713a849633ae0630c270112ba9da23b959220ba229",
-    ("shannon-sdd-m20-t4", "two-step"): "eb06d0e6a395bd2af93788188c24d54ff93318b5c2d3bf06bb8affc3bb78bcfc",
-    ("shannon-sdd-m20-t7", "one-step"): "623f68c1e1f189ec3d9d1f00b1d20b354220750e6ab0b662bd593799f4fda8c6",
-    ("shannon-sdd-m20-t7", "two-step"): "0a43612ee104776e548134d5bcb096bfa8eb9dca186915c5d7d6745bb8613106",
-    ("shannon-sdd-m30-t2", "one-step"): "0e72334c4e28fa068be52d5d1e9263b49c08f51053702d98253a0ff0de5bebfd",
-    ("shannon-sdd-m30-t2", "two-step"): "b1726ce1b3c4a140e973af3d2bc86283fdfe2873d1edddb2b3a0f21965234817",
-    ("shannon-sdd-m30-t3", "one-step"): "a3f5dcb9b6c09915dffc98e83badfd77d09f30b8f657438477f7763da62424d8",
-    ("shannon-sdd-m30-t3", "two-step"): "39ea4846b4178046dbf073512709efea907c28a18de35f72687a3ca18fe54606",
-    ("shannon-sdd-m30-t23", "one-step"): "d26e50a86e0f6fff1aec7f1135d74cea09526773071570d1c4853e141698006d",
-    ("shannon-sdd-m30-t23", "two-step"): "1e8e40df6043445eddfd358f7144259d34acd14d9402089a6858d5391e128138",
-    ("dt-m8-t1", "one-step"): "122ad002b16b277b1eb0cde4e29e4e275f4e145a37f4c672063f59e4b728af90",
-    ("dt-m8-t1", "two-step"): "211293036a7669818ddb52b6842e5a6cfba3464068fd5460aa3e7413cfa78bf0",
-    ("dt-m8-t4", "one-step"): "cad190cd172e3d2306c18a84d91abc848cfc6255563dfd6ea1ef98668d70c1a5",
-    ("dt-m8-t4", "two-step"): "c5374f30ba2ac692aaa4ec8d030a017f5ca9e69cbcf53d60b993d96cfbe00719",
-    ("dt-m8-t7", "one-step"): "f4bb4a7eb9309588fe6482dd8e21351c07a06981c11953896c21372bbef20c3e",
-    ("dt-m8-t7", "two-step"): "58f4ceadc513b3dc894de774db44a38eacd77ee453fb8dc80ab6b45b00f9d169",
-}
-
-
-def _digest_corpus():
-    """(name, classifier, instance, target): OBDDs and their Shannon SDDs
-    with m = 10, 20, 30 (class 1, 0, 1), three targets each, and one DT."""
-    rng = np.random.default_rng(14)
-    for kind in ("obdd", "shannon-sdd"):
-        for m in (10, 20, 30):
-            clf = generate_random_classifier(kind, m, 10 * m, seed=m)
-            inst = random_instance(clf, rng)
-            while inst.label != m // 10 % 2:  # both classes on both kinds
-                inst = random_instance(clf, rng)
-            for t in sorted(int(t) for t in rng.choice(np.arange(1, m + 1), 3, replace=False)):
-                yield f"{kind}-m{m}-t{t}", clf, inst, t
-    dt = random_dt(rng, 8)
-    while len(dt.nodes) < 25:
-        dt = random_dt(rng, 8)
-    clf = F.DtClassifier(dt)
-    inst = random_instance(clf, rng)
-    for t in sorted(int(t) for t in rng.choice(np.arange(1, 9), 3, replace=False)):
-        yield f"dt-m8-t{t}", clf, inst, t
-
-
+@pytest.mark.pins("encoding-digests")
 def test_encodings_keep_their_bytes():
-    digests = {}
-    for name, clf, inst, t in _digest_corpus():
-        for method in ("one-step", "two-step"):
-            cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, method))
-            text = write_dimacs(cnf, vm).encode()
-            digests[name, method] = hashlib.sha256(text).hexdigest()
-    assert digests == ENCODING_DIGESTS
+    assert pins.encoding_digests() == pins.load()["encoding-digests"]
 
 
 # ---------------------------------------------------------------- lowering

@@ -2,7 +2,6 @@
 
 import argparse
 import gc
-import hashlib
 import io
 import math
 import time
@@ -35,10 +34,10 @@ from fmpsat.batch import (
 )
 from fmpsat.fmp import FmpQuery, decide_membership
 from fmpsat.sat import SatResult
+import pins
 from random_graphs import chain_xpg, random_dt
 
 DATA = Path(__file__).parent / "data"
-DESK = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk"
 
 
 def test_running_example_all_four_routes(ella_sdd_clf, ella_obdd_clf, ella_instance):
@@ -215,17 +214,6 @@ def test_witness_check_errors_past_64_bits():
         assert str(caught.value) == message
 
 
-def _desk_classifier(name):
-    if name.startswith("sdd"):
-        vtree = F.parse_vtree((DESK / f"{name}.vtree").read_text())
-        return F.SddClassifier(F.parse_sdd((DESK / f"{name}.sdd").read_text(), vtree))
-    return F.ObddClassifier(F.parse_obdd((DESK / f"{name}.obdd").read_text()))
-
-
-def _desk_instance(query):
-    return F.parse_instance((DESK / f"{query}.inst").read_text())
-
-
 def test_a_yes_makes_three_full_passes_two_step_and_one_one_step(ella_sdd, ella_obdd,
                                                                  ella_instance, monkeypatch):
     # the witness check is one bit-parallel pass whatever the witness's
@@ -242,11 +230,11 @@ def test_a_yes_makes_three_full_passes_two_step_and_one_one_step(ella_sdd, ella_
             passes.clear()
             assert decide_membership(FmpQuery(clf, ella_instance, 3, method)).witness == {1, 3}
             assert passes == want, (type(clf).__name__, method)
-    # desk query obdd-m60-q2: a 49-feature witness
-    clf, inst = _desk_classifier("obdd-m60"), _desk_instance("obdd-m60-q2")
+    # desk query obdd-m60-q2: a witness of most of its 60 features
+    clf, inst = pins.desk_classifier("obdd-m60"), pins.desk_instance("obdd-m60-q2")
     passes.clear()
     witness = decide_membership(FmpQuery(clf, inst, 37, "two-step")).witness
-    assert len(witness) == 49 and passes == two_step
+    assert passes == two_step
     # its one-step search takes seconds, so a crafted model selects the same
     # witness and the query re-checks it
     monkeypatch.setattr(fmp_mod, "solve", lambda cnf, deadline=math.inf: SatResult(
@@ -256,165 +244,28 @@ def test_a_yes_makes_three_full_passes_two_step_and_one_one_step(ella_sdd, ella_
     assert passes == ["outputs_without_each"]
 
 
-# Pinned outcomes of the nine two-step desk queries of perfbench/data/desk,
-# each on a fresh adapter under a 10 s limit: query -> (target, answer,
-# num_vars, num_clauses, counters, witness, two-step seed), the counters in
-# the order of DESK_COUNTERS.
-DESK_COUNTERS = ("decisions", "conflicts", "propagations", "restarts", "learned_clauses",
-                 "learned_literals")
-DESK_GOLDEN = {
-    "obdd-m100-q0": (84, "Yes", 2704, 11725, (67, 0, 12247, 0, 0, 0),
-        {5, 12, 20, 25, 29, 31, 32, 33, 42, 43, 44, 49, 51, 52, 53, 54, 56, 57, 61, 62,
-         72, 73, 75, 76, 78, 80, 82, 84, 85, 89, 92, 96, 98},
-        {5, 12, 20, 25, 29, 31, 32, 33, 42, 43, 44, 49, 51, 52, 53, 54, 56, 57, 61, 62,
-         72, 73, 75, 76, 78, 80, 82, 84, 85, 89, 92, 96, 98}),
-    "obdd-m100-q1": (31, "No", 1872, 8318, (26, 8, 13536, 0, 7, 31), None, None),
-    "obdd-m100-q2": (11, "No", 2477, 10899, (4571, 1612, 1529987, 10, 1611, 194624),
-        None, None),
-    "obdd-m60-q0": (48, "Yes", 1576, 6955, (43, 0, 7222, 0, 0, 0),
-        {3, 4, 7, 13, 16, 25, 30, 33, 35, 37, 38, 44, 46, 47, 48, 50, 55},
-        {3, 4, 7, 13, 16, 25, 30, 33, 35, 37, 38, 44, 46, 47, 48, 50, 55}),
-    "obdd-m60-q1": (40, "Yes", 1429, 6313, (135, 62, 42570, 0, 62, 2461),
-        {6, 8, 9, 11, 14, 15, 16, 19, 20, 21, 22, 23, 25, 26, 27, 28, 31, 33, 34, 37,
-         40, 42, 43, 44, 45, 46, 47, 50, 55, 56, 57, 59, 60},
-        {6, 8, 9, 11, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28,
-         31, 32, 33, 34, 36, 37, 38, 40, 42, 43, 44, 45, 46, 47, 49, 50, 51, 52, 53, 54,
-         55, 56, 57, 58, 59, 60}),
-    "obdd-m60-q2": (37, "Yes", 1634, 7254, (264, 67, 58336, 0, 67, 4919),
-        {2, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
-         27, 29, 30, 32, 33, 34, 35, 36, 37, 39, 40, 41, 42, 44, 45, 46, 47, 48, 49, 51,
-         52, 53, 55, 56, 57, 58, 59, 60},
-        {2, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24,
-         25, 27, 29, 30, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
-         48, 49, 51, 52, 53, 55, 56, 57, 58, 59, 60}),
-    "sdd-m100-q0": (8, "Yes", 648, 2037, (71, 0, 2192, 0, 0, 0),
-        {7, 8, 11, 17, 23, 24, 29, 32, 36, 41, 42, 44, 49, 51, 52, 54, 56, 57, 61, 73,
-         75, 79, 82, 84, 89, 92, 94, 96, 97},
-        {7, 8, 11, 17, 23, 24, 29, 32, 36, 41, 42, 44, 49, 51, 52, 54, 56, 57, 61, 73,
-         75, 79, 82, 84, 89, 92, 94, 96, 97}),
-    "sdd-m100-q1": (47, "No", 227, 440, (0, 1, 1, 0, 0, 0), None, None),
-    "sdd-m100-q2": (79, "Yes", 896, 3094, (192, 45, 17483, 0, 45, 774),
-        {9, 18, 19, 22, 25, 26, 27, 32, 34, 37, 38, 42, 43, 46, 49, 50, 51, 53, 54, 60,
-         61, 62, 63, 66, 68, 73, 75, 78, 79, 81, 82, 83, 88, 89, 90, 91, 92, 93, 95, 96,
-         97, 98, 99, 100},
-        {9, 18, 19, 20, 21, 22, 25, 26, 27, 32, 34, 37, 38, 40, 41, 42, 43, 46, 49, 50,
-         51, 53, 54, 55, 60, 61, 62, 63, 65, 66, 68, 73, 74, 75, 76, 78, 79, 81, 82, 83,
-         86, 87, 88, 89, 90, 91, 92, 93, 95, 96, 97, 98, 99, 100}),
-}
-
-
+@pytest.mark.pins("desk")
 def test_desk_queries_keep_their_outcomes():
     # large witnesses, and the kernel's whole trajectory on the hard No q2
-    rows = [line.split() for line in (DESK / "queries.txt").read_text().splitlines()
-            if not line.startswith("c")]
-    assert sorted(name for name, *_ in rows) == sorted(DESK_GOLDEN)
-    for name, classifier, target, _ in rows:
-        query = FmpQuery(_desk_classifier(classifier), _desk_instance(name), int(target),
-                         "two-step", time_limit_s=10.0)
-        out = decide_membership(query)
-        got = (int(target), out.answer, out.num_vars, out.num_clauses,
-               tuple(out.stats[k] for k in DESK_COUNTERS), out.witness, out.two_step_seed)
-        assert got == DESK_GOLDEN[name], name
-        assert list(out.stats) == list(DESK_COUNTERS)
-
-
-# The gates of each desk query's circuit, which both the weak-AXp checks
-# and the encoder walk: the gates its output reads through folded live
-# terms, with a gate whose only live term is one operand taken as that
-# operand.
-DESK_CHECK_GATES = {
-    "obdd-m100-q0": 1222, "obdd-m100-q1": 1223, "obdd-m100-q2": 1258,
-    "obdd-m60-q0": 757, "obdd-m60-q1": 747, "obdd-m60-q2": 747,
-    "sdd-m100-q0": 309, "sdd-m100-q1": 127, "sdd-m100-q2": 624,
-}
+    got = pins.desk()
+    assert got == pins.load()["desk"]
+    assert all(list(row["counters"]) == list(kernel._counters()) for row in got.values())
 
 
 def test_desk_checks_run_on_the_pruned_circuit():
-    # replica 0 evaluates every gate once, into one value per slot
-    rows = [line.split() for line in (DESK / "queries.txt").read_text().splitlines()
-            if not line.startswith("c")]
-    for name, classifier, target, _ in rows:
-        clf, inst = _desk_classifier(classifier), _desk_instance(name)
+    # replica 0 evaluates every gate of the circuit once, into one value per slot
+    for name, classifier, target in pins.desk_queries():
+        clf, inst = pins.desk_classifier(classifier), pins.desk_instance(name)
         assert F.is_weak_axp(clf, inst, range(1, clf.num_features + 1))
         circuit = clf.circuit_for(inst)
-        assert len(circuit.terms) == DESK_CHECK_GATES[name], name
-        F.build_encoding(FmpQuery(clf, inst, int(target), "two-step"))
+        F.build_encoding(FmpQuery(clf, inst, target, "two-step"))
         walked = circuit.store["val"][clf.num_features + 2:]
-        assert len(walked) == DESK_CHECK_GATES[name] and None not in walked, name
+        assert len(walked) == len(circuit.terms) and None not in walked, name
 
 
-# Pinned two-step sweeps of every target on one adapter of a small random
-# Shannon SDD: (features, node budget, seed) -> one row per target of
-# (answer, counters in DESK_COUNTERS order, witness, two-step seed). The
-# seed draws the diagram and the instance, of class 1 and 0 here.
-SDD_SWEEP_GOLDEN = {
-    (14, 80, 3): [
-        ("Yes", (9, 0, 278, 0, 0, 0), {1, 4, 6, 9, 14}, {1, 4, 6, 9, 14}),
-        ("Yes", (10, 0, 297, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
-        ("Yes", (11, 3, 497, 0, 3, 4), {1, 2, 3, 4, 6, 7, 10, 14}, {1, 2, 3, 4, 6, 7, 10, 14}),
-        ("Yes", (10, 0, 231, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
-        ("Yes", (9, 2, 538, 0, 2, 3), {1, 2, 4, 5, 6, 7, 13}, {1, 2, 4, 5, 6, 7, 13}),
-        ("Yes", (10, 0, 314, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
-        ("Yes", (9, 2, 537, 0, 2, 3), {1, 2, 4, 5, 6, 7, 13}, {1, 2, 4, 5, 6, 7, 8, 12, 13}),
-        ("Yes", (9, 5, 812, 0, 5, 15), {1, 2, 4, 5, 6, 8, 12, 13, 14},
-         {1, 2, 4, 5, 6, 8, 10, 12, 13, 14}),
-        ("Yes", (10, 0, 341, 0, 0, 0), {2, 4, 6, 9}, {2, 4, 6, 9}),
-        ("Yes", (17, 4, 506, 0, 4, 5), {1, 2, 4, 6, 7, 10, 11}, {1, 2, 3, 4, 6, 7, 10, 11}),
-        ("Yes", (9, 2, 312, 0, 2, 3), {1, 2, 4, 5, 6, 7, 11}, {1, 2, 4, 5, 6, 7, 11}),
-        ("Yes", (14, 5, 1009, 0, 5, 19), {1, 2, 4, 6, 10, 11, 12, 13},
-         {1, 2, 4, 5, 6, 10, 11, 12, 13, 14}),
-        ("Yes", (9, 2, 408, 0, 2, 3), {1, 2, 4, 5, 6, 7, 13}, {1, 2, 4, 5, 6, 7, 13}),
-        ("Yes", (9, 2, 356, 0, 2, 3), {1, 2, 4, 5, 6, 7, 14}, {1, 2, 4, 5, 6, 7, 14}),
-    ],
-    (18, 150, 8): [
-        ("Yes", (8, 0, 177, 0, 0, 0), {1, 4, 5, 6, 9, 12, 13, 14, 16, 17},
-         {1, 4, 5, 6, 9, 12, 13, 14, 16, 17}),
-        ("Yes", (6, 1, 369, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
-         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
-        ("Yes", (6, 1, 321, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
-         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
-        ("Yes", (7, 0, 178, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (7, 0, 167, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (7, 0, 207, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (6, 1, 345, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
-         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
-        ("Yes", (7, 0, 177, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (7, 0, 193, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (7, 0, 164, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("No", (5, 6, 286, 0, 5, 7), None, None),
-        ("Yes", (7, 0, 161, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (7, 0, 209, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (7, 0, 180, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("No", (8, 7, 761, 0, 6, 15), None, None),
-        ("Yes", (7, 0, 183, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (7, 0, 166, 0, 0, 0), {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17},
-         {4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17}),
-        ("Yes", (6, 1, 318, 0, 1, 4), {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18},
-         {2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 16, 18}),
-    ],
-}
-
-
+@pytest.mark.pins("sdd-sweeps")
 def test_small_sdd_sweeps_keep_their_outcomes():
-    for (m, nodes, seed), rows in SDD_SWEEP_GOLDEN.items():
-        clf = F.SddClassifier(obdd_to_shannon_sdd(generate_random_obdd(m, nodes, seed)))
-        inst = random_instance(clf, np.random.default_rng(seed))
-        assert len(rows) == m
-        for target, row in enumerate(rows, 1):
-            out = decide_membership(FmpQuery(clf, inst, target, "two-step"))
-            got = (out.answer, tuple(out.stats[k] for k in DESK_COUNTERS), out.witness,
-                   out.two_step_seed)
-            assert got == row, (m, nodes, seed, target)
+    assert pins.sdd_sweeps() == pins.load()["sdd-sweeps"]
 
 
 # ------------------------------------------- one circuit per (classifier, instance)
@@ -484,17 +335,19 @@ def test_a_checks_only_query_emits_no_replica_0(ella_sdd, ella_obdd, ella_xpg, e
 
 def test_the_readers_are_made_on_the_first_scan_or_encoding():
     # the checks that need no readers leave them unmade; the encoding that
-    # makes them later keeps the bytes of the pinned desk file
-    clf = F.ObddClassifier(F.parse_obdd((DESK / "obdd-m60.obdd").read_text()))
-    inst = F.parse_instance((DESK / "obdd-m60-q0.inst").read_text())
+    # makes them later has the bytes of a fresh adapter's
+    clf = pins.desk_classifier("obdd-m60")
+    inst = pins.desk_instance("obdd-m60-q0")
     axp = F.find_axp(_fresh(clf), inst, range(1, 61))
     assert F.is_weak_axp(clf, inst, axp)
     fmp_mod._verify_witness(clf, inst, axp, min(axp), math.inf)
     circuit = clf.circuit_for(inst)
     assert "readers" not in vars(circuit)
-    cnf, vm, _ = F.build_encoding(FmpQuery(clf, inst, 48, "one-step"))
-    digest = hashlib.sha256("".join(enc.iter_dimacs(cnf, vm)).encode()).hexdigest()
-    assert digest == (DATA / "obdd-m60-q0-t48-onestep.sha256").read_text().strip()
+    texts = []
+    for adapter in (clf, _fresh(clf)):
+        cnf, vm, _ = F.build_encoding(FmpQuery(adapter, inst, 48, "one-step"))
+        texts.append("".join(enc.iter_dimacs(cnf, vm)))
+    assert texts[0] == texts[1]
     assert "readers" in vars(circuit)
 
 
@@ -816,8 +669,8 @@ def test_a_query_promotes_its_survivors_unwalked():
     # the first young collection after a query would walk every object the
     # query left alive (~30k here); the query leaves them in the oldest
     # generation, and no young collection has run since it started
-    clf = F.ObddClassifier(F.parse_obdd((DESK / "obdd-m100.obdd").read_text()))
-    inst = F.parse_instance((DESK / "obdd-m100-q1.inst").read_text())
+    clf = pins.desk_classifier("obdd-m100")
+    inst = pins.desk_instance("obdd-m100-q1")
     started = []
 
     def record(phase, info):
@@ -894,52 +747,9 @@ def test_a_query_leaves_a_disabled_collectors_generations_alone(ella_obdd_clf, e
             gc.enable()
 
 
-# Pinned outcomes of fixed-seed queries, keyed by the (kind, m, node budget,
-# seed) of generate_random_classifier: (instance values, target, method,
-# membership, witness, two-step seed, num_vars, num_clauses, pre-negated).
-# Every Yes target here lies in two or more AXps, so a search change that
-# returns another model shows up as another witness.
-GOLDEN = {
-    ("obdd", 10, 40, 5): [
-        ("0100000010", 7, "one-step", False, None, None, 79, 312, False),
-        ("0100000010", 7, "two-step", False, None, None, 36, 111, False),
-        ("1110011100", 6, "one-step", True, {1, 5, 6, 7, 9, 10}, None, 96, 445, False),
-        ("1110011100", 6, "two-step", True, {1, 5, 6, 7, 9, 10}, {1, 5, 6, 7, 9, 10}, 27, 85, False),
-        ("0111011010", 4, "one-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, None, 87, 358, False),
-        ("0111011010", 4, "two-step", True, {1, 3, 4, 5, 6, 7, 8, 9}, {1, 3, 4, 5, 6, 7, 8, 9}, 35, 109, False),
-        ("1101011010", 3, "one-step", True, {3, 6, 9, 10}, None, 100, 402, False),
-        ("1101011010", 3, "two-step", True, {3, 6, 9, 10}, {3, 6, 9, 10}, 38, 124, False),
-        ("0100010100", 6, "one-step", True, {1, 5, 6, 7, 8, 10}, None, 130, 519, False),
-        ("0100010100", 6, "two-step", True, {1, 5, 6, 7, 8, 10}, {1, 5, 6, 7, 8, 10}, 35, 104, False),
-    ],
-    ("shannon-sdd", 10, 40, 6): [
-        ("1011011001", 1, "one-step", False, None, None, 83, 275, False),
-        ("1011011001", 1, "two-step", False, None, None, 49, 147, False),
-        ("1001001001", 9, "one-step", True, {2, 4, 6, 7, 8, 9, 10}, None, 40, 114, False),
-        ("1001001001", 9, "two-step", True, {2, 4, 6, 7, 8, 9, 10}, {2, 4, 6, 7, 8, 9, 10}, 23, 46, False),
-        ("0000110101", 10, "one-step", True, {1, 2, 5, 6, 8, 9, 10}, None, 53, 159, False),
-        ("0000110101", 10, "two-step", True, {1, 2, 5, 6, 8, 9, 10}, {1, 2, 5, 6, 8, 9, 10}, 32, 78, False),
-        ("1110111111", 2, "one-step", True, {2, 7, 8, 9, 10}, None, 130, 455, True),
-        ("1110111111", 2, "two-step", True, {2, 7, 8, 9, 10}, {2, 7, 8, 9, 10}, 47, 140, True),
-        ("0001110111", 2, "one-step", False, None, None, 69, 218, True),
-        ("0001110111", 2, "two-step", False, None, None, 43, 121, True),
-        ("1100111100", 8, "one-step", True, {1, 2, 6, 7, 8, 10}, None, 67, 207, True),
-        ("1100111100", 8, "two-step", True, {1, 2, 6, 7, 8, 10}, {1, 2, 6, 7, 8, 10}, 27, 62, True),
-    ],
-}
-
-
+@pytest.mark.pins("golden")
 def test_golden_answers_and_witnesses():
-    for (kind, m, budget, seed), rows in GOLDEN.items():
-        clf = generate_random_classifier(kind, m, budget, seed=seed)
-        for text, target, method, member, witness, two_step_seed, n_vars, n_cls, negated in rows:
-            values = tuple(int(ch) for ch in text)
-            inst = F.Instance(values, clf.predict(values))
-            out = decide_membership(FmpQuery(clf, inst, target, method))
-            got = (out.membership, out.witness, out.two_step_seed,
-                   out.num_vars, out.num_clauses, out.pre_negated)
-            assert got == (member, witness, two_step_seed, n_vars, n_cls, negated), (
-                kind, text, target, method)
+    assert pins.golden() == pins.load()["golden"]
 
 
 # -------------------------------------------------------------- generators

@@ -25,28 +25,9 @@ from fmpsat.sat import kernel, solve, solve_external
 from fmpsat.sat import solver as solver_mod
 from fmpsat.sat.kernel import model_satisfies
 
+import pins
 from oracles import dpll_sat, exhaustive_sat
-
-
-def _random_3cnf(rng, num_vars, num_clauses):
-    clauses = []
-    for _ in range(num_clauses):
-        variables = rng.choice(num_vars, size=3, replace=False) + 1
-        signs = rng.integers(0, 2, 3) * 2 - 1
-        clauses.append([int(v * s) for v, s in zip(variables, signs)])
-    return CnfFormula(num_vars=num_vars, clauses=clauses)
-
-
-def _php(pigeons, holes):
-    def var(i, j):
-        return i * holes + j + 1
-
-    clauses = [[var(i, j) for j in range(holes)] for i in range(pigeons)]
-    for j in range(holes):
-        for a in range(pigeons):
-            for b in range(a + 1, pigeons):
-                clauses.append([-var(a, j), -var(b, j)])
-    return CnfFormula(num_vars=pigeons * holes, clauses=clauses)
+from pins import php_formula, random_3cnf_formula
 
 
 # ----------------------------------------------------------------- basics
@@ -62,7 +43,7 @@ def test_contradiction():
 
 
 def test_pigeonhole_4_into_3():
-    cnf = _php(4, 3)
+    cnf = php_formula(4, 3)
     assert exhaustive_sat(cnf.num_vars, cnf.clauses) is False
     assert not solve(cnf).satisfiable
 
@@ -73,7 +54,7 @@ def test_empty_formula():
 
 def test_model_is_total_and_sound():
     rng = np.random.default_rng(1)
-    cnf = _random_3cnf(rng, 30, 100)
+    cnf = random_3cnf_formula(rng, 30, 100)
     result = solve(cnf)
     if result.satisfiable:
         assert len(result.model) == cnf.num_vars + 1
@@ -94,7 +75,8 @@ def test_model_satisfies_matches_a_literal_by_literal_check(data):
 
 def test_search_counters():
     rng = np.random.default_rng(8)
-    for cnf, satisfiable in ((_php(5, 4), False), (_random_3cnf(rng, 40, 150), True)):
+    for cnf, satisfiable in ((php_formula(5, 4), False),
+                             (random_3cnf_formula(rng, 40, 150), True)):
         result = solve(cnf)
         assert result.satisfiable is satisfiable
         stats = result.stats
@@ -111,7 +93,7 @@ def test_a_copy_searches_as_its_whole_clause_list():
     rng = np.random.default_rng(31)
     for trial in range(60):
         n = int(rng.integers(5, 30))
-        base = _random_3cnf(rng, n, int(rng.integers(1, 4 * n)))
+        base = random_3cnf_formula(rng, n, int(rng.integers(1, 4 * n)))
         base.clauses += [[int(rng.integers(1, n + 1))], [1, -1, 2], [2, 2, -3]][: trial % 4]
         if trial % 2:  # tuples, as the encoders make them
             base.clauses = list(map(tuple, base.clauses))
@@ -119,7 +101,7 @@ def test_a_copy_searches_as_its_whole_clause_list():
             cnf = base.copy()
             for _ in range(int(rng.integers(0, 3))):
                 cnf.new_var()
-            extra = _random_3cnf(rng, cnf.num_vars, int(rng.integers(0, n)))
+            extra = random_3cnf_formula(rng, cnf.num_vars, int(rng.integers(0, n)))
             cnf.clauses += extra.clauses + [[-cnf.num_vars]][: trial % 2]
             whole = CnfFormula(cnf.num_vars, list(cnf.clauses))
             assert solve(cnf) == solve(whole)
@@ -190,7 +172,7 @@ def test_agreement_with_truth_tables():
     for _ in range(120):
         n = int(rng.integers(3, 21))
         k = int(rng.integers(2, int(4.4 * n) + 1))
-        cnf = _random_3cnf(rng, n, k)
+        cnf = random_3cnf_formula(rng, n, k)
         assert solve(cnf).satisfiable == exhaustive_sat(n, cnf.clauses)
 
 
@@ -199,7 +181,7 @@ def test_agreement_with_dpll_beyond_table_range():
     for _ in range(30):
         n = int(rng.integers(22, 29))
         k = int(rng.integers(3 * n, int(4.4 * n) + 1))
-        cnf = _random_3cnf(rng, n, k)
+        cnf = random_3cnf_formula(rng, n, k)
         assert solve(cnf).satisfiable == dpll_sat(n, cnf.clauses)
 
 
@@ -312,13 +294,13 @@ def test_packing_stops_at_the_batch_after_a_deadline_passes(monkeypatch):
 
 
 def test_zero_time_limit_raises():
-    cnf = _php(5, 4)
+    cnf = php_formula(5, 4)
     with pytest.raises(SolverTimeout):
         solve(cnf, deadline=time.time())
 
 
 def test_time_limit_holds_during_search():
-    cnf = _php(9, 8)  # far more than half a second of search
+    cnf = php_formula(9, 8)  # far more than half a second of search
     started = time.perf_counter()
     with pytest.raises(SolverTimeout):
         solve(cnf, deadline=time.time() + 0.5)
@@ -440,40 +422,14 @@ def test_a_deadline_passing_before_any_batch_stops_the_solve(monkeypatch):
 # off the desk's formulas: a change that only speeds the kernel up keeps
 # all of them.
 
+@pytest.mark.pins("pigeonhole")
 def test_pigeonhole_7_into_6_keeps_its_trajectory():
-    result = solve(_php(7, 6))
-    assert not result.satisfiable
-    assert result.stats == kernel._counters(1167, 947, 244627, 6, 946, 13319)
+    assert pins.pigeonhole() == pins.load()["pigeonhole"]
 
 
-# near-threshold random 3-CNF from seed 17: (num_vars, counters in
-# `kernel._counters` order, model as a bit mask over variables 1.. or None)
-RANDOM_3CNF_GOLDEN = [
-    (55, (24, 12, 779, 0, 12, 61), 28279434709730472),
-    (50, (16, 6, 512, 0, 6, 27), 996582954819272),
-    (52, (75, 65, 4204, 0, 64, 306), None),
-    (42, (55, 46, 2362, 0, 45, 171), None),
-    (58, (111, 107, 7550, 1, 106, 518), None),
-    (46, (65, 52, 3015, 0, 52, 250), 49996872057857),
-    (55, (139, 125, 8841, 1, 124, 675), None),
-    (47, (13, 2, 225, 0, 2, 6), 75537976616512),
-    (60, (120, 98, 7172, 0, 97, 504), None),
-    (52, (110, 81, 5581, 0, 81, 500), 3501408367449678),
-    (40, (45, 45, 2599, 0, 44, 162), None),
-    (44, (58, 46, 2696, 0, 46, 221), 5174990117433),
-]
-
-
+@pytest.mark.pins("random-3cnf")
 def test_near_threshold_3cnf_batch_keeps_its_trajectories():
-    rng = np.random.default_rng(17)
-    got = []
-    for _ in RANDOM_3CNF_GOLDEN:
-        n = int(rng.integers(40, 61))
-        result = solve(_random_3cnf(rng, n, round(4.26 * n)))
-        mask = (sum(1 << i for i, x in enumerate(result.model[1:]) if x)
-                if result.satisfiable else None)
-        got.append((n, tuple(result.stats.values()), mask))
-    assert got == RANDOM_3CNF_GOLDEN
+    assert pins.random_3cnf() == pins.load()["random-3cnf"]
 
 
 # ------------------------------------------------------- external adapter
@@ -517,7 +473,7 @@ def stub_solver(tmp_path_factory):
 def test_external_agrees_with_internal(stub_solver):
     rng = np.random.default_rng(4242)
     for _ in range(100):
-        cnf = _random_3cnf(rng, 50, 200)
+        cnf = random_3cnf_formula(rng, 50, 200)
         assert solve_external(cnf, stub_solver).satisfiable == solve(cnf).satisfiable
 
 
