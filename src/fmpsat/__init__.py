@@ -20,7 +20,6 @@ from .encode import (
 from .errors import (
     ClassifierError,
     EncodingError,
-    ExternalSolverError,
     FmpsatError,
     ParseError,
     SolverError,
@@ -41,7 +40,7 @@ from .explain import (
     parse_instance,
 )
 from .fmp import FmpOutcome, FmpQuery, build_encoding, decide_membership
-from .sat import SatResult, solve, solve_external
+from .sat import SatResult, solve
 from .sdd import (
     Sdd,
     Vtree,

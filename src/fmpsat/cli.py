@@ -58,11 +58,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
         default="two-step",
         help="encoding shape (default: two-step)",
     )
-    parser.add_argument(
-        "--backend",
-        default="internal",
-        help="'internal' or 'external:<command>' (default: internal)",
-    )
     parser.add_argument("--time-limit-s", type=float, default=None)
 
 
@@ -117,17 +112,6 @@ def _describe(features, names) -> str:
     return ", ".join(names[i - 1] for i in sorted(features))
 
 
-def _solver_command(backend: str) -> str | None:
-    if backend == "internal":
-        return None
-    if backend.startswith("external:"):
-        command = backend[len("external:"):].strip()
-        if not command:
-            raise FmpsatError("external backend needs a command: --backend external:<cmd>")
-        return command
-    raise FmpsatError(f"unknown backend {backend!r}")
-
-
 def _fmt_features(features) -> str:
     return ",".join(str(i) for i in sorted(features))
 
@@ -140,7 +124,6 @@ def cmd_fmp(args) -> int:
         instance=instance,
         target=args.target,
         method=args.method,
-        solver_command=_solver_command(args.backend),
         time_limit_s=args.time_limit_s,
     )
     outcome = decide_membership(query)
@@ -208,7 +191,6 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     kind = {"obdd": "obdd", "sdd": "shannon-sdd"}[args.kind]
     methods = ["one-step", "two-step"] if args.method_bench == "both" else [args.method_bench]
-    solver_command = _solver_command(args.backend)
     queries: list[BatchQuery] = []
     for c in range(args.count):
         clf = generate_random_classifier(kind, args.m, args.nodes, seed=args.seed + c)
@@ -227,7 +209,6 @@ def cmd_bench(args) -> int:
                             instance=instance,
                             target=target,
                             method=method,
-                            solver_command=solver_command,
                             time_limit_s=args.time_limit_s,
                         ),
                     )
@@ -285,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["one-step", "two-step", "both"],
         default="both",
     )
-    p.add_argument("--backend", default="internal")
     p.add_argument("--time-limit-s", type=float, default=None)
     p.add_argument("--out", metavar="FILE", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_bench)

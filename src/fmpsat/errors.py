@@ -39,18 +39,3 @@ def check_deadline(deadline: float, message: str) -> None:
     if time.time() > deadline:
         raise SolverTimeout(message)
 
-
-class ExternalSolverError(FmpsatError):
-    """Base class for external solver adapter failures."""
-
-
-class SolverSpawnError(ExternalSolverError):
-    """The external solver command could not be started."""
-
-
-class SolverOutputError(ExternalSolverError):
-    """The external solver produced output we cannot interpret."""
-
-
-class SolverModelError(ExternalSolverError):
-    """The external solver returned a model that fails local verification."""

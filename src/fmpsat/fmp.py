@@ -27,7 +27,7 @@ from .explain import (
     find_axp,
     is_weak_axp,
 )
-from .sat import solve, solve_external
+from .sat import solve
 
 __all__ = ["FmpQuery", "FmpOutcome", "build_encoding", "decide_membership"]
 
@@ -40,7 +40,6 @@ class FmpQuery:
     instance: Instance | None
     target: int
     method: str = "two-step"
-    solver_command: str | None = None  # None = internal engine
     time_limit_s: float | None = None
 
 
@@ -56,7 +55,7 @@ class FmpOutcome:
     pre_negated: bool = False
     # the decoded selection a two-step model produced, before shrinking
     two_step_seed: frozenset[int] | None = None
-    # the internal search's counters (decisions, conflicts, ...); empty for an external solver
+    # the search's counters (decisions, conflicts, ...)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -153,7 +152,7 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     once the target is dropped, and the deletion scan's entry pass finds
     it weak. The time limit counts from entry: encoding spends part of
     it, the solver gets what is left, and the deletion scan and the
-    witness check read it too.
+    witness check read it too. A NaN limit raises FmpsatError.
 
     The query runs with the cyclic garbage collector paused, which
     saves its walks over the query's clauses and loses nothing, as the
@@ -162,15 +161,15 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     """
     clf, instance, t = query.classifier, query.instance, query.target
     started = time.perf_counter()
-    deadline = math.inf if query.time_limit_s is None else time.time() + query.time_limit_s
+    limit = query.time_limit_s
+    if limit is not None and math.isnan(limit):  # every deadline comparison would be False
+        raise FmpsatError(f"time limit {limit} is not a number of seconds")
+    deadline = math.inf if limit is None else time.time() + limit
     cnf, vm, pre_negated = build_encoding(query, deadline)
     encode_s = time.perf_counter() - started
 
     solve_started = time.perf_counter()
-    if query.solver_command:
-        result = solve_external(cnf, query.solver_command, deadline=deadline)
-    else:
-        result = solve(cnf, deadline=deadline)
+    result = solve(cnf, deadline=deadline)
     solve_s = time.perf_counter() - solve_started
 
     seed = None

@@ -1,4 +1,4 @@
 from .kernel import warm_up
-from .solver import SatResult, solve, solve_external
+from .solver import SatResult, solve
 
-__all__ = ["SatResult", "solve", "solve_external", "warm_up"]
+__all__ = ["SatResult", "solve", "warm_up"]

@@ -1,30 +1,18 @@
-"""Solver front end: internal CDCL engine plus a DIMACS adapter for
-external solvers. Both reject literals outside 1..num_vars, and re-check
-every satisfiable verdict against the full clause set before returning it."""
+"""Solver front end: the internal CDCL engine. It rejects literals
+outside 1..num_vars, and re-checks every satisfiable verdict against the
+full clause set before returning it."""
 
 from __future__ import annotations
 
 import math
-import shlex
-import subprocess
-import tempfile
-import time
 from dataclasses import dataclass, field
 from itertools import chain
-from pathlib import Path
 
-from ..encode import CnfFormula, iter_dimacs
-from ..errors import (
-    SolverError,
-    SolverModelError,
-    SolverOutputError,
-    SolverSpawnError,
-    SolverTimeout,
-    check_deadline,
-)
+from ..encode import CnfFormula
+from ..errors import SolverError, SolverTimeout, check_deadline
 from . import kernel
 
-__all__ = ["SatResult", "solve", "solve_external"]
+__all__ = ["SatResult", "solve"]
 
 
 @dataclass(frozen=True)
@@ -33,7 +21,7 @@ class SatResult:
 
     satisfiable: bool
     model: list[bool] | None = None  # bool per variable, entry 0 unused
-    # the internal search's counters (kernel._counters); empty for an external solver
+    # the search's counters (kernel._counters)
     stats: dict = field(default_factory=dict)
 
     def value(self, var: int) -> bool:
@@ -94,14 +82,6 @@ def _packed_base(cnf: CnfFormula, deadline: float):
     return len(clauses), (units, body)
 
 
-def _verified_result(cnf: CnfFormula, values, error, stats: dict) -> SatResult:
-    """The model of ``values`` (one truth value per variable 1..num_vars),
-    once it satisfies every clause; else raise ``error``."""
-    if not kernel.model_satisfies(cnf.clauses, values):
-        raise error
-    return SatResult(True, [False, *map(bool, values)], stats)
-
-
 def solve(cnf: CnfFormula, *, deadline: float = math.inf) -> SatResult:
     """Decide the formula with the internal engine.
 
@@ -123,80 +103,6 @@ def solve(cnf: CnfFormula, *, deadline: float = math.inf) -> SatResult:
         return SatResult(False, stats=stats)
     if status == kernel.UNKNOWN:
         raise SolverTimeout("solve exceeded its time limit")
-    return _verified_result(
-        cnf, raw, SolverError("internal solver returned a model that violates a clause"), stats
-    )
-
-
-def _parse_external_output(text: str, num_vars: int):
-    verdict = None
-    values = [False] * num_vars
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("s "):
-            token = line[2:].strip().upper()
-            if token == "SATISFIABLE":
-                verdict = True
-            elif token == "UNSATISFIABLE":
-                verdict = False
-            elif token == "UNKNOWN":
-                raise SolverOutputError("external solver answered UNKNOWN")
-            else:
-                raise SolverOutputError(f"unrecognized status line {line!r}")
-        elif line.startswith("v ") or line == "v":
-            for tok in line[1:].split():
-                try:
-                    lit = int(tok)
-                except ValueError:
-                    raise SolverOutputError(f"bad literal {tok!r} in value line") from None
-                if lit == 0:
-                    continue
-                if abs(lit) > num_vars:
-                    raise SolverOutputError(f"value line mentions unknown variable {abs(lit)}")
-                values[abs(lit) - 1] = lit > 0
-    if verdict is None:
-        raise SolverOutputError("external solver printed no s-line")
-    return verdict, values
-
-
-def solve_external(
-    cnf: CnfFormula,
-    solver_command: str,
-    *,
-    deadline: float = math.inf,
-) -> SatResult:
-    """Run an external DIMACS solver and verify its answer locally.
-
-    The command receives the path of a temporary DIMACS file as its
-    last argument and must print competition-format output
-    (an ``s`` status line, ``v`` value lines for models). The process
-    gets the time left before the deadline (a ``time.time()`` value,
-    ``math.inf`` for none) once the literal check and the file are
-    done, and is not started if nothing is left.
-    """
-    _check_literals(cnf.num_vars, cnf.clauses, deadline)
-    argv = shlex.split(solver_command)
-    if not argv:
-        raise SolverSpawnError("empty external solver command")
-    with tempfile.TemporaryDirectory(prefix="fmpsat-") as tmp:
-        path = Path(tmp) / "problem.cnf"
-        with open(path, "w") as sink:
-            sink.writelines(iter_dimacs(cnf))
-        check_deadline(deadline, "no time left to run the external solver")
-        try:
-            proc = subprocess.run(
-                argv + [str(path)],
-                capture_output=True,
-                text=True,
-                timeout=None if deadline == math.inf else deadline - time.time(),
-            )
-        except OSError as exc:
-            raise SolverSpawnError(f"cannot run {argv[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise SolverTimeout("external solver exceeded its time limit") from exc
-    verdict, values = _parse_external_output(proc.stdout, cnf.num_vars)
-    if not verdict:
-        return SatResult(False)
-    return _verified_result(
-        cnf, values, SolverModelError("external model fails local clause verification"), {}
-    )
+    if not kernel.model_satisfies(cnf.clauses, raw):
+        raise SolverError("internal solver returned a model that violates a clause")
+    return SatResult(True, [False, *map(bool, raw)], stats)

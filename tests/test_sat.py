@@ -1,9 +1,8 @@
-"""Internal solver correctness and the external-solver adapter."""
+"""Solver correctness."""
 
 import math
 import re
 import sys
-import textwrap
 import time
 from types import SimpleNamespace
 
@@ -14,14 +13,8 @@ from hypothesis import strategies as st
 
 from fmpsat import errors as errors_mod
 from fmpsat.encode import CnfFormula
-from fmpsat.errors import (
-    SolverError,
-    SolverModelError,
-    SolverOutputError,
-    SolverSpawnError,
-    SolverTimeout,
-)
-from fmpsat.sat import kernel, solve, solve_external
+from fmpsat.errors import SolverError, SolverTimeout
+from fmpsat.sat import kernel, solve
 from fmpsat.sat import solver as solver_mod
 from fmpsat.sat.kernel import model_satisfies
 
@@ -432,129 +425,6 @@ def test_near_threshold_3cnf_batch_keeps_its_trajectories():
     assert pins.random_3cnf() == pins.load()["random-3cnf"]
 
 
-# ------------------------------------------------------- external adapter
-
-@pytest.fixture(scope="module")
-def stub_solver(tmp_path_factory):
-    """A genuinely separate process: parses DIMACS, answers in
-    competition format using this package's own engine."""
-    path = tmp_path_factory.mktemp("stub") / "stub_solver.py"
-    path.write_text(
-        textwrap.dedent(
-            """
-            import sys
-
-            from fmpsat.encode import CnfFormula
-            from fmpsat.sat import solve
-
-            clauses, num_vars = [], 0
-            for line in open(sys.argv[1]):
-                line = line.strip()
-                if not line or line[0] in "c%":
-                    continue
-                if line.startswith("p "):
-                    num_vars = int(line.split()[2])
-                    continue
-                lits = [int(t) for t in line.split()]
-                clauses.append([l for l in lits if l != 0])
-            result = solve(CnfFormula(num_vars=num_vars, clauses=clauses))
-            if result.satisfiable:
-                print("s SATISFIABLE")
-                lits = [v if result.value(v) else -v for v in range(1, num_vars + 1)]
-                print("v " + " ".join(map(str, lits)) + " 0")
-            else:
-                print("s UNSATISFIABLE")
-            """
-        )
-    )
-    return f"{sys.executable} {path}"
-
-
-def test_external_agrees_with_internal(stub_solver):
-    rng = np.random.default_rng(4242)
-    for _ in range(100):
-        cnf = random_3cnf_formula(rng, 50, 200)
-        assert solve_external(cnf, stub_solver).satisfiable == solve(cnf).satisfiable
-
-
-def test_external_unsat_line(tmp_path):
-    script = tmp_path / "always_unsat.py"
-    script.write_text("print('s UNSATISFIABLE')\n")
-    cnf = CnfFormula(num_vars=1, clauses=[[1]])
-    assert not solve_external(cnf, f"{sys.executable} {script}").satisfiable
-
-
-UNPARSEABLE_OUTPUT = {
-    "no-s-line": ("hello world\n", "no s-line"),
-    "unknown": ("s UNKNOWN\n", "answered UNKNOWN"),
-    "bad-status": ("s MAYBE\n", "unrecognized status line 's MAYBE'"),
-    "bad-literal": ("s SATISFIABLE\nv 1 x 0\n", "bad literal 'x'"),
-    "past-num-vars": ("s SATISFIABLE\nv 1 2 0\n", "unknown variable 2"),
-}
-
-
-@pytest.mark.parametrize("output, message", UNPARSEABLE_OUTPUT.values(),
-                         ids=UNPARSEABLE_OUTPUT.keys())
-def test_external_unparseable_output(tmp_path, output, message):
-    script = tmp_path / "prints.py"
-    script.write_text(f"print({output!r}, end='')\n")
-    cnf = CnfFormula(num_vars=1, clauses=[[1]])
-    with pytest.raises(SolverOutputError, match=re.escape(message)):
-        solve_external(cnf, f"{sys.executable} {script}")
-
-
-def test_external_lying_model(tmp_path):
-    script = tmp_path / "liar.py"
-    script.write_text("print('s SATISFIABLE')\nprint('v -1 0')\n")
-    cnf = CnfFormula(num_vars=1, clauses=[[1]])
-    with pytest.raises(SolverModelError, match="verification"):
-        solve_external(cnf, f"{sys.executable} {script}")
-
-
-def _slow_literal_check(monkeypatch, seconds):
-    check = solver_mod._check_literals
-
-    def slow_check(*args):
-        time.sleep(seconds)
-        check(*args)
-
-    monkeypatch.setattr(solver_mod, "_check_literals", slow_check)
-
-
-def test_external_time_limit_counts_the_literal_check(tmp_path, monkeypatch):
-    # the limit starts when solve_external is called: a literal check that
-    # uses it up leaves no time, so no process is started
-    marker = tmp_path / "started"
-    script = tmp_path / "marks.py"
-    script.write_text(f"open({str(marker)!r}, 'w').close()\nprint('s UNSATISFIABLE')\n")
-    _slow_literal_check(monkeypatch, 0.2)
-    cnf = CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]])
-    with pytest.raises(SolverTimeout):
-        solve_external(cnf, f"{sys.executable} {script}", deadline=time.time() + 0.1)
-    assert not marker.exists()
-
-
-def test_external_solver_gets_the_time_left(tmp_path, monkeypatch):
-    script = tmp_path / "sleeps.py"
-    script.write_text("import time\ntime.sleep(10)\n")
-    _slow_literal_check(monkeypatch, 0.5)
-    cnf = CnfFormula(num_vars=2, clauses=[[1, 2], [-1, 2]])
-    started = time.perf_counter()
-    with pytest.raises(SolverTimeout):
-        solve_external(cnf, f"{sys.executable} {script}", deadline=time.time() + 0.8)
-    elapsed = time.perf_counter() - started
-    # the whole call takes the limit, not the check plus the limit (1.3 s)
-    assert elapsed < 1.15, f"a 0.8 s limit ended the call after {elapsed:.2f} s"
-
-
-def test_external_spawn_failure():
-    cnf = CnfFormula(num_vars=1, clauses=[[1]])
-    with pytest.raises(SolverSpawnError):
-        solve_external(cnf, "/nonexistent/solver-binary")
-    with pytest.raises(SolverSpawnError, match="empty"):
-        solve_external(cnf, "")
-
-
 # ------------------------------------------------------ malformed formulas
 
 MALFORMED = {
@@ -568,13 +438,11 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("num_vars,clauses,bad", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_formula_is_a_solver_error(num_vars, clauses, bad, stub_solver):
+def test_malformed_formula_is_a_solver_error(num_vars, clauses, bad):
     cnf = CnfFormula(num_vars=num_vars, clauses=clauses)
     message = re.escape(f"literal {bad} outside 1..{num_vars}")
     with pytest.raises(SolverError, match=message):
         solve(cnf)
-    with pytest.raises(SolverError, match=message):
-        solve_external(cnf, stub_solver)
 
 
 @pytest.mark.parametrize("num_vars,clauses,bad", MALFORMED.values(), ids=MALFORMED.keys())
