@@ -44,7 +44,6 @@ from .sat import SatResult, solve
 from .sdd import (
     Sdd,
     Vtree,
-    condition,
     consistency_under,
     evaluate,
     is_consistent,

@@ -10,7 +10,6 @@ one CSV row per (classifier, method).
 from __future__ import annotations
 
 import csv
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -308,7 +307,6 @@ def batch_run(queries: Sequence[BatchQuery], sink) -> list[list[str]]:
         raise ClassifierError("batch run needs at least one query")
     last = {(item.query.classifier, item.query.instance): i for i, item in enumerate(queries)}
     groups: dict[tuple[str, str], _Aggregate] = {}
-    negated = 0
     for i, item in enumerate(queries):
         query = item.query
         key = (item.name, query.method)
@@ -330,16 +328,9 @@ def batch_run(queries: Sequence[BatchQuery], sink) -> list[list[str]]:
         agg.cls_sum += outcome.num_clauses
         agg.time_sum += outcome.total_s
         agg.time_max = max(agg.time_max, outcome.total_s)
-        negated += outcome.pre_negated
 
     rows = [agg.row() for agg in groups.values()]
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(REPORT_HEADER)
     writer.writerows(rows)
-    if negated:
-        print(
-            f"note: {negated} queries ran against the negated diagram "
-            f"(instances predicted 1)",
-            file=sys.stderr,
-        )
     return rows

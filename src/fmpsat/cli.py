@@ -78,21 +78,16 @@ def _load_classifier(args):
     elif kind == "dt":
         clf = DtClassifier(xpg_mod.parse_dt(Path(args.dt).read_text()))
     else:
-        graph = xpg_mod.parse_xpg(Path(args.xpg).read_text())
-        if not graph.zero_terminals():
-            raise FmpsatError("classifier is constant; explanation queries are undefined")
-        clf = XpgClassifier(graph)
+        clf = XpgClassifier(xpg_mod.parse_xpg(Path(args.xpg).read_text()))
 
     instance = parse_instance(Path(args.instance).read_text()) if args.instance else None
     if kind == "xpg":  # the graph's one record is keyed None: check the file's arity here
         clf.check_instance(instance)
     elif instance is None:
         raise FmpsatError(f"--{kind} needs --instance")
-    # making the record checks the instance, and an OBDD or DT builder
-    # refuses a constant classifier; an SDD is constant exactly when the
-    # diagram giving the instance class 0 has no model
-    source = clf.circuit_for(instance).source
-    if kind == "sdd" and not sdd_mod.is_consistent(source):
+    # making the record checks the instance; a classifier is constant
+    # exactly when the instance keeps its class with no feature fixed
+    if clf.circuit_for(instance).is_weak(()):
         raise FmpsatError("classifier is constant; explanation queries are undefined")
     return clf, instance
 
@@ -133,8 +128,6 @@ def cmd_fmp(args) -> int:
         f"solve_s={outcome.solve_s:.4f} total_s={outcome.total_s:.4f}{counters}",
         file=sys.stderr,
     )
-    if outcome.pre_negated:
-        print("note: instance predicted 1, query ran on the negated diagram", file=sys.stderr)
     if outcome.membership:
         print(f"YES witness={_fmt_features(outcome.witness)}")
         if names:
@@ -172,7 +165,7 @@ def cmd_enum(args) -> int:
 
 def cmd_encode(args) -> int:
     clf, instance = _load_classifier(args)
-    cnf, vm, _ = build_encoding(FmpQuery(clf, instance, args.target, method=args.method))
+    cnf, vm = build_encoding(FmpQuery(clf, instance, args.target, method=args.method))
     if args.out:
         with open(args.out, "w") as sink:
             sink.writelines(enc.iter_dimacs(cnf, vm))

@@ -11,16 +11,17 @@ a witness is extracted afterwards by deletion.
 Each query reads explain's `_Circuit`: OR gates over AND terms of at
 most two operands, other gates and guards -s_i ("feature i is not
 selected"); an explanation graph's nodes and the OR of its 0-terminals,
-or an SDD's nodes with its root as the output. It is made by the one
-lowering of each language and shaped once by `explain._fold`: a gate
-becomes TRUE or FALSE, or gets its live terms, with constant operands
-left out; a gate whose only live term is one operand is that operand;
-and only the gates the output reads through live terms are kept.
-Freeing a feature only turns guards TRUE, so a constant gate is the
-same constant in every replica and no live operand is ever FALSE. The
-circuit numbers its values in slots: TRUE at 0, the guard -s_i at i,
-FALSE at m + 1, then the gates. An XpG encoder refuses a graph without
-a 0-terminal (``EncodingError``).
+or an SDD's nodes with its root as the output, negated, with the nodes
+it reaches in either polarity, for an instance of class 1. It is made
+by the one lowering of each language and shaped once by
+`explain._fold`: a gate becomes TRUE or FALSE, or gets its live terms,
+with constant operands left out; a gate whose only live term is one
+operand is that operand; and only the gates the output reads through
+live terms are kept. Freeing a feature only turns guards TRUE, so a
+constant gate is the same constant in every replica and no live
+operand is ever FALSE. The circuit numbers its values in slots: TRUE
+at 0, the guard -s_i at i, FALSE at m + 1, then the gates. An XpG
+encoder refuses a graph without a 0-terminal (``EncodingError``).
 
 Replica k sets slot k, the guard -s_k, TRUE; replica 0 keeps the output
 FALSE, and replica k ties it to s_k. One emitter, `_emit_replica`,
@@ -69,8 +70,9 @@ releases the instance. Without a circuit, an encoder checks an SDD's
 instance, lowers the diagram or graph itself and keeps nothing.
 
 Each encoder takes an optional ``deadline``, a ``time.time()`` value
-(``math.inf`` for none), and raises ``SolverTimeout`` if it has passed
-before a replica; a circuit's store is never left half filled.
+(``math.inf`` for none), and raises ``SolverTimeout`` if it passes in
+a negated SDD lowering or before a replica; a circuit's store is never
+left half filled.
 """
 
 from __future__ import annotations
@@ -201,10 +203,9 @@ def _check_target(num_features: int, target: int) -> None:
         raise EncodingError(f"target feature {target} outside 1..{num_features}")
 
 
-def _sdd_circuit(sdd: Sdd, instance: Instance, circuit: _Circuit | None) -> _Circuit:
-    """The given circuit, or the diagram's own once the instance is a
-    boolean point of its arity at which it evaluates to the declared
-    class 0."""
+def _sdd_circuit(sdd: Sdd, instance: Instance, circuit: _Circuit | None, deadline) -> _Circuit:
+    """The given circuit, or the diagram's own, in the polarity of the
+    class the instance declares and the diagram gives it."""
     if circuit is not None:
         return circuit
     m = sdd.num_features
@@ -214,13 +215,11 @@ def _sdd_circuit(sdd: Sdd, instance: Instance, circuit: _Circuit | None) -> _Cir
         )
     if any(v not in (0, 1) for v in instance.values):
         raise EncodingError("SDD encodings need boolean instance values")
-    if instance.label != 0:
-        raise EncodingError(
-            "SDD encodings require class 0; negate the diagram and flip the class first"
-        )
-    if evaluate(sdd, instance.values):
-        raise EncodingError("instance declares class 0 but the diagram evaluates to 1")
-    return _Circuit(*_lower_sdd(sdd, instance.values), m, sdd)
+    predicted = int(evaluate(sdd, instance.values))
+    if instance.label != predicted:
+        raise EncodingError(f"instance declares class {instance.label} but the diagram "
+                            f"evaluates to {predicted}")
+    return _Circuit(*_lower_sdd(sdd, instance.values, predicted == 1, deadline), m, sdd)
 
 
 def _xpg_circuit(xpg: XpGraph, circuit: _Circuit | None) -> _Circuit:
@@ -372,15 +371,15 @@ def _encode(circuit, checked, m: int, target: int, replicas: Iterable[int], dead
 def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, circuit=None):
     """Replicas 0..m; every model decodes to an AXp containing the target."""
     m = sdd.num_features
-    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c), m, target, range(1, m + 1),
-                   deadline)
+    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c, deadline), m, target,
+                   range(1, m + 1), deadline)
 
 
 def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, circuit=None):
     """Replicas 0 and t; models are weak AXps whose every contained AXp
     includes the target."""
-    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c), sdd.num_features, target,
-                   (target,), deadline)
+    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c, deadline),
+                   sdd.num_features, target, (target,), deadline)
 
 
 def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=inf, circuit=None):

@@ -7,30 +7,33 @@ Contrastive explanations are the complements: freeing Y admits a point
 with a different prediction.
 
 Each adapter keeps one record per instance, its circuit, made in one
-step once the instance is checked: the adapter builds the instance's
-diagram or graph and lowers it into a monotone circuit over the guards
-"feature i is free" whose output is FALSE exactly on the weak AXps: an
-SDD's decision nodes become ORs of (prime AND sub), a literal the
-instance satisfies TRUE and one it falsifies the guard of its feature;
-an explanation graph's nodes become their activation and the output
-the OR of its 0-terminals. One pass folds its constants, takes
-a gate whose only live term is one operand as that operand, and
-numbers the gates the output reads; the CNF encoder and the checks
-here read those same gates. A weak-AXp test is one full bottom-up
-pass, and so is the check of a witness W: its pass runs on int
-bitmasks, one bit per selection, so it decides W and every W - {i} at
-once. The deletion scans of `find_axp` and `find_cxp` keep one value
-array live instead: freeing (AXp) or pinning (CXp) a feature moves
-every gate it changes the same way, so a step re-evaluates only the
-readers of changed operands, stops once the output flips, and undoes
-what it changed.
+step once the instance is checked: the adapter lowers its diagram, or
+the instance's graph, into a monotone circuit over the guards "feature
+i is free" whose output is FALSE exactly on the weak AXps: an SDD's
+decision nodes become ORs of (prime AND sub), a literal the instance
+satisfies TRUE and one it falsifies the guard of its feature, and for
+an instance of class 1 the same rules lower the diagram's negation,
+which keeps each prime and negates each sub; an explanation graph's
+nodes become their activation and the output the OR of its
+0-terminals. One pass folds its constants, takes a gate whose only
+live term is one operand as that operand, and numbers the gates the
+output reads; the CNF encoder and the checks here read those same
+gates. A weak-AXp test is one full bottom-up pass, and so is the check
+of a witness W: its pass runs on int bitmasks, one bit per selection,
+so it decides W and every W - {i} at once. The deletion scans of
+`find_axp` and `find_cxp` keep one value array live instead: freeing
+(AXp) or pinning (CXp) a feature moves every gate it changes the same
+way, so a step re-evaluates only the readers of changed operands,
+stops once the output flips, and undoes what it changed.
 
 The witness check reads the circuit, not the CNF, so it catches a fault
 in the replica emitter, the solver or the decoding of a model, but not
 one in the lowering or the fold, which the encoder shares. The tests
 hold those to the reference evaluators (`sdd.consistency_under`,
-`xpg.evaluate_sigma`) and to the brute-force oracle below, which never
-reads the circuit; perfbench's oracle re-checks every witness it gets.
+`xpg.evaluate_sigma`), the negated SDD lowering to the lowering of
+`sdd.negate`'s diagram, and all of them to the brute-force oracle
+below, which never reads the circuit; perfbench's oracle re-checks
+every witness it gets.
 """
 
 from __future__ import annotations
@@ -121,24 +124,55 @@ def serialize_instance(instance: Instance) -> str:
 # with their operands first and ends with the output.
 
 
-def _lower_sdd(sdd: sdd_mod.Sdd, values: Sequence[int]):
-    """Gate j: node j stays consistent with the selected features pinned.
+_POLL_NODES = 1 << 10  # nodes between two reads of a negated SDD lowering's deadline
+_POLARITIES = ((), (0,), (1,), (0, 1))  # flips of each need: bit 1 as it is, bit 2 negated
+
+
+def _lower_sdd(sdd: sdd_mod.Sdd, values: Sequence[int], negated: bool, deadline=inf):
+    """Gate j: node j, in one polarity, stays consistent with the selected
+    features pinned; the output is the root, negated for class 1.
 
     A decision node is the OR of its (prime AND sub) elements, a literal
     the instance satisfies is TRUE and one it falsifies the guard of its
-    feature. The output is the root. The values are not checked here:
-    `_Adapter.circuit_for` or the public encoder has checked them.
+    feature. As a decision node's primes partition its left variables'
+    space, its negation keeps its primes and negates its subs; a negated
+    leaf flips. A negated lowering lowers each node in the polarities the root
+    reaches it in, as it is first, so its gates are numbered as
+    `sdd.negate` numbers its nodes, and reads the deadline every
+    ``_POLL_NODES`` nodes of both its passes; otherwise every node up to
+    the root is lowered as it is. `_Adapter.circuit_for` or the public
+    encoder has checked the values.
     """
+    nodes = sdd.nodes
+    n = sdd.root + 1
+    need = b"\1" * n
+    if negated:
+        need = bytearray(n - 1) + b"\2"
+        for j in range(n - 1, -1, -1):
+            if j % _POLL_NODES == 0:
+                check_deadline(deadline, "SDD lowering exceeded its time limit")
+            if need[j] and isinstance(nodes[j], sdd_mod.SddDecision):
+                for prime, sub in nodes[j].elements:
+                    need[prime] |= 1
+                    need[sub] |= need[j]
     gates: list[Sequence[tuple[int, ...]]] = []
-    for node in sdd.nodes:
-        if isinstance(node, sdd_mod.SddDecision):
-            gates.append(node.elements)
-        elif isinstance(node, sdd_mod.SddLiteral):
-            satisfied = bool(values[node.var - 1]) == node.positive
-            gates.append([()] if satisfied else [(-node.var,)])
-        else:
-            gates.append([()] if isinstance(node, sdd_mod.SddTrue) else [])
-    return gates, list(range(sdd.root + 1))
+    ids = ([0] * n, [0] * n)  # each node's gate, as it is and negated
+    primes = ids[0]
+    for j in range(n):
+        if negated and j % _POLL_NODES == 0:
+            check_deadline(deadline, "SDD lowering exceeded its time limit")
+        node = nodes[j]
+        for flip in _POLARITIES[need[j]]:
+            ids[flip][j] = len(gates)
+            if isinstance(node, sdd_mod.SddDecision):
+                subs = ids[flip]
+                gates.append([(primes[p], subs[s]) for p, s in node.elements])
+            elif isinstance(node, sdd_mod.SddLiteral):
+                satisfied = (bool(values[node.var - 1]) == node.positive) != flip
+                gates.append([()] if satisfied else [(-node.var,)])
+            else:
+                gates.append([()] if isinstance(node, sdd_mod.SddTrue) != flip else [])
+    return gates, list(range(len(gates)))
 
 
 def _lower_xpg(graph: xpg_mod.XpGraph):
@@ -360,7 +394,7 @@ class _Adapter:
     otherwise: the key's circuit, with the diagram or graph it is
     lowered from as its ``source``. `circuit_for` makes it in one step
     once the key passes `check_instance`, so a rejected instance, or a
-    deadline passing while the source is built, keeps nothing."""
+    deadline passing while the source is lowered, keeps nothing."""
 
     def __init__(self):
         self._records: dict[Instance | None, _Circuit] = {}
@@ -389,35 +423,30 @@ class _Adapter:
 
     def circuit_for(self, instance: Instance | None, deadline=inf) -> _Circuit:
         """The instance's record: its source built, lowered and folded on
-        first use. Only an SDD's negation reads the deadline."""
+        first use. Only an SDD's lowering reads the deadline."""
         key = self._key(instance)
         circuit = self._records.get(key)
         if circuit is None:
             self.check_instance(key)
-            source = self._source(key, deadline)
-            lowered = (_lower_sdd(source, key.values) if isinstance(source, sdd_mod.Sdd)
-                       else _lower_xpg(source))
+            source = self._source(key)
+            lowered = (_lower_sdd(source, key.values, key.label == 1, deadline)
+                       if isinstance(source, sdd_mod.Sdd) else _lower_xpg(source))
             circuit = self._records[key] = _Circuit(*lowered, self.num_features, source)
         return circuit
 
     def release(self, instance: Instance | None) -> None:
-        """Drop the instance's record; an SDD's negated diagram stays."""
+        """Drop the instance's record."""
         self._records.pop(self._key(instance), None)
 
 
 class SddClassifier(_Adapter):
-    """SDD-backed binary classifier (classes 0 and 1).
-
-    An instance's circuit is lowered from the diagram under which it has
-    class 0: the diagram itself, or for instances predicted 1 a lazily
-    built negation, cached for every such instance. Either way the
-    pinned diagram must be inconsistent.
-    """
+    """SDD-backed binary classifier (classes 0 and 1): every circuit is
+    lowered from the diagram itself, in negated polarity for an instance
+    of class 1 (see `_lower_sdd`)."""
 
     def __init__(self, sdd: sdd_mod.Sdd):
         super().__init__()
         self.sdd = sdd
-        self._negated: sdd_mod.Sdd | None = None
 
     @property
     def num_features(self) -> int:
@@ -430,18 +459,8 @@ class SddClassifier(_Adapter):
     def predict(self, point: Sequence[int]) -> int:
         return int(sdd_mod.evaluate(self.sdd, point))
 
-    def _source(self, instance: Instance, deadline) -> sdd_mod.Sdd:
-        """The diagram under which the instance has class 0; only a
-        finished negation is kept."""
-        if not instance.label:
-            return self.sdd
-        if self._negated is None:
-            self._negated = sdd_mod.negate(self.sdd, deadline=deadline)
-        return self._negated
-
-    def diagram_for(self, instance: Instance) -> sdd_mod.Sdd:
-        """The diagram under which the instance has class 0."""
-        return self.circuit_for(instance).source
+    def _source(self, instance: Instance) -> sdd_mod.Sdd:
+        return self.sdd
 
     def is_weak_axp(self, instance: Instance, features: Iterable[int]) -> bool:
         return self.circuit_for(instance).is_weak(features)
@@ -473,7 +492,7 @@ class ObddClassifier(_XpgBackedClassifier):
     def predict(self, point: Sequence[int]) -> int:
         return self.obdd.predict(point)
 
-    def _source(self, instance: Instance, deadline) -> xpg_mod.XpGraph:
+    def _source(self, instance: Instance) -> xpg_mod.XpGraph:
         return xpg_mod.build_xpg_from_obdd(self.obdd, instance)
 
 
@@ -493,7 +512,7 @@ class DtClassifier(_XpgBackedClassifier):
     def predict(self, point: Sequence[int]) -> int:
         return self.dt.predict(point)
 
-    def _source(self, instance: Instance, deadline) -> xpg_mod.XpGraph:
+    def _source(self, instance: Instance) -> xpg_mod.XpGraph:
         return xpg_mod.build_xpg_from_dt(self.dt, instance)
 
 
@@ -534,7 +553,7 @@ class XpgClassifier(_XpgBackedClassifier):
     def _key(self, instance: Instance | None) -> None:
         return None
 
-    def _source(self, instance: Instance | None, deadline) -> xpg_mod.XpGraph:
+    def _source(self, instance: Instance | None) -> xpg_mod.XpGraph:
         return self.graph
 
 

@@ -52,7 +52,6 @@ class FmpOutcome:
     encode_s: float
     solve_s: float
     total_s: float
-    pre_negated: bool = False
     # the decoded selection a two-step model produced, before shrinking
     two_step_seed: frozenset[int] | None = None
     # the search's counters (decisions, conflicts, ...)
@@ -64,35 +63,32 @@ class FmpOutcome:
 
 
 def build_encoding(query: FmpQuery, deadline: float = math.inf):
-    """Produce (cnf, varmap, pre_negated) for the query's route.
+    """Produce (cnf, varmap) for the query's route.
 
     The encoders read the adapter's record for the instance, its one
     circuit, which the deletion scan and the witness check read too,
     with the diagram or graph it was lowered from as its ``source``; they
     keep replica 0 in it, so the queries of a relevancy sweep, one-step
     and two-step alike, each emit only their target's replicas. The
-    adapter checks the instance when it makes that record. The SDD
-    negation and the encoder raise ``SolverTimeout`` if the deadline (a
+    target is checked first, so a bad one makes no record; the adapter
+    checks the instance when it makes the record. A negated SDD lowering
+    and the encoder raise ``SolverTimeout`` if the deadline (a
     ``time.time()`` value, ``math.inf`` for none) passes during the one
     or before a replica of the other.
     """
     clf, instance, t = query.classifier, query.instance, query.target
     if query.method not in METHODS:
         raise ClassifierError(f"unknown method {query.method!r}")
-    one_step = query.method == "one-step"
-    if isinstance(clf, SddClassifier):
-        enc._check_target(clf.num_features, t)  # before the diagram may be negated
-        circuit = clf.circuit_for(instance, deadline)
-        encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
-        cnf, vm = encoder(circuit.source, Instance(instance.values, 0), t, deadline=deadline,
-                          circuit=circuit)
-        return cnf, vm, instance.label == 1
-    if not isinstance(clf, (ObddClassifier, DtClassifier, XpgClassifier)):
+    if not isinstance(clf, (SddClassifier, ObddClassifier, DtClassifier, XpgClassifier)):
         raise ClassifierError(f"unsupported classifier type {type(clf).__name__}")
-    circuit = clf.circuit_for(instance)
+    enc._check_target(clf.num_features, t)
+    one_step = query.method == "one-step"
+    circuit = clf.circuit_for(instance, deadline)
+    if isinstance(clf, SddClassifier):
+        encoder = enc.encode_sdd_onestep if one_step else enc.encode_sdd_twostep
+        return encoder(circuit.source, instance, t, deadline=deadline, circuit=circuit)
     encoder = enc.encode_xpg_onestep if one_step else enc.encode_xpg_twostep
-    cnf, vm = encoder(circuit.source, t, deadline=deadline, circuit=circuit)
-    return cnf, vm, False
+    return encoder(circuit.source, t, deadline=deadline, circuit=circuit)
 
 
 # objects frozen before fmpsat was imported: CPython 3.12 starts with some of
@@ -165,7 +161,7 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
     if limit is not None and math.isnan(limit):  # every deadline comparison would be False
         raise FmpsatError(f"time limit {limit} is not a number of seconds")
     deadline = math.inf if limit is None else time.time() + limit
-    cnf, vm, pre_negated = build_encoding(query, deadline)
+    cnf, vm = build_encoding(query, deadline)
     encode_s = time.perf_counter() - started
 
     solve_started = time.perf_counter()
@@ -199,7 +195,6 @@ def decide_membership(query: FmpQuery) -> FmpOutcome:
         encode_s=encode_s,
         solve_s=solve_s,
         total_s=total_s,
-        pre_negated=pre_negated,
         two_step_seed=seed,
         stats=result.stats,
     )

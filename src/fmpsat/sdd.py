@@ -3,18 +3,17 @@
 An SDD is stored as an arena of immutable nodes in topological order
 (children before parents), so every query runs as a single bottom-up
 array pass with no recursion. Diagrams are never mutated after
-construction; conditioning and negation return fresh diagrams and do
-not re-canonicalize.
+construction; negation returns a fresh diagram and does not
+re-canonicalize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Mapping, Sequence
 
 from ._nodelist import LineFormat, add_node, check_node_count, postorder, read_records
-from .errors import ClassifierError, ParseError, check_deadline
+from .errors import ClassifierError, ParseError
 
 __all__ = [
     "Vtree",
@@ -28,7 +27,6 @@ __all__ = [
     "parse_sdd",
     "serialize_sdd",
     "evaluate",
-    "condition",
     "negate",
     "is_consistent",
     "consistency_under",
@@ -345,63 +343,20 @@ def _check_term(sdd: Sdd, term: Mapping[int, int]) -> None:
             raise ClassifierError(f"term assigns variable {var} outside 1..{sdd.num_features}")
 
 
-def condition(sdd: Sdd, term: Mapping[int, int]) -> Sdd:
-    """Fix the variables of `term`, applying local simplification only.
-
-    Literals on fixed variables collapse to constants; an element whose
-    prime became false is dropped; a decision left with no elements, or
-    only false subs, becomes false. The result is equivalent to the
-    restriction of the original function but is not canonical.
-    """
-    _check_term(sdd, term)
-    nodes: list[SddNode] = [SddFalse(), SddTrue()]
-    false_id, true_id = 0, 1
-    remap = [0] * len(sdd.nodes)
-    for j, node in enumerate(sdd.nodes):
-        if isinstance(node, SddFalse):
-            remap[j] = false_id
-        elif isinstance(node, SddTrue):
-            remap[j] = true_id
-        elif isinstance(node, SddLiteral):
-            if node.var in term:
-                match = bool(term[node.var]) == node.positive
-                remap[j] = true_id if match else false_id
-            else:
-                remap[j] = len(nodes)
-                nodes.append(node)
-        else:
-            kept = [
-                (remap[p], remap[s]) for p, s in node.elements if remap[p] != false_id
-            ]
-            if not kept or all(s == false_id for _, s in kept):
-                remap[j] = false_id
-            else:
-                remap[j] = len(nodes)
-                nodes.append(SddDecision(node.vtree_id, tuple(kept)))
-    return Sdd(nodes, remap[sdd.root], sdd.vtree)
-
-
-_NEGATE_POLL_NODES = 1 << 10  # nodes between two reads of negate's deadline
-
-
-def negate(sdd: Sdd, *, deadline=inf) -> Sdd:
+def negate(sdd: Sdd) -> Sdd:
     """Structural negation: flip terminals and recurse into subs.
 
     Primes are kept as-is, which is valid because the primes of each
     decision node partition their variable space. Shared nodes are
     translated once per required polarity, so the result is at most
-    twice the size of the input. Both passes read the deadline (a
-    ``time.time()`` value, ``math.inf`` for none) every
-    ``_NEGATE_POLL_NODES`` nodes and raise ``SolverTimeout`` once it
-    has passed.
+    twice the size of the input. The tests hold `explain._lower_sdd`,
+    which lowers the negation without building it, to this diagram.
     """
     n = len(sdd.nodes)
     need_pos = [False] * n
     need_neg = [False] * n
     need_neg[sdd.root] = True
     for j in range(n - 1, -1, -1):
-        if j % _NEGATE_POLL_NODES == 0:
-            check_deadline(deadline, "negation exceeded its time limit")
         node = sdd.nodes[j]
         if not isinstance(node, SddDecision):
             continue
@@ -416,8 +371,6 @@ def negate(sdd: Sdd, *, deadline=inf) -> Sdd:
     pos_id = [-1] * n
     neg_id = [-1] * n
     for j in range(n):
-        if j % _NEGATE_POLL_NODES == 0:
-            check_deadline(deadline, "negation exceeded its time limit")
         node = sdd.nodes[j]
         if need_pos[j]:
             pos_id[j] = len(nodes)
@@ -459,12 +412,13 @@ def is_consistent(sdd: Sdd) -> bool:
 
 
 def consistency_under(sdd: Sdd, fixed: Mapping[int, int]) -> bool:
-    """Consistency of the diagram with `fixed` variables pinned.
+    """Consistency of the diagram with `fixed` variables pinned: does
+    some completion of `fixed` evaluate to 1?
 
-    Equivalent to `is_consistent(condition(sdd, fixed))` without
-    materializing the conditioned diagram. This is the reference
-    evaluator: `SddClassifier` answers weak-AXp checks on a circuit
-    lowered from the diagram, and the tests hold it to this function.
+    One bottom-up pass, with no conditioned diagram built. This is the
+    reference evaluator: `SddClassifier` answers weak-AXp checks on a
+    circuit lowered from the diagram, and the tests hold it to this
+    function and this function to the completions, by `evaluate`.
     """
     _check_term(sdd, fixed)
     con = [False] * len(sdd.nodes)

@@ -25,6 +25,18 @@ def weak_axp_by_definition(predict, instance, features, m):
     return True
 
 
+def consistent_by_completions(evaluate, term, m):
+    """Some completion of the variables fixed by `term` satisfies `evaluate`."""
+    free = [i for i in range(1, m + 1) if i not in term]
+    point = [term.get(i, 0) for i in range(1, m + 1)]
+    for bits in product((0, 1), repeat=len(free)):
+        for i, b in zip(free, bits):
+            point[i - 1] = b
+        if evaluate(tuple(point)):
+            return True
+    return False
+
+
 def weak_cxp_by_definition(predict, instance, features, m):
     """Some completion over the freed features flips the class."""
     freed = sorted(features)

@@ -127,7 +127,7 @@ def encoding_digests():
     digests = {}
     for name, clf, inst, t in _digest_corpus():
         for method in ("one-step", "two-step"):
-            cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, method))
+            cnf, vm = F.build_encoding(F.FmpQuery(clf, inst, t, method))
             digests[f"{name}/{method}"] = hashlib.sha256(
                 write_dimacs(cnf, vm).encode()).hexdigest()
     return digests
@@ -189,7 +189,7 @@ def golden():
                 table[f"{kind}-m{m}-n{budget}-s{seed}/{text}-t{target}/{method}"] = {
                     "membership": out.membership, "witness": _sorted(out.witness),
                     "seed": _sorted(out.two_step_seed), "vars": out.num_vars,
-                    "clauses": out.num_clauses, "pre_negated": out.pre_negated}
+                    "clauses": out.num_clauses}
     return table
 
 
@@ -225,7 +225,8 @@ def _encode(args, target, method, out):
 def desk_dimacs(*keys):
     """SHA-256 of `fmpsat encode` on desk queries: the one-step files of
     obdd-m60-q0 and of obdd-m100-q0 (the desk's largest), and both files
-    of sdd-m100-q0, whose class 1 makes both encode the negated diagram.
+    of sdd-m100-q0, whose class 1 makes both lower the diagram in negated
+    polarity.
     Given keys, only those files are made."""
     sdd = ["--sdd", DESK / "sdd-m100.sdd", "--vtree", DESK / "sdd-m100.vtree"]
     cases = (("obdd-m60-q0", ["--obdd", DESK / "obdd-m60.obdd"], 48, "one-step"),
@@ -260,8 +261,8 @@ def bench_seed7():
 
 def ella_dimacs():
     """The two Ella DIMACS files: the OBDD's one-step encoding of target 3,
-    and the SDD's two-step one for an instance of class 1, which encodes
-    the negated diagram."""
+    and the SDD's two-step one for an instance of class 1, lowered in
+    negated polarity."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "class1.inst").write_text("v: 1,0,1,1\nc: 1\n")

@@ -29,7 +29,7 @@ from fmpsat.batch import (
 )
 from fmpsat.fmp import FmpQuery, decide_membership
 
-from oracles import minimal_hitting_sets
+from oracles import consistent_by_completions, minimal_hitting_sets
 
 
 def _report(name):
@@ -205,11 +205,9 @@ def _check_sdd_algebra(sdd, rng):
         int(i) + 1: int(rng.integers(0, 2))
         for i in rng.choice(m, size=size, replace=False)
     }
-    conditioned = F.condition(sdd, term)
-    for p in points:
-        overridden = tuple(term.get(i + 1, p[i]) for i in range(m))
-        assert F.evaluate(conditioned, p) == F.evaluate(sdd, overridden)
-    assert F.consistency_under(sdd, term) == F.is_consistent(conditioned)
+    assert F.consistency_under(sdd, term) == consistent_by_completions(
+        lambda p: F.evaluate(sdd, p), term, m
+    )
 
 
 def test_criterion_7_sdd_algebra(ella_sdd):

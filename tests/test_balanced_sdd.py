@@ -15,6 +15,7 @@ from fmpsat.fmp import FmpQuery, decide_membership
 from fmpsat.sat import solve
 from fmpsat.sdd import SddDecision
 
+from oracles import consistent_by_completions
 from sdd_builder import balanced_vtree, compile_sdd, random_function
 
 
@@ -66,11 +67,9 @@ def test_algebra_on_compiled_sdds():
             int(i) + 1: int(rng.integers(0, 2))
             for i in rng.choice(m, size=rng.integers(1, m + 1), replace=False)
         }
-        conditioned = F.condition(sdd, term)
-        for point in truth:
-            overridden = tuple(term.get(i + 1, point[i]) for i in range(m))
-            assert F.evaluate(conditioned, point) == bool(truth[overridden])
-        assert F.consistency_under(sdd, term) == F.is_consistent(conditioned)
+        assert F.consistency_under(sdd, term) == consistent_by_completions(
+            truth.__getitem__, term, m
+        )
 
 
 def test_membership_on_compiled_sdds():
@@ -95,15 +94,14 @@ def test_encodings_on_compiled_sdds_match_enumeration():
         clf = F.SddClassifier(sdd)
         values = tuple(int(v) for v in rng.integers(0, 2, m))
         inst = Instance(values, clf.predict(values))
-        diagram = clf.diagram_for(inst)
-        inst0 = Instance(values, 0)
         axps = F.enumerate_axps_bruteforce(clf, inst)
         members = {i for a in axps for i in a}
         for t in range(1, m + 1):
-            one, vm = encode_sdd_onestep(diagram, inst0, t)
+            # the public encoders take the diagram and an instance of either class
+            one, vm = encode_sdd_onestep(sdd, inst, t)
             result = solve(one)
             assert result.satisfiable == (t in members)
             if result.satisfiable:
                 assert vm.selected_features(result) in axps
-            two, _ = encode_sdd_twostep(diagram, inst0, t)
+            two, _ = encode_sdd_twostep(sdd, inst, t)
             assert solve(two).satisfiable == (t in members)

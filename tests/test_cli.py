@@ -10,6 +10,7 @@ import pytest
 import fmpsat as F
 from fmpsat import batch as batch_mod
 from fmpsat import encode as enc
+from fmpsat import explain as explain_mod
 from fmpsat import sdd as sdd_mod
 from fmpsat.cli import main
 from fmpsat.batch import generate_random_obdd
@@ -185,30 +186,45 @@ def test_rejected_arguments(capsys, tmp_path, argv, fragment):
     assert fragment in err
 
 
-def test_sdd_runs_negate_only_for_class_1(capsys, tmp_path, monkeypatch):
-    calls = []
-    negate = sdd_mod.negate
+def _no_negation(sdd):
+    raise AssertionError("built the negated diagram")
 
-    def counting(sdd, **kwargs):
-        calls.append(sdd)
-        return negate(sdd, **kwargs)
 
-    monkeypatch.setattr(sdd_mod, "negate", counting)
-    # ella.inst has class 0: neither loading nor the query negates the diagram
+def _spy_on_the_sdd_lowering(monkeypatch):
+    """The polarity of each SDD lowering from now on, with sdd.negate refused."""
+    polarities = []
+    lower = explain_mod._lower_sdd
+
+    def spy(sdd, values, negated, *args):
+        polarities.append(negated)
+        return lower(sdd, values, negated, *args)
+
+    monkeypatch.setattr(explain_mod, "_lower_sdd", spy)
+    monkeypatch.setattr(sdd_mod, "negate", _no_negation)
+    return polarities
+
+
+def test_an_sdd_command_lowers_once_in_the_instance_polarity(capsys, tmp_path, monkeypatch):
+    polarities = _spy_on_the_sdd_lowering(monkeypatch)
+    # ella.inst has class 0: the diagram is lowered as it is
     for argv in (["fmp", *ELLA_SDD, "--target", "3"], ["encode", *ELLA_SDD, "--target", "3"]):
+        polarities.clear()
         code, _, _ = run(capsys, argv)
         assert code == 0
-    assert calls == []
-    # a class-1 instance negates once, shared by the constant check and the encoding
+        assert polarities == [False]
+    # a class-1 instance is lowered once in negated polarity, a record shared
+    # by the constant check and the encoding, and no note is printed
     inst = tmp_path / "accepted.inst"
     inst.write_text("v: 1,1,0,0\nc: 1\n")
-    code, _, _ = run(
+    polarities.clear()
+    code, _, err = run(
         capsys,
         ["fmp", "--sdd", str(DATA / "ella.sdd"), "--vtree", str(DATA / "ella.vtree"),
          "--instance", str(inst), "--target", "1"],
     )
     assert code == 0
-    assert len(calls) == 1
+    assert polarities == [True]
+    assert "note:" not in err
 
 
 def test_an_sdd_command_evaluates_the_diagram_once(capsys, tmp_path, monkeypatch):
@@ -409,23 +425,23 @@ def test_bench_paired_rows_and_method_agreement(capsys):
     assert one[4] == two[4]  # same yes percentage
 
 
-def test_bench_holds_one_instance_and_negates_once_per_classifier(capsys, monkeypatch):
-    negations = []
-    negate, decide = sdd_mod.negate, batch_mod.decide_membership
-
-    def counting(sdd, **kwargs):
-        negations.append(sdd)
-        return negate(sdd, **kwargs)
+def test_bench_holds_one_instance_and_lowers_each_once(capsys, monkeypatch):
+    polarities = _spy_on_the_sdd_lowering(monkeypatch)
+    decide = batch_mod.decide_membership
+    instances = []
 
     def decide_holding_one_instance(query):
         clf = query.classifier
         assert set(clf._records) <= {query.instance}
+        instances.append((clf, query.instance))
         return decide(query)
 
-    monkeypatch.setattr(sdd_mod, "negate", counting)
     monkeypatch.setattr(batch_mod, "decide_membership", decide_holding_one_instance)
     code, out, err = run(capsys, ["bench", "--kind", "sdd", "--count", "2", "--m", "6",
                                   "--nodes", "20", "--queries", "8", "--seed", "3"])
     assert code == 0 and len(out.splitlines()) == 5
-    assert "negated diagram" in err  # some instances have class 1
-    assert len(negations) == len(set(map(id, negations))) == 2
+    assert err == ""
+    # one lowering per instance, in negated polarity exactly for class 1
+    labels = [inst.label for _, inst in dict.fromkeys(instances)]
+    assert polarities == [label == 1 for label in labels]
+    assert set(labels) == {0, 1}

@@ -70,10 +70,9 @@ def test_dimacs_golden_file(ella_xpg):
 
 
 def test_dimacs_golden_negated_sdd(ella_sdd_clf):
-    # class 1 goes through the negated diagram; the legend names n_ variables
+    # class 1 is lowered in negated polarity; the legend names n_ variables
     query = F.FmpQuery(ella_sdd_clf, Instance((1, 0, 1, 1), 1), 3, method="two-step")
-    cnf, vm, pre_negated = F.build_encoding(query)
-    assert pre_negated
+    cnf, vm = F.build_encoding(query)
     assert write_dimacs(cnf, vm) == pins.ella_dimacs()["ella_sdd_negated_twostep_t3.cnf"]
 
 
@@ -151,16 +150,19 @@ def test_clause_lines_match_joined_literals(data):
     assert all(block.endswith("\n") and block.count("\n") <= block_lines for block in blocks)
 
 
-def test_sdd_target_is_checked_before_negation(ella_sdd, monkeypatch):
-    clf = F.SddClassifier(ella_sdd)
-
-    def no_negation(sdd):
-        raise AssertionError("negated the diagram for an out-of-range target")
-
-    monkeypatch.setattr(sdd_mod, "negate", no_negation)
-    query = F.FmpQuery(clf, Instance((1, 0, 1, 1), 1), 9, method="two-step")
-    with pytest.raises(EncodingError, match="target feature 9 outside 1..4"):
-        F.build_encoding(query)
+@pytest.mark.parametrize("kind, label", [("sdd", 0), ("sdd", 1), ("obdd", 0), ("dt", 0)],
+                         ids=["sdd-class-0", "sdd-class-1", "obdd", "dt"])
+def test_a_bad_target_is_refused_before_any_work(ella_sdd, ella_obdd, kind, label):
+    # the target is checked before the adapter builds or lowers anything
+    clf = {"sdd": lambda: F.SddClassifier(ella_sdd),
+           "obdd": lambda: F.ObddClassifier(ella_obdd),
+           "dt": lambda: F.DtClassifier(F.parse_dt((DATA / "ella.dt").read_text()))}[kind]()
+    inst = Instance((1, 0, 1, 1), 1) if label else Instance((0, 1, 0, 1), 0)
+    assert clf.predict(inst.values) == label
+    for method in ("two-step", "one-step"):
+        with pytest.raises(EncodingError, match="target feature 9 outside 1..4"):
+            F.build_encoding(F.FmpQuery(clf, inst, 9, method))
+        assert clf._records == {}
 
 
 def test_deadline_is_read_before_each_replica(ella_xpg, ella_sdd, ella_instance, monkeypatch):
@@ -202,14 +204,13 @@ def test_encoders_emit_only_named_variables_in_range():
         clf = F.ObddClassifier(obdd)
         inst = random_instance(clf, rng)
         graph = clf.xpg_for(inst)
-        diagram = F.SddClassifier(obdd_to_shannon_sdd(obdd)).diagram_for(inst)
-        inst0 = Instance(inst.values, 0)
+        sdd = obdd_to_shannon_sdd(obdd)
         for t in range(1, m + 1):
             for cnf, vm in (
                 encode_xpg_onestep(graph, t),
                 encode_xpg_twostep(graph, t),
-                encode_sdd_onestep(diagram, inst0, t),
-                encode_sdd_twostep(diagram, inst0, t),
+                encode_sdd_onestep(sdd, inst, t),
+                encode_sdd_twostep(sdd, inst, t),
             ):
                 n = cnf.num_vars
                 assert all(0 < abs(lit) <= n for clause in cnf.clauses for lit in clause)
@@ -303,10 +304,13 @@ def test_sdd_twostep_smaller(ella_sdd, ella_instance):
     assert two.num_clauses < one.num_clauses
 
 
-def test_sdd_encoding_rejects_class_one(ella_sdd):
-    inst = Instance((1, 1, 0, 0), 1)
-    with pytest.raises(EncodingError, match="negate the diagram"):
-        encode_sdd_onestep(ella_sdd, inst, 1)
+def test_sdd_encoding_takes_either_class(ella_sdd):
+    # a class-1 instance is lowered in negated polarity, as an adapter's is
+    inst = Instance((1, 0, 1, 1), 1)
+    for encode, method in ((encode_sdd_onestep, "one-step"), (encode_sdd_twostep, "two-step")):
+        cnf, vm = encode(ella_sdd, inst, 3)
+        query = F.FmpQuery(F.SddClassifier(ella_sdd), inst, 3, method)
+        assert write_dimacs(cnf, vm) == write_dimacs(*F.build_encoding(query))
 
 
 def test_sdd_encoding_rejects_bad_target(ella_sdd, ella_instance):
@@ -315,10 +319,12 @@ def test_sdd_encoding_rejects_bad_target(ella_sdd, ella_instance):
 
 
 def test_sdd_encoding_rejects_wrong_evaluation(ella_sdd):
-    # declares class 0 but the diagram accepts this point
+    # declares class 0 but the diagram accepts this point, and the other way round
     inst = Instance((1, 1, 0, 0), 0)
     with pytest.raises(EncodingError, match="evaluates to 1"):
         encode_sdd_twostep(ella_sdd, inst, 1)
+    with pytest.raises(EncodingError, match="declares class 1 but the diagram evaluates to 0"):
+        encode_sdd_twostep(ella_sdd, Instance((0, 1, 0, 1), 1), 1)
 
 
 # ------------------------------------------- running example, XpG encoding
@@ -430,12 +436,9 @@ def test_replica_zero_matches_weak_predicate():
         inst = random_instance(oclf, rng)
         graph = oclf.xpg_for(inst)
         sdd = obdd_to_shannon_sdd(obdd)
-        sclf = F.SddClassifier(sdd)
-        diagram = sclf.diagram_for(inst)
-        inst0 = Instance(inst.values, 0)
         for t in range(1, m + 1):
             xc, xv = encode_xpg_twostep(graph, t)
-            sc, sv = encode_sdd_twostep(diagram, inst0, t)
+            sc, sv = encode_sdd_twostep(sdd, inst, t)
             for bits in product((0, 1), repeat=m):
                 X = frozenset(i + 1 for i in range(m) if bits[i])
                 if t not in X:
@@ -583,7 +586,7 @@ def test_selector_projection_matches_the_definitions(ella_obdd, ella_sdd):
         for t in range(1, m + 1):
             bit = 1 << (t - 1)
             for method in ("one-step", "two-step"):
-                cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, method))
+                cnf, vm = F.build_encoding(F.FmpQuery(clf, inst, t, method))
                 for s in range(1 << m):
                     if method == "one-step":
                         want = bool(s & bit) and axp[s]
@@ -613,7 +616,7 @@ def _folding_corpus():
                 instances.setdefault(inst.label, inst)
             for inst in instances.values():
                 if isinstance(clf, F.SddClassifier):
-                    yield explain_mod._lower_sdd(clf.diagram_for(inst), inst.values), m
+                    yield explain_mod._lower_sdd(clf.sdd, inst.values, inst.label == 1), m
                 else:
                     yield explain_mod._lower_xpg(clf.xpg_for(inst)), m
 
@@ -706,7 +709,7 @@ def test_every_definition_is_read(ella_sdd, ella_obdd, ella_instance):
         circuit = clf.circuit_for(inst)
         for t in targets:
             for method in ("two-step", "one-step"):
-                cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, method))
+                cnf, vm = F.build_encoding(F.FmpQuery(clf, inst, t, method))
                 m = vm.num_features
                 for v in _unread(cnf, vm, range(m + 1)):
                     k, j, i = vm._roles[3 * (v - m - 1):3 * (v - m)]
@@ -721,7 +724,7 @@ def test_every_definition_is_read(ella_sdd, ella_obdd, ella_instance):
     clf = F.SddClassifier(F.parse_sdd((desk / "sdd-m100.sdd").read_text(), vtree))
     for query, t in (("sdd-m100-q0", 8), ("sdd-m100-q2", 79)):
         inst = F.parse_instance((desk / f"{query}.inst").read_text())
-        cnf, vm, _ = F.build_encoding(F.FmpQuery(clf, inst, t, "two-step"))
+        cnf, vm = F.build_encoding(F.FmpQuery(clf, inst, t, "two-step"))
         assert _unread(cnf, vm, {0, t}) == [], query
 
 
@@ -746,10 +749,39 @@ def test_lowered_terms_have_at_most_two_operands():
         for clf in classifiers:
             inst = random_instance(clf, rng)
             if isinstance(clf, F.SddClassifier):
-                gates, _ = explain_mod._lower_sdd(clf.diagram_for(inst), inst.values)
+                gates, _ = explain_mod._lower_sdd(clf.sdd, inst.values, inst.label == 1)
             else:
                 gates, _ = explain_mod._lower_xpg(clf.xpg_for(inst))
             assert max(len(term) for terms in gates for term in terms) <= 2
+
+
+def _negation_corpus(ella_sdd):
+    """(diagram, points): Ella at every point, the desk's m=100 SDD at its
+    class-1 queries' instances and random points, and random Shannon and
+    balanced-vtree SDDs at random points."""
+    rng = np.random.default_rng(41)
+    yield ella_sdd, list(product((0, 1), repeat=4))
+    desk = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk"
+    vtree = F.parse_vtree((desk / "sdd-m100.vtree").read_text())
+    points = [F.parse_instance((desk / f"sdd-m100-{q}.inst").read_text()).values
+              for q in ("q0", "q2")]
+    points += [tuple(int(v) for v in rng.integers(0, 2, 100)) for _ in range(8)]
+    yield F.parse_sdd((desk / "sdd-m100.sdd").read_text(), vtree), points
+    for trial in range(6):
+        m = int(rng.integers(3, 10))
+        for sdd in (obdd_to_shannon_sdd(generate_random_obdd(m, 5 * m, seed=1600 + trial)),
+                    compile_sdd(balanced_vtree(m), random_function(rng, m))):
+            yield sdd, [tuple(int(v) for v in rng.integers(0, 2, m)) for _ in range(6)]
+
+
+def test_the_negated_lowering_is_the_lowering_of_negate(ella_sdd):
+    # sdd.negate is the reference: lowering a diagram in negated polarity
+    # gives the gates of its negation, term for term and numbered alike
+    for sdd, points in _negation_corpus(ella_sdd):
+        negated = sdd_mod.negate(sdd)
+        for values in points:
+            assert (explain_mod._lower_sdd(sdd, values, True)
+                    == explain_mod._lower_sdd(negated, values, False))
 
 
 def test_a_lowered_term_of_three_operands_is_refused():

@@ -174,14 +174,15 @@ def test_deadline_is_read_before_each_candidate(ella_sdd_clf, ella_instance, mon
 # ------------------------------------------- compiled circuits and the scans
 #
 # The reference evaluators are sdd.consistency_under on the diagram under
-# which the instance has class 0, and xpg.evaluate_sigma on the instance's
-# explanation graph.
+# which the instance has class 0, the diagram itself or sdd.negate's
+# negation of it, and xpg.evaluate_sigma on the instance's explanation
+# graph.
 
 def _reference_weak(clf, inst):
     """X -> whether X is a weak AXp, by the reference evaluator."""
     m = clf.num_features
     if isinstance(clf, F.SddClassifier):
-        diagram = clf.diagram_for(inst)
+        diagram = F.negate(clf.sdd) if inst.label else clf.sdd
         return lambda X: not F.consistency_under(diagram, {i: inst.values[i - 1] for i in X})
     graph = clf.xpg_for(inst)
     return lambda X: F.evaluate_sigma(graph, [int(i in X) for i in range(1, m + 1)])
@@ -189,7 +190,7 @@ def _reference_weak(clf, inst):
 
 def _both_classes(clf, rng):
     """An instance of each class the classifier predicts (the SDD's class 1
-    runs on its negation)."""
+    is lowered in negated polarity)."""
     found = {}
     for _ in range(200):
         inst = random_instance(clf, rng)
@@ -325,7 +326,7 @@ def test_one_pass_on_constant_circuits():
             F.find_cxp(clf, inst, ALL)
     # TRUE is the all-ones mask: the TRUE diagram's own circuit, which no
     # adapter makes since it predicts 1 everywhere, is never weak
-    circuit = explain_mod._Circuit(*explain_mod._lower_sdd(true_sdd, point), 4)
+    circuit = explain_mod._Circuit(*explain_mod._lower_sdd(true_sdd, point, False), 4)
     assert circuit.outputs_without_each({1, 2, 4}) == 0b1111
     assert not circuit.is_weak({1, 2, 3, 4})
     with pytest.raises(ClassifierError, match="feature 5 outside 1..4"):

@@ -69,14 +69,15 @@ def test_two_step_witness_contains_target(ella_obdd_clf, ella_instance):
 
 
 def test_pre_negation_route(ella_sdd_clf):
-    # an accepted applicant: P=1, Y=1 makes the conjunction hold
+    # an accepted applicant: P=1, Y=1 makes the conjunction hold; the
+    # diagram itself is lowered in negated polarity
     inst = F.Instance((1, 1, 0, 0), 1)
     axps = F.enumerate_axps_bruteforce(ella_sdd_clf, inst)
     members = {i for a in axps for i in a}
     for t in range(1, 5):
         outcome = decide_membership(FmpQuery(ella_sdd_clf, inst, t, "two-step"))
         assert outcome.membership == (t in members)
-        assert outcome.pre_negated
+    assert ella_sdd_clf.circuit_for(inst).source is ella_sdd_clf.sdd
 
 
 def test_literal_root_sdd():
@@ -88,10 +89,10 @@ def test_literal_root_sdd():
     for method in ("one-step", "two-step"):
         outcome = decide_membership(FmpQuery(clf, inst, 1, method))
         assert outcome.membership and outcome.witness == {1}
-    # the accepted point goes through the negated diagram
+    # the accepted point is lowered in negated polarity: the root negated
     accepted = F.Instance((1,), 1)
     outcome = decide_membership(FmpQuery(clf, accepted, 1, "two-step"))
-    assert outcome.membership and outcome.pre_negated
+    assert outcome.membership and outcome.witness == {1}
 
 
 def test_time_limit_counts_the_encoding(ella_obdd_clf, ella_instance, monkeypatch):
@@ -304,15 +305,18 @@ def test_one_lowering_per_record(ella_sdd, ella_obdd, ella_xpg, ella_instance, m
     for inst in (ella_instance, F.Instance((1, 0, 1, 1), 1), ella_instance):
         decide_membership(FmpQuery(clf, inst, 3))
     assert lowered == ["_lower_sdd", "_lower_sdd"]
-    # asking for the diagram or graph alone makes the whole record: it lowers
-    # once, its circuit carries that same object, and a query lowers nothing
+    # asking for the graph or the circuit alone makes the whole record: it
+    # lowers once, its circuit carries the graph, or the adapter's own
+    # diagram for either class, and a query lowers nothing
     for clf, inst, lowering in _ella_adapters(ella_sdd, ella_obdd, ella_xpg, ella_instance):
         name = (type(clf).__name__, inst)
         lowered.clear()
-        source = (clf.diagram_for(inst) if isinstance(clf, F.SddClassifier)
+        source = (clf.circuit_for(inst).source if isinstance(clf, F.SddClassifier)
                   else clf.xpg_for(inst))
         assert lowered == [lowering], name
         assert clf.circuit_for(inst).source is source, name
+        if isinstance(clf, F.SddClassifier):
+            assert source is clf.sdd, name
         assert decide_membership(FmpQuery(clf, inst, 3)).membership
         assert lowered == [lowering], name
 
@@ -345,7 +349,7 @@ def test_the_readers_are_made_on_the_first_scan_or_encoding():
     assert "readers" not in vars(circuit)
     texts = []
     for adapter in (clf, _fresh(clf)):
-        cnf, vm, _ = F.build_encoding(FmpQuery(adapter, inst, 48, "one-step"))
+        cnf, vm = F.build_encoding(FmpQuery(adapter, inst, 48, "one-step"))
         texts.append("".join(enc.iter_dimacs(cnf, vm)))
     assert texts[0] == texts[1]
     assert "readers" in vars(circuit)
@@ -403,7 +407,7 @@ def _fresh(clf):
 def _answer(clf, inst, target, method):
     """The DIMACS text of the query's encoding and everything its outcome pins."""
     query = FmpQuery(clf, inst, target, method)
-    cnf, vm, _ = F.build_encoding(query)
+    cnf, vm = F.build_encoding(query)
     out = decide_membership(query)
     return (F.write_dimacs(cnf, vm), out.membership, out.witness, out.two_step_seed,
             out.num_vars, out.num_clauses, out.stats)
@@ -520,8 +524,8 @@ def test_a_deadline_before_replica_0_leaves_the_store_empty(ella_sdd, ella_obdd,
             assert _answer(clf, inst, 3, method) == _answer(_fresh(clf), inst, 3, method)
 
 
-def test_a_deadline_during_negation_keeps_no_negated_diagram(ella_sdd, monkeypatch):
-    # the clock passes the deadline after negate's first read of it
+def test_a_deadline_passing_during_the_lowering_keeps_no_record(ella_sdd, monkeypatch):
+    # the clock passes the deadline after the negated lowering's first read of it
     reads = []
 
     def clock():
@@ -531,10 +535,14 @@ def test_a_deadline_during_negation_keeps_no_negated_diagram(ella_sdd, monkeypat
     monkeypatch.setattr(errors_mod, "time", SimpleNamespace(time=clock))
     clf = F.SddClassifier(ella_sdd)
     accepted = F.Instance((1, 0, 1, 1), 1)
-    with pytest.raises(SolverTimeout, match="negation"):
+    with pytest.raises(SolverTimeout, match="SDD lowering exceeded its time limit"):
         decide_membership(FmpQuery(clf, accepted, 3, "two-step", time_limit_s=1.0))
-    assert clf._negated is None
-    assert accepted not in clf._records
+    assert len(reads) == 2 and clf._records == {}
+    # a public encoder's own lowering reads its deadline alike
+    reads.clear()
+    with pytest.raises(SolverTimeout, match="SDD lowering exceeded its time limit"):
+        enc.encode_sdd_onestep(ella_sdd, accepted, 3, deadline=1.0)
+    assert len(reads) == 2
     monkeypatch.undo()
     for method in ("two-step", "one-step"):
         assert _answer(clf, accepted, 3, method) == _answer(_fresh(clf), accepted, 3, method)
@@ -865,9 +873,9 @@ def test_batch_builds_each_instance_once_in_any_order(time_limit_s, monkeypatch)
     built = []
     build = type(clf)._source
 
-    def counting(self, instance, deadline):
+    def counting(self, instance):
         built.append(instance)
-        return build(self, instance, deadline)
+        return build(self, instance)
 
     monkeypatch.setattr(type(clf), "_source", counting)
     batch_run(queries, io.StringIO())

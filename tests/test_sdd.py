@@ -9,7 +9,7 @@ from fmpsat.errors import ParseError
 from fmpsat.batch import generate_random_obdd, obdd_to_shannon_sdd
 from fmpsat.sdd import SddDecision
 
-from oracles import kappa
+from oracles import consistent_by_completions, kappa
 
 ALL_POINTS = list(product((0, 1), repeat=4))
 
@@ -109,39 +109,45 @@ def test_evaluate_wrong_length(ella_sdd):
         F.evaluate(ella_sdd, (0, 1, 0))
 
 
-# -------------------------------------------------------------- condition
+# ----------------------------------------- conditioning, by consistency_under
 
 def test_condition_empty_term_is_identity(ella_sdd):
-    conditioned = F.condition(ella_sdd, {})
-    for point in ALL_POINTS:
-        assert F.evaluate(conditioned, point) == F.evaluate(ella_sdd, point)
+    # nothing fixed: consistency under the empty term is the diagram's own
+    for sdd in (ella_sdd, F.negate(ella_sdd)):
+        some_point = any(F.evaluate(sdd, point) for point in ALL_POINTS)
+        assert F.consistency_under(sdd, {}) == F.is_consistent(sdd) == some_point
 
 
 def test_condition_to_contradiction(ella_sdd):
     # fixing P=0, M=0 kills every satisfying point of kappa
-    conditioned = F.condition(ella_sdd, {1: 0, 3: 0})
-    assert not F.is_consistent(conditioned)
+    term = {1: 0, 3: 0}
+    assert not F.consistency_under(ella_sdd, term)
+    assert not consistent_by_completions(lambda p: F.evaluate(ella_sdd, p), term, 4)
 
 
 def test_condition_to_tautology(ella_sdd):
-    conditioned = F.condition(ella_sdd, {1: 1, 4: 1})
+    # fixing P=1, W=1 makes every completion a model, so the negation has none
+    term = {1: 1, 4: 1}
     for point in ALL_POINTS:
-        assert F.evaluate(conditioned, point)
+        assert F.evaluate(ella_sdd, tuple(term.get(i + 1, point[i]) for i in range(4)))
+    assert F.consistency_under(ella_sdd, term)
+    assert not F.consistency_under(F.negate(ella_sdd), term)
 
 
 def test_condition_out_of_range(ella_sdd):
     with pytest.raises(F.ClassifierError, match="outside"):
-        F.condition(ella_sdd, {9: 1})
+        F.consistency_under(ella_sdd, {9: 1})
 
 
 def test_condition_agrees_with_override(ella_sdd):
+    # a term fixing every variable leaves one completion: the overridden point
     for term in ({1: 1}, {2: 0, 4: 1}, {1: 0, 2: 1, 3: 0, 4: 1}):
-        conditioned = F.condition(ella_sdd, term)
         for point in ALL_POINTS:
             overridden = tuple(
                 term.get(i + 1, point[i]) for i in range(4)
             )
-            assert F.evaluate(conditioned, point) == F.evaluate(ella_sdd, overridden)
+            full = {i + 1: v for i, v in enumerate(overridden)}
+            assert F.consistency_under(ella_sdd, full) == F.evaluate(ella_sdd, overridden)
 
 
 # ----------------------------------------------------------------- negate
@@ -172,10 +178,12 @@ def test_consistency_basics(ella_sdd, ella_vtree):
 
 
 def test_consistency_under_matches_condition(ella_sdd):
-    for term in ({}, {1: 0, 3: 0}, {1: 0, 2: 1, 3: 0, 4: 1}, {2: 1}, {4: 0}):
-        assert F.consistency_under(ella_sdd, term) == F.is_consistent(
-            F.condition(ella_sdd, term)
-        )
+    # the definition: some completion of the fixed variables is a model
+    for sdd in (ella_sdd, F.negate(ella_sdd)):
+        for term in ({}, {1: 0, 3: 0}, {1: 0, 2: 1, 3: 0, 4: 1}, {2: 1}, {4: 0}):
+            assert F.consistency_under(sdd, term) == consistent_by_completions(
+                lambda p: F.evaluate(sdd, p), term, 4
+            )
 
 
 def test_consistency_under_ella_full_fix(ella_sdd):
@@ -207,16 +215,14 @@ def test_random_sdd_semantic_invariants():
         )
         # consistency == some satisfying point
         assert F.is_consistent(sdd) == any(base)
-        # conditioning agrees with overriding, and with the fused check
+        # consistency under a term == some completion of it is a model
         term = {
             int(i) + 1: int(rng.integers(0, 2))
             for i in rng.choice(m, size=rng.integers(1, m + 1), replace=False)
         }
-        conditioned = F.condition(sdd, term)
-        for p in points:
-            overridden = tuple(term.get(i + 1, p[i]) for i in range(m))
-            assert F.evaluate(conditioned, p) == F.evaluate(sdd, overridden)
-        assert F.consistency_under(sdd, term) == F.is_consistent(conditioned)
+        assert F.consistency_under(sdd, term) == consistent_by_completions(
+            lambda p: F.evaluate(sdd, p), term, m
+        )
 
 
 def test_element_partition_property(ella_sdd):
@@ -238,13 +244,13 @@ def _assert_partition(sdd):
         vnode = sdd.vtree.nodes[node.vtree_id]
         left_vars = sorted(sdd.vtree.vars_below(vnode.left))
         for bits in product((0, 1), repeat=len(left_vars)):
-            term = dict(zip(left_vars, bits))
+            point = [0] * m
+            for var, bit in zip(left_vars, bits):
+                point[var - 1] = bit
             holds = 0
             for prime, _sub in node.elements:
-                prime_sdd = F.Sdd(sdd.nodes, prime, sdd.vtree)
-                conditioned = F.condition(prime_sdd, term)
-                # prime mentions only left vars, so conditioning on all of
-                # them leaves a constant
-                if F.is_consistent(conditioned):
+                # a prime mentions only left vars, so the other values
+                # of the point do not change it
+                if F.evaluate(F.Sdd(sdd.nodes, prime, sdd.vtree), point):
                     holds += 1
             assert holds == 1
