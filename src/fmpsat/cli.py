@@ -15,7 +15,7 @@ from . import encode as enc
 from . import sdd as sdd_mod
 from . import xpg as xpg_mod
 from .batch import BatchQuery, batch_run, generate_random_classifier, random_instance
-from .errors import FmpsatError
+from .errors import FmpsatError, ParseError
 from .explain import (
     DtClassifier,
     ObddClassifier,
@@ -61,6 +61,17 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit-s", type=float, default=None)
 
 
+def _read(path: str) -> str:
+    """The file's text; a byte that is not UTF-8 is a ``ParseError``
+    naming its line, counted as the parsers count lines."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode() + "?").splitlines())
+        raise ParseError(f"{path}: byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
+
+
 def _load_classifier(args):
     chosen = [name for name in ("sdd", "obdd", "dt", "xpg") if getattr(args, name)]
     if len(chosen) != 1:
@@ -71,16 +82,16 @@ def _load_classifier(args):
     if kind == "sdd":
         if not args.vtree:
             raise FmpsatError("--sdd needs --vtree")
-        vtree = sdd_mod.parse_vtree(Path(args.vtree).read_text())
-        clf = SddClassifier(sdd_mod.parse_sdd(Path(args.sdd).read_text(), vtree))
+        vtree = sdd_mod.parse_vtree(_read(args.vtree))
+        clf = SddClassifier(sdd_mod.parse_sdd(_read(args.sdd), vtree))
     elif kind == "obdd":
-        clf = ObddClassifier(xpg_mod.parse_obdd(Path(args.obdd).read_text()))
+        clf = ObddClassifier(xpg_mod.parse_obdd(_read(args.obdd)))
     elif kind == "dt":
-        clf = DtClassifier(xpg_mod.parse_dt(Path(args.dt).read_text()))
+        clf = DtClassifier(xpg_mod.parse_dt(_read(args.dt)))
     else:
-        clf = XpgClassifier(xpg_mod.parse_xpg(Path(args.xpg).read_text()))
+        clf = XpgClassifier(xpg_mod.parse_xpg(_read(args.xpg)))
 
-    instance = parse_instance(Path(args.instance).read_text()) if args.instance else None
+    instance = parse_instance(_read(args.instance)) if args.instance else None
     if kind == "xpg":  # the graph's one record is keyed None: check the file's arity here
         clf.check_instance(instance)
     elif instance is None:
@@ -95,7 +106,7 @@ def _load_classifier(args):
 def _load_names(args, num_features: int) -> list[str] | None:
     if not args.names:
         return None
-    names = [line.strip() for line in Path(args.names).read_text().splitlines() if line.strip()]
+    names = [line.strip() for line in _read(args.names).splitlines() if line.strip()]
     if len(names) != num_features:
         raise FmpsatError(f"names file has {len(names)} entries, expected {num_features}")
     return names

@@ -31,7 +31,7 @@ variable. A gate's clauses include the product of its terms, which
 each two-literal term doubles; a variable of its own costs such a term
 three clauses. So of a gate's k two-literal terms the first k - 2, in
 term order, get one: the rule "a term gets a variable where that takes
-fewer clauses" in closed form. Replica k ≥ 1 re-evaluates only the
+fewer clauses" in closed form. Replica k ≥ 1 recomputes only the
 gates with an operand it changed, and inside them keeps replica 0's
 variable for each term whose operands are unchanged. The emitter reads
 the gates the weak-AXp checks read, so replica 0 defines no gate that
@@ -66,8 +66,12 @@ replica 0's values. The copied formula keeps replica 0's as its base,
 so the solver checks and packs replica 0's clauses once as well (see
 `CnfFormula`). `build_encoding` passes the adapter's circuit for the
 instance, which both methods share and which lives until the adapter
-releases the instance. Without a circuit, an encoder checks an SDD's
-instance, lowers the diagram or graph itself and keeps nothing.
+releases the instance. Without a circuit, an encoder makes a throwaway
+adapter record: ``SddClassifier(sdd).circuit_for(instance)`` or
+``XpgClassifier(xpg).circuit_for(None)``, so a bad instance raises the
+adapter's ``ClassifierError``, and the record goes with the call. Every
+encoder checks the target first, then an XpG encoder the graph's
+0-terminal, and only then takes the record.
 
 Each encoder takes an optional ``deadline``, a ``time.time()`` value
 (``math.inf`` for none), and raises ``SolverTimeout`` if it passes in
@@ -84,8 +88,8 @@ from math import inf
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EncodingError, check_deadline
-from .explain import Instance, _Circuit, _lower_sdd, _lower_xpg
-from .sdd import Sdd, evaluate
+from .explain import Instance, SddClassifier, XpgClassifier, _Circuit
+from .sdd import Sdd
 from .xpg import XpGraph
 
 __all__ = [
@@ -203,41 +207,15 @@ def _check_target(num_features: int, target: int) -> None:
         raise EncodingError(f"target feature {target} outside 1..{num_features}")
 
 
-def _sdd_circuit(sdd: Sdd, instance: Instance, circuit: _Circuit | None, deadline) -> _Circuit:
-    """The given circuit, or the diagram's own, in the polarity of the
-    class the instance declares and the diagram gives it."""
-    if circuit is not None:
-        return circuit
-    m = sdd.num_features
-    if len(instance.values) != m:
-        raise EncodingError(
-            f"instance has {len(instance.values)} values, classifier has {m} features"
-        )
-    if any(v not in (0, 1) for v in instance.values):
-        raise EncodingError("SDD encodings need boolean instance values")
-    predicted = int(evaluate(sdd, instance.values))
-    if instance.label != predicted:
-        raise EncodingError(f"instance declares class {instance.label} but the diagram "
-                            f"evaluates to {predicted}")
-    return _Circuit(*_lower_sdd(sdd, instance.values, predicted == 1, deadline), m, sdd)
-
-
-def _xpg_circuit(xpg: XpGraph, circuit: _Circuit | None) -> _Circuit:
-    """The given circuit or the graph's own, if the graph has a 0-terminal."""
-    if not xpg.zero_terminals():
-        raise EncodingError("graph has no 0-labeled terminal: the classifier is constant")
-    return _Circuit(*_lower_xpg(xpg), xpg.num_features, xpg) if circuit is None else circuit
-
-
 def _emit_replica(cnf, vm, circuit: _Circuit, replica: int, val: list, term_vars: dict) -> None:
-    """Evaluate the replica's gates into ``val``, indexed by the
+    """Compute the replica's gates into ``val``, indexed by the
     circuit's slots, and append their variables, roles and clauses.
 
-    Replica 0 evaluates every gate and records in ``term_vars``
+    Replica 0 computes every gate and records in ``term_vars``
     (lowered gate -> {position among its live terms: variable}) the
     terms that got a variable of their own. Replica k starts from
     replica 0's values with the guard -s_k, slot k, made TRUE, and
-    re-evaluates only the readers of the slots it changes; in them, a
+    recomputes only the readers of the slots it changes; in them, a
     term whose operands are both unchanged keeps replica 0's variable,
     if it has one.
 
@@ -255,7 +233,7 @@ def _emit_replica(cnf, vm, circuit: _Circuit, replica: int, val: list, term_vars
     ids, terms_of = circuit.ids, circuit.terms
     first = circuit.num_features + 2  # the first gate's slot
     changed = bytearray(len(val))
-    todo = bytearray(len(val))  # the slots to evaluate
+    todo = bytearray(len(val))  # the slots to compute
     if replica:
         readers = circuit.readers
         val[replica] = _TRUE
@@ -310,7 +288,7 @@ def _emit_replica(cnf, vm, circuit: _Circuit, replica: int, val: list, term_vars
         if value != val[p]:
             val[p] = value
             changed[p] = 1
-            if replica:  # replica 0 evaluates every gate anyway
+            if replica:  # replica 0 computes every gate anyway
                 for q, _ in readers[p]:
                     todo[q] = 1
         p = todo.find(1, p + 1)
@@ -336,20 +314,16 @@ def _replica0(circuit: _Circuit, deadline) -> dict:
     return {"val": val, "term_vars": term_vars, "cnf": cnf, "vm": vm}
 
 
-def _encode(circuit, checked, m: int, target: int, replicas: Iterable[int], deadline):
+def _encode(circuit: _Circuit, target: int, replicas: Iterable[int], deadline):
     """Replica 0 keeps the output FALSE and selects the target; replica k
     ties the output to s_k.
 
     The circuit keeps replica 0 of its (diagram, instance) in its
-    ``store``. While that is empty, ``checked(circuit)`` checks the
-    input and, given None, makes the circuit, and the store is filled
-    once replica 0 is complete; a filled one skips both. Every query
-    appends to copies of its clause list and roles, and evaluates each
-    replica k on a copy of its values.
+    ``store``, filled once replica 0 is complete. Every query appends to
+    copies of its clause list and roles, and emits each replica k on a
+    copy of its values.
     """
-    _check_target(m, target)
-    if circuit is None or not circuit.store:
-        circuit = checked(circuit)
+    if not circuit.store:
         circuit.store.update(_replica0(circuit, deadline))
     store = circuit.store
     cnf, vm = store["cnf"].copy(), store["vm"].copy()
@@ -368,30 +342,39 @@ def _encode(circuit, checked, m: int, target: int, replicas: Iterable[int], dead
     return cnf, vm
 
 
+def _check_graph(xpg: XpGraph, target: int) -> None:
+    _check_target(xpg.num_features, target)
+    if not xpg.zero_terminals():
+        raise EncodingError("graph has no 0-labeled terminal: the classifier is constant")
+
+
 def encode_sdd_onestep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, circuit=None):
     """Replicas 0..m; every model decodes to an AXp containing the target."""
-    m = sdd.num_features
-    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c, deadline), m, target,
-                   range(1, m + 1), deadline)
+    _check_target(sdd.num_features, target)
+    circuit = circuit or SddClassifier(sdd).circuit_for(instance, deadline)
+    return _encode(circuit, target, range(1, sdd.num_features + 1), deadline)
 
 
 def encode_sdd_twostep(sdd: Sdd, instance: Instance, target: int, *, deadline=inf, circuit=None):
     """Replicas 0 and t; models are weak AXps whose every contained AXp
     includes the target."""
-    return _encode(circuit, lambda c: _sdd_circuit(sdd, instance, c, deadline),
-                   sdd.num_features, target, (target,), deadline)
+    _check_target(sdd.num_features, target)
+    circuit = circuit or SddClassifier(sdd).circuit_for(instance, deadline)
+    return _encode(circuit, target, (target,), deadline)
 
 
 def encode_xpg_onestep(xpg: XpGraph, target: int, *, deadline=inf, circuit=None):
     """Replicas 0..m over the graph's activation semantics."""
-    m = xpg.num_features
-    return _encode(circuit, lambda c: _xpg_circuit(xpg, c), m, target, range(1, m + 1), deadline)
+    _check_graph(xpg, target)
+    circuit = circuit or XpgClassifier(xpg).circuit_for(None)
+    return _encode(circuit, target, range(1, xpg.num_features + 1), deadline)
 
 
 def encode_xpg_twostep(xpg: XpGraph, target: int, *, deadline=inf, circuit=None):
     """Replicas 0 and t only."""
-    return _encode(circuit, lambda c: _xpg_circuit(xpg, c), xpg.num_features, target, (target,),
-                   deadline)
+    _check_graph(xpg, target)
+    circuit = circuit or XpgClassifier(xpg).circuit_for(None)
+    return _encode(circuit, target, (target,), deadline)
 
 
 # --------------------------------------------------------------------------

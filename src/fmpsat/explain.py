@@ -113,6 +113,16 @@ def serialize_instance(instance: Instance) -> str:
     return "v: " + ",".join(str(v) for v in instance.values) + f"\nc: {instance.label}\n"
 
 
+def _check_features(m: int, features: Iterable[int]) -> frozenset[int]:
+    """The features as a set; the first, in the order given, outside
+    1..m raises ``ClassifierError``."""
+    features = tuple(features)
+    for i in features:
+        if not 1 <= i <= m:
+            raise ClassifierError(f"feature {i} outside 1..{m}")
+    return frozenset(features)
+
+
 # --------------------------------------------------------------------------
 # one circuit per (classifier, instance)
 # --------------------------------------------------------------------------
@@ -140,8 +150,8 @@ def _lower_sdd(sdd: sdd_mod.Sdd, values: Sequence[int], negated: bool, deadline=
     reaches it in, as it is first, so its gates are numbered as
     `sdd.negate` numbers its nodes, and reads the deadline every
     ``_POLL_NODES`` nodes of both its passes; otherwise every node up to
-    the root is lowered as it is. `_Adapter.circuit_for` or the public
-    encoder has checked the values.
+    the root is lowered as it is. `_Adapter.circuit_for` has checked the
+    values.
     """
     nodes = sdd.nodes
     n = sdd.root + 1
@@ -321,11 +331,8 @@ class _Circuit:
         return val
 
     def is_weak(self, features: Iterable[int]) -> bool:
-        m = self.num_features
-        free = [True] * m
-        for i in features:
-            if not 1 <= i <= m:
-                raise ClassifierError(f"feature {i} outside 1..{m}")
+        free = [True] * self.num_features
+        for i in _check_features(self.num_features, features):
             free[i - 1] = False
         return not self.evaluate(free)[self.output]
 
@@ -334,12 +341,9 @@ class _Circuit:
         bitmasks: bit 0 pins ``features`` and bit j also frees the j-th
         smallest of them. A guard holds the selections that free it, TRUE
         all of them, and a gate ORs ``val[a] & val[b]`` over its terms.
-        The features are range-checked in their own order, as in `is_weak`.
         """
         m = self.num_features
-        for i in features:
-            if not 1 <= i <= m:
-                raise ClassifierError(f"feature {i} outside 1..{m}")
+        features = _check_features(m, features)
         ones = (2 << len(features)) - 1
         val = [ones] * (m + 1) + [0] * (1 + len(self.terms))
         for j, i in enumerate(sorted(features), start=1):
@@ -565,14 +569,6 @@ def _all_features(clf) -> frozenset[int]:
     return frozenset(range(1, clf.num_features + 1))
 
 
-def _check_features(clf, features: Iterable[int]) -> frozenset[int]:
-    fs = frozenset(features)
-    for i in fs:
-        if not 1 <= i <= clf.num_features:
-            raise ClassifierError(f"feature {i} outside 1..{clf.num_features}")
-    return fs
-
-
 def is_weak_axp(clf, instance: Instance | None, features: Iterable[int]) -> bool:
     """Does fixing `features` to the instance values pin the prediction?
 
@@ -586,7 +582,7 @@ def is_weak_cxp(clf, instance: Instance | None, features: Iterable[int]) -> bool
     Computed as the exact complement of the weak-AXp test on the
     remaining features; the equivalence is enforced by property tests.
     """
-    fs = _check_features(clf, features)
+    fs = _check_features(clf.num_features, features)
     return not clf.is_weak_axp(instance, _all_features(clf) - fs)
 
 
@@ -601,7 +597,7 @@ def _shrink(clf, instance, seed: Iterable[int], frees: bool, kind: str, deadline
     deadline, a ``time.time()`` value (``math.inf`` for none), is read
     before each feature.
     """
-    current = sorted(_check_features(clf, seed))
+    current = sorted(_check_features(clf.num_features, seed))
     circuit = clf.circuit_for(instance)
     guards = [frees] * clf.num_features
     for i in current:

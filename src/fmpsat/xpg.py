@@ -82,7 +82,9 @@ class XpGraph:
             out_edges[src].append((dst, label))
             self._in_edges[dst].append((src, label))
         roots = [j for j in range(n) if indegree[j] == 0]
-        if len(roots) != 1:
+        if not roots:
+            raise ClassifierError("XpG has no root: every node has an incoming edge")
+        if len(roots) > 1:
             raise ClassifierError(f"multiple roots: nodes {roots} all have indegree 0")
         if roots[0] != self.root:
             raise ClassifierError(f"root is node {roots[0]}, not {self.root}")

@@ -9,7 +9,6 @@ import pytest
 
 import fmpsat as F
 from fmpsat import batch as batch_mod
-from fmpsat import encode as enc
 from fmpsat import explain as explain_mod
 from fmpsat import sdd as sdd_mod
 from fmpsat.cli import main
@@ -186,6 +185,29 @@ def test_rejected_arguments(capsys, tmp_path, argv, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("option", ["--obdd", "--sdd", "--vtree", "--dt", "--xpg",
+                                    "--instance", "--names"])
+def test_a_file_that_is_not_utf8_exits_2_naming_the_line(capsys, tmp_path, option):
+    # a byte that is not UTF-8 on line 2 of one input file is a parse error,
+    # exit 2 rather than 1 ("NO"), with the line and no traceback
+    inputs = {"--sdd": ELLA_SDD, "--vtree": ELLA_SDD, "--obdd": ELLA_OBDD, "--dt": ELLA_DT,
+              "--xpg": ELLA_XPG, "--instance": ELLA_OBDD, "--names": ELLA_OBDD}[option]
+    argv = ["fmp", *inputs, "--target", "1"]
+    names = tmp_path / "ella.names"
+    names.write_text("P\nY\nM\nS\n")
+    argv += ["--names", str(names)]
+    given = Path(argv[argv.index(option) + 1])
+    first, rest = given.read_bytes().split(b"\n", 1)
+    bad = tmp_path / f"bad-{given.name}"
+    bad.write_bytes(first + b"\n\xff\xfe" + rest)
+    argv[argv.index(option) + 1] = str(bad)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "line 2:" in err and "0xff is not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def _no_negation(sdd):
     raise AssertionError("built the negated diagram")
 
@@ -228,8 +250,9 @@ def test_an_sdd_command_lowers_once_in_the_instance_polarity(capsys, tmp_path, m
 
 
 def test_an_sdd_command_evaluates_the_diagram_once(capsys, tmp_path, monkeypatch):
-    # the instance's class is checked when the adapter makes its record;
-    # the lowering and the encoder trust that check
+    # the instance's class is checked when the adapter makes its record,
+    # the one place that evaluates the diagram; the lowering and the
+    # encoder trust that check
     calls = []
     evaluate = sdd_mod.evaluate
 
@@ -238,7 +261,6 @@ def test_an_sdd_command_evaluates_the_diagram_once(capsys, tmp_path, monkeypatch
         return evaluate(sdd, point)
 
     monkeypatch.setattr(sdd_mod, "evaluate", counting)
-    monkeypatch.setattr(enc, "evaluate", counting)
     for argv in (["axp", *ELLA_SDD], ["fmp", *ELLA_SDD, "--target", "3"],
                  ["encode", *ELLA_SDD, "--target", "3", "--out", str(tmp_path / "q.cnf")]):
         calls.clear()

@@ -28,7 +28,7 @@ from fmpsat.encode import (
     iter_dimacs,
     write_dimacs,
 )
-from fmpsat.errors import EncodingError, SolverTimeout
+from fmpsat.errors import ClassifierError, EncodingError, SolverTimeout
 from fmpsat.explain import Instance
 from fmpsat.batch import (
     generate_random_obdd,
@@ -36,6 +36,7 @@ from fmpsat.batch import (
     random_instance,
 )
 from fmpsat.sat import solve
+from fmpsat.xpg import XpGraph, XpgNonTerminal, XpgTerminal
 
 import pins
 from random_graphs import random_dt, random_xpg
@@ -304,13 +305,40 @@ def test_sdd_twostep_smaller(ella_sdd, ella_instance):
     assert two.num_clauses < one.num_clauses
 
 
-def test_sdd_encoding_takes_either_class(ella_sdd):
-    # a class-1 instance is lowered in negated polarity, as an adapter's is
-    inst = Instance((1, 0, 1, 1), 1)
-    for encode, method in ((encode_sdd_onestep, "one-step"), (encode_sdd_twostep, "two-step")):
-        cnf, vm = encode(ella_sdd, inst, 3)
-        query = F.FmpQuery(F.SddClassifier(ella_sdd), inst, 3, method)
-        assert write_dimacs(cnf, vm) == write_dimacs(*F.build_encoding(query))
+def test_sdd_encoding_takes_either_class(ella_sdd, ella_obdd, ella_instance):
+    # a standalone encoder reads a throwaway adapter record, so it gives
+    # the bytes of the query path for every kind: an SDD instance of
+    # either class (class 1 lowered in negated polarity), the graph an
+    # OBDD or a DT builds for the instance, and a bare explanation graph
+    ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
+    class1 = Instance((1, 0, 1, 1), 1)
+    sdd_cases = [(ella_sdd, ella_instance), (ella_sdd, class1)]
+    graphs = [F.ObddClassifier(ella_obdd).xpg_for(ella_instance),
+              F.DtClassifier(ella_dt).xpg_for(ella_instance),
+              F.parse_xpg((DATA / "ella.xpg").read_text())]
+    encoders = {"one-step": (encode_sdd_onestep, encode_xpg_onestep),
+                "two-step": (encode_sdd_twostep, encode_xpg_twostep)}
+    for method, (encode_sdd, encode_xpg) in encoders.items():
+        for sdd, inst in sdd_cases:
+            query = F.FmpQuery(F.SddClassifier(sdd), inst, 3, method)
+            assert (write_dimacs(*encode_sdd(sdd, inst, 3))
+                    == write_dimacs(*F.build_encoding(query))), (method, inst)
+        for graph in graphs:
+            query = F.FmpQuery(F.XpgClassifier(graph), None, 3, method)
+            assert (write_dimacs(*encode_xpg(graph, 3))
+                    == write_dimacs(*F.build_encoding(query))), method
+    # the target is checked first, then a graph's 0-terminal, then the instance
+    constant = XpGraph([XpgNonTerminal(1), XpgTerminal(1)], [(0, 1, 1), (0, 1, 0)], 0, 2)
+    mislabelled = Instance((0, 1, 0, 1), 1)
+    for encode_sdd, encode_xpg in encoders.values():
+        with pytest.raises(EncodingError, match="target feature 9 outside 1..4"):
+            encode_sdd(ella_sdd, mislabelled, 9)
+        with pytest.raises(ClassifierError, match="declares class 1"):
+            encode_sdd(ella_sdd, mislabelled, 1)
+        with pytest.raises(EncodingError, match="target feature 3 outside 1..2"):
+            encode_xpg(constant, 3)
+        with pytest.raises(EncodingError, match="no 0-labeled terminal"):
+            encode_xpg(constant, 1)
 
 
 def test_sdd_encoding_rejects_bad_target(ella_sdd, ella_instance):
@@ -319,11 +347,14 @@ def test_sdd_encoding_rejects_bad_target(ella_sdd, ella_instance):
 
 
 def test_sdd_encoding_rejects_wrong_evaluation(ella_sdd):
-    # declares class 0 but the diagram accepts this point, and the other way round
+    # declares class 0 but the diagram accepts this point, and the other
+    # way round: the adapter's check and message, as for any query
     inst = Instance((1, 1, 0, 0), 0)
-    with pytest.raises(EncodingError, match="evaluates to 1"):
+    with pytest.raises(ClassifierError,
+                       match="declares class 0 but the classifier predicts 1"):
         encode_sdd_twostep(ella_sdd, inst, 1)
-    with pytest.raises(EncodingError, match="declares class 1 but the diagram evaluates to 0"):
+    with pytest.raises(ClassifierError,
+                       match="declares class 1 but the classifier predicts 0"):
         encode_sdd_twostep(ella_sdd, Instance((0, 1, 0, 1), 1), 1)
 
 

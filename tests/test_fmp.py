@@ -291,7 +291,6 @@ def test_one_lowering_per_record(ella_sdd, ella_obdd, ella_xpg, ella_instance, m
             lowered.append(lower.__name__)
             return lower(*args)
         monkeypatch.setattr(explain_mod, name, spy)
-        monkeypatch.setattr(enc, name, spy)
     for clf, inst, lowering in _ella_adapters(ella_sdd, ella_obdd, ella_xpg, ella_instance):
         lowered.clear()
         F.find_axp(clf, inst, range(1, 5))
@@ -319,6 +318,12 @@ def test_one_lowering_per_record(ella_sdd, ella_obdd, ella_xpg, ella_instance, m
             assert source is clf.sdd, name
         assert decide_membership(FmpQuery(clf, inst, 3)).membership
         assert lowered == [lowering], name
+    # a public encoder called without a circuit lowers through a throwaway
+    # record of its own, the same lowering
+    lowered.clear()
+    enc.encode_sdd_twostep(ella_sdd, ella_instance, 3)
+    enc.encode_xpg_onestep(ella_xpg, 3)
+    assert lowered == ["_lower_sdd", "_lower_xpg"]
 
 
 def test_a_checks_only_query_emits_no_replica_0(ella_sdd, ella_obdd, ella_xpg, ella_instance):
@@ -538,7 +543,7 @@ def test_a_deadline_passing_during_the_lowering_keeps_no_record(ella_sdd, monkey
     with pytest.raises(SolverTimeout, match="SDD lowering exceeded its time limit"):
         decide_membership(FmpQuery(clf, accepted, 3, "two-step", time_limit_s=1.0))
     assert len(reads) == 2 and clf._records == {}
-    # a public encoder's own lowering reads its deadline alike
+    # a public encoder's throwaway record reads its deadline alike
     reads.clear()
     with pytest.raises(SolverTimeout, match="SDD lowering exceeded its time limit"):
         enc.encode_sdd_onestep(ella_sdd, accepted, 3, deadline=1.0)

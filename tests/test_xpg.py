@@ -247,6 +247,13 @@ def test_xpg_multiple_roots_error():
     text = "xpg 1 4\nN 0 1\nN 1 1\nT 2 1\nT 3 0\nE 0 2 1\nE 1 3 0\nE 0 3 0\nE 1 2 1\n"
     with pytest.raises(ParseError, match="multiple roots"):
         F.parse_xpg(text)
+    # a graph built directly says which of the two faults it has
+    nodes = [XpgNonTerminal(1), XpgNonTerminal(1)]
+    with pytest.raises(ClassifierError, match=r"^multiple roots: nodes \[0, 1\]"):
+        F.XpGraph(nodes, [], 0, 1)
+    with pytest.raises(ClassifierError,
+                       match="^XpG has no root: every node has an incoming edge$"):
+        F.XpGraph(nodes, [(0, 1, 1), (1, 0, 1)], 0, 1)
 
 
 def test_xpg_two_one_edges_error():
