@@ -312,21 +312,19 @@ def test_sdd_encoding_takes_either_class(ella_sdd, ella_obdd, ella_instance):
     # OBDD or a DT builds for the instance, and a bare explanation graph
     ella_dt = F.parse_dt((DATA / "ella.dt").read_text())
     class1 = Instance((1, 0, 1, 1), 1)
-    sdd_cases = [(ella_sdd, ella_instance), (ella_sdd, class1)]
-    graphs = [F.ObddClassifier(ella_obdd).xpg_for(ella_instance),
-              F.DtClassifier(ella_dt).xpg_for(ella_instance),
-              F.parse_xpg((DATA / "ella.xpg").read_text())]
+    sdds = [(F.SddClassifier(ella_sdd), ella_instance), (F.SddClassifier(ella_sdd), class1)]
+    graphs = [(F.ObddClassifier(ella_obdd), ella_instance),
+              (F.DtClassifier(ella_dt), ella_instance),
+              (F.XpgClassifier(F.parse_xpg((DATA / "ella.xpg").read_text())), None)]
     encoders = {"one-step": (encode_sdd_onestep, encode_xpg_onestep),
                 "two-step": (encode_sdd_twostep, encode_xpg_twostep)}
     for method, (encode_sdd, encode_xpg) in encoders.items():
-        for sdd, inst in sdd_cases:
-            query = F.FmpQuery(F.SddClassifier(sdd), inst, 3, method)
-            assert (write_dimacs(*encode_sdd(sdd, inst, 3))
-                    == write_dimacs(*F.build_encoding(query))), (method, inst)
-        for graph in graphs:
-            query = F.FmpQuery(F.XpgClassifier(graph), None, 3, method)
-            assert (write_dimacs(*encode_xpg(graph, 3))
-                    == write_dimacs(*F.build_encoding(query))), method
+        for clf, inst in sdds + graphs:
+            standalone = (encode_sdd(clf.sdd, inst, 3) if isinstance(clf, F.SddClassifier)
+                          else encode_xpg(clf.xpg_for(inst), 3))
+            query = F.FmpQuery(clf, inst, 3, method)
+            assert (write_dimacs(*standalone)
+                    == write_dimacs(*F.build_encoding(query))), (method, type(clf).__name__, inst)
     # the target is checked first, then a graph's 0-terminal, then the instance
     constant = XpGraph([XpgNonTerminal(1), XpgTerminal(1)], [(0, 1, 1), (0, 1, 0)], 0, 2)
     mislabelled = Instance((0, 1, 0, 1), 1)
